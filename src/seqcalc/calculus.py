@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvertedBounds, OutOfRange
+from .operators import DIFFERENCE
 from .sequences import FiniteSeq, RationalLike, as_rational
 
 
@@ -18,12 +19,9 @@ def derivative(seq: FiniteSeq, order: int = 1) -> FiniteSeq:
     """order-fold difference; empty when order >= len(seq), S itself at order 0."""
     if order < 0:
         raise OutOfRange(f"derivative order must be >= 0, got {order}")
-    values = list(seq.values)
-    for _ in range(order):
-        if len(values) == 0:
-            break
-        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    return FiniteSeq(values)
+    for _ in range(min(order, len(seq))):
+        seq = DIFFERENCE.apply(seq)
+    return seq
 
 
 def antiderivative(seq: FiniteSeq, constant: RationalLike = 0) -> FiniteSeq:

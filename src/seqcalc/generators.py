@@ -52,6 +52,3 @@ def geometric_sequence(start: RationalLike, q: RationalLike, length: int) -> Fin
         a = a * ratio
     return FiniteSeq(values)
 
-
-def constant_sequence(value: RationalLike, length: int) -> FiniteSeq:
-    return FiniteSeq.constant(value, length)

@@ -1,9 +1,10 @@
 """Exact interpolation through consecutive graph points of a sequence.
 
-The interpolating polynomial through (j, S(j)) for j = n0..n0+m is found by
-exact Gaussian elimination on the Vandermonde system; its degree-m
-coefficient times m! equals the m-th difference of S at n0, which gives a
-determinant route to higher derivatives via Cramer's rule:
+The nodes n0..n0+m are consecutive integers, so the polynomial through
+(j, S(j)) is Newton's forward form sum_k D^k S(n0) * C(x - n0, k), k = 0..m,
+with each D^k taken by the operator kernel.  Its k = m term is the law
+m! * a_m = D^m S(n0), which also gives a determinant route to higher
+derivatives via Cramer's rule:
 
     D^m S(i) = m! * det(M_S) / det(V)
 
@@ -22,7 +23,8 @@ from math import factorial
 from typing import Sequence
 
 from .errors import OutOfRange
-from .sequences import FiniteSeq, RationalLike, as_rational
+from .operators import DIFFERENCE
+from .sequences import FiniteSeq, RationalLike, as_rational, format_terms
 
 
 @dataclass(frozen=True)
@@ -59,42 +61,11 @@ class Polynomial:
 
     def render(self) -> str:
         """Ascending powers, zero terms skipped: "1 - 2*x + x^2"."""
-        if not self.coefficients:
-            return "0"
-        pieces = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(pieces)
+        powers = ("", "x") + tuple(f"x^{k}" for k in range(2, len(self.coefficients)))
+        return format_terms((c, x) for c, x in zip(self.coefficients, powers) if c != 0)
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.render()}>"
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; the system must be square
-    and nonsingular (always true for distinct interpolation nodes)."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[r]] for r, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
@@ -132,10 +103,18 @@ def _check_window(seq: FiniteSeq, start: int, m: int) -> None:
 def lagrange_poly(seq: FiniteSeq, n0: int, m: int) -> Polynomial:
     """Unique polynomial of degree <= m through (j, S(j)), j = n0..n0+m."""
     _check_window(seq, n0, m)
-    nodes = [Fraction(n0 + r) for r in range(m + 1)]
-    matrix = [[x**k for k in range(m + 1)] for x in nodes]
-    rhs = [seq.at(n0 + r) for r in range(m + 1)]
-    return Polynomial(_solve_exact(matrix, rhs))
+    window = FiniteSeq(seq.values[n0 - 1 : n0 + m])
+    diffs = [window.values[0]]
+    for _ in range(m):
+        window = DIFFERENCE.apply(window)
+        diffs.append(window.values[0])
+    coeffs: list[Fraction] = []
+    for k in range(m, -1, -1):
+        # coeffs <- coeffs * (x - (n0 + k)) + D^k S(n0) / k!, ascending powers
+        node = n0 + k
+        coeffs = [low - high * node for low, high in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diffs[k] / factorial(k)
+    return Polynomial(coeffs)
 
 
 def lagrange_mth_derivative(seq: FiniteSeq, n0: int, m: int) -> Fraction:

@@ -21,15 +21,21 @@ yields a sequence of length max(n - d, 0): each monomial T^a B^b contributes
 S(i + b), and lower-degree monomials are evaluated on the same truncated
 index range 1..n-d.  The canonical zero operator maps S to the zero sequence
 of the same length (it acts as the scalar 0).
+
+``apply`` is the library's one linear stencil.  Once per operator it sums
+the coefficients by bottom exponent b into a scale times coprime integers;
+each call adds one multiple of the slice S[b : b + n - d] per shift, a plain
+add or subtract for a unit weight, so D costs one subtraction per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Mapping, Union
 
 from .errors import NegativePower
-from .sequences import FiniteSeq, RationalLike, as_rational
+from .sequences import FiniteSeq, RationalLike, as_rational, format_terms
 
 Monomial = tuple[int, int]  # (top exponent, bottom exponent)
 
@@ -37,7 +43,7 @@ Monomial = tuple[int, int]  # (top exponent, bottom exponent)
 class OperatorPoly:
     """Canonical sparse polynomial over the top/bottom generators."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_stencil")
 
     def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
         clean: dict[Monomial, Fraction] = {}
@@ -51,6 +57,7 @@ class OperatorPoly:
                 if clean[(a, b)] == 0:
                     del clean[(a, b)]
         self._terms = clean
+        self._stencil = None
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -145,20 +152,39 @@ class OperatorPoly:
             n >>= 1
         return result
 
+    def _weights(self) -> tuple[int, Fraction, list[tuple[int, int]]]:
+        """(truncation, scale, [(shift b, integer weight)]), a +1 weight first."""
+        merged: dict[int, Fraction] = {}
+        for (_, b), coeff in self._terms.items():
+            merged[b] = merged.get(b, 0) + coeff
+        nonzero = [(b, w) for b, w in merged.items() if w]
+        scale = Fraction(gcd(*(w.numerator for _, w in nonzero)))
+        scale /= lcm(*(w.denominator for _, w in nonzero))
+        weights = sorted(((b, int(w / scale)) for b, w in nonzero), key=lambda bw: bw[1] != 1)
+        return max(self.max_degree(), 0), scale, weights
+
     def apply(self, seq: FiniteSeq) -> FiniteSeq:
         """Act on a finite sequence with the truncation convention."""
-        if self.is_zero():
-            return FiniteSeq([Fraction(0)] * len(seq))
-        d = self.max_degree()
-        n = len(seq)
-        out_len = max(n - d, 0)
-        values = []
-        for i in range(out_len):
-            acc = Fraction(0)
-            for (_, b), coeff in self._terms.items():
-                acc += coeff * seq.values[i + b]
-            values.append(acc)
-        return FiniteSeq(values)
+        if self._stencil is None:
+            self._stencil = self._weights()
+        depth, scale, weights = self._stencil
+        vals = seq.values
+        out_len = max(len(vals) - depth, 0)
+        if not weights:
+            return FiniteSeq([Fraction(0)] * out_len)
+        (b, w), *rest = weights
+        acc = vals[b : b + out_len] if w == 1 else [v * w for v in vals[b : b + out_len]]
+        for b, w in rest:
+            window = vals[b : b + out_len]
+            if w == 1:
+                acc = [x + v for x, v in zip(acc, window)]
+            elif w == -1:
+                acc = [x - v for x, v in zip(acc, window)]
+            else:
+                acc = [x + v * w for x, v in zip(acc, window)]
+        if scale != 1:
+            acc = [x * scale for x in acc]
+        return FiniteSeq(acc)
 
     def render(self) -> str:
         """Canonical text: terms by total degree then bottom exponent.
@@ -166,17 +192,8 @@ class OperatorPoly:
         Examples: "1/2*I + 1/2*E", "-I + E", "I^2 - 2*I*E + E^2", "0".
         Re-parseable by the expression parser.
         """
-        if not self._terms:
-            return "0"
         ordered = sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
-        pieces = []
-        for idx, ((a, b), coeff) in enumerate(ordered):
-            text = _term_text(a, b, abs(coeff))
-            if idx == 0:
-                pieces.append(f"-{text}" if coeff < 0 else text)
-            else:
-                pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
-        return "".join(pieces)
+        return format_terms((coeff, _monomial(a, b)) for (a, b), coeff in ordered)
 
     def __repr__(self) -> str:
         return f"<OperatorPoly {self.render()}>"
@@ -190,18 +207,13 @@ def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
     return NotImplemented
 
 
-def _term_text(a: int, b: int, coeff: Fraction) -> str:
+def _monomial(a: int, b: int) -> str:
     factors = []
     if a:
         factors.append("I" if a == 1 else f"I^{a}")
     if b:
         factors.append("E" if b == 1 else f"E^{b}")
-    if not factors:
-        return str(coeff)
-    mono = "*".join(factors)
-    if coeff == 1:
-        return mono
-    return f"{coeff}*{mono}"
+    return "*".join(factors)
 
 
 IDENTITY = OperatorPoly.scalar(1)
@@ -225,5 +237,4 @@ def bottom(seq: FiniteSeq) -> FiniteSeq:
 
 def middle(seq: FiniteSeq) -> FiniteSeq:
     """Pairwise mean of top and bottom."""
-    vals = seq.values
-    return FiniteSeq((vals[i] + vals[i + 1]) / 2 for i in range(len(vals) - 1)) if vals else seq
+    return MIDDLE.apply(seq)

@@ -117,9 +117,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(_SIMPLE[ch], ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos].isdecimal():
                 pos += 1
             tokens.append(_Token("NUMBER", text[start:pos], start))
             continue
@@ -193,20 +193,20 @@ class _Parser:
         if self.peek().kind == "CARET":
             self.advance()
             exponent = self.expect("NUMBER", ("nonnegative integer exponent",))
-            return Power(node, int(exponent.text))
+            return Power(node, _integer(exponent))
         return node
 
     def atom(self) -> Node:
         token = self.peek()
         if token.kind == "NUMBER":
             self.advance()
-            numerator = int(token.text)
+            numerator = _integer(token)
             if self.peek().kind == "SLASH":
                 self.advance()
                 denom = self.expect("NUMBER", ("denominator",))
-                if int(denom.text) == 0:
+                if _integer(denom) == 0:
                     raise ParseError(denom.offset, ("nonzero denominator",), denom.text)
-                return Scalar(Fraction(numerator, int(denom.text)))
+                return Scalar(Fraction(numerator, _integer(denom)))
             return Scalar(Fraction(numerator))
         if token.kind == "LETTER":
             self.advance()
@@ -217,6 +217,14 @@ class _Parser:
             self.expect("RPAREN", ("')'",))
             return node
         raise ParseError(token.offset, ("generator", "number", "'('"), token.text or "end of input")
+
+
+def _integer(token: _Token) -> int:
+    """int() of a NUMBER token, whose only failure is Python's int/str digit limit."""
+    try:
+        return int(token.text)
+    except ValueError:
+        raise ParseError(token.offset, ("fewer digits",), f"{len(token.text)} digits") from None
 
 
 def parse_operator(text: str) -> Node:

@@ -25,7 +25,7 @@ from .analysis import ConvexityReport, MonotonicityReport
 from .errors import FormatError, NonContiguousIndex
 from .lagrange import Polynomial
 from .operators import OperatorPoly
-from .sequences import FiniteSeq
+from .sequences import FiniteSeq, format_rational
 from .verify import CheckReport
 
 SCHEMA = "seqcalc/1"
@@ -39,11 +39,6 @@ FORMATS = ("inline", "csv", "json", "bfile")
 class SequenceDocument:
     source_format: str
     values: FiniteSeq
-    origin_index: int = 1
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
@@ -54,6 +49,8 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in {token!r}", line) from None
+    except ValueError:
+        raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
 
 
 def parse_inline(text: str) -> FiniteSeq:
@@ -87,6 +84,8 @@ def parse_json(text: str) -> FiniteSeq:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid json: {exc.msg}", exc.lineno) from None
+    except ValueError:
+        raise FormatError("json integer has too many digits to parse") from None
     if not isinstance(data, list):
         raise FormatError("json sequence must be an array")
     values = []
@@ -157,8 +156,8 @@ def render_sequence(seq: FiniteSeq, target_format: str) -> str:
     if target_format == "csv":
         return "\n".join(format_rational(v) for v in seq) + ("\n" if len(seq) else "")
     if target_format == "json":
-        payload = [v.numerator if v.denominator == 1 else format_rational(v) for v in seq]
-        return json.dumps(payload)
+        texts = [format_rational(v) for v in seq]
+        return "[" + ", ".join(f'"{t}"' if "/" in t else t for t in texts) + "]"
     if target_format == "bfile":
         lines = [f"{i} {format_rational(v)}" for i, v in enumerate(seq, start=1)]
         return "\n".join(lines) + ("\n" if lines else "")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .errors import LengthMismatch, OutOfRange, ZeroEntry
+from .errors import FormatError, LengthMismatch, OutOfRange, ZeroEntry
 
 Rational = Fraction
 
@@ -32,6 +32,28 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def format_rational(value: Fraction) -> str:
+    """The one place a rational becomes text; Python's int/str digit limit raises FormatError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise FormatError("a number in the result has too many digits to write as text") from None
+
+
+def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Signed sum of nonzero (coefficient, monomial) terms; "" is the monomial 1."""
+    pieces = []
+    for coeff, mono in terms:
+        body = format_rational(abs(coeff))
+        if mono:
+            body = mono if abs(coeff) == 1 else f"{body}*{mono}"
+        if pieces:
+            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+        else:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+    return "".join(pieces) or "0"
 
 
 @dataclass(frozen=True)

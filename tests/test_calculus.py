@@ -1,5 +1,6 @@
 """Derivative, antiderivative and definite integral, with the calculus rules."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -168,3 +169,9 @@ def test_antiderivative_constant_iff_zero_sequence(s, c):
     integral = antiderivative(s, c)
     is_constant = all(v == integral.at(1) for v in integral)
     assert is_constant == all(v == 0 for v in s)
+
+
+def test_huge_order_stops_once_empty():
+    start = time.perf_counter()
+    assert derivative(FiniteSeq.of(1, 2, 3), 10**9) == EMPTY
+    assert time.perf_counter() - start < 1.0

@@ -1,5 +1,6 @@
 """Interpolation, coefficient laws, and the determinant route to D^m."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -167,3 +168,19 @@ def test_route_agreement(s, data):
     by_difference = derivative(s, m).at(i)
     by_operator = (DIFFERENCE**m).apply(s).at(i)
     assert dm_via_determinant(s, i, m) == by_difference == by_operator
+
+
+@pytest.mark.parametrize("m", [40, 60])
+def test_high_order_interpolant_hits_nodes_and_basis_form(m):
+    rng = random.Random(m)
+    s = FiniteSeq(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m + 5))
+    n0 = 3
+    poly = lagrange_poly(s, n0, m)
+    xs = list(range(n0, n0 + m + 1))
+    ys = [s.at(j) for j in xs]
+    assert poly.degree <= m
+    assert all(poly.evaluate(j) == s.at(j) for j in xs)
+    for _ in range(3):
+        probe = Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+        assert poly.evaluate(probe) == basis_form_oracle(xs, ys, probe)
+    assert factorial(m) * poly.coefficient(m) == derivative(s, m).at(n0)

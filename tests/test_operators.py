@@ -144,3 +144,44 @@ def test_power_is_repeated_product(p, n):
     for _ in range(n):
         expected = expected * p
     assert p**n == expected
+
+
+def raw_apply_oracle(p, s):
+    """Sum of c * S(i + b) over the terms, on the range 1..n-d; n zeros for 0."""
+    vals = s.values
+    if p.is_zero():
+        return [Fraction(0)] * len(vals)
+    out_len = max(len(vals) - p.max_degree(), 0)
+    return [
+        sum((c * vals[i + b] for (_, b), c in p.terms.items()), Fraction(0))
+        for i in range(out_len)
+    ]
+
+
+@given(operator_polys, finite_seqs(max_size=12))
+def test_apply_matches_raw_index_oracle(p, s):
+    assert list(p.apply(s).values) == raw_apply_oracle(p, s)
+
+
+def test_apply_shared_and_cancelling_shifts():
+    s = FiniteSeq([1, "3/2", -4, 7])
+    # I and 1 share shift 0: the weights add
+    assert (TOP + 1).apply(s) == FiniteSeq([2, 3, -8])
+    # ... or cancel, leaving n-1 zeros
+    assert (TOP - 1).apply(s) == FiniteSeq([0, 0, 0])
+    assert (TOP * BOTTOM - BOTTOM).apply(s) == FiniteSeq([0, 0])
+    # the zero operator keeps the length
+    assert OperatorPoly.zero().apply(s) == FiniteSeq([0, 0, 0, 0])
+    assert OperatorPoly.scalar(0).apply(EMPTY) == EMPTY
+    for p in (TOP + 1, TOP - 1, MIDDLE, DIFFERENCE**2, OperatorPoly.scalar("-2/3")):
+        assert p.apply(EMPTY) == EMPTY
+
+
+def test_apply_rational_and_negative_weights():
+    s = FiniteSeq([1, 2, 4, 8, 16])
+    assert (-DIFFERENCE).apply(s) == FiniteSeq([-1, -2, -4, -8])
+    assert (-TOP).apply(s) == FiniteSeq([-1, -2, -4, -8])
+    assert (-IDENTITY).apply(s) == FiniteSeq([-1, -2, -4, -8, -16])
+    mixed = TOP * Fraction(3, 4) - BOTTOM * Fraction(5, 7)
+    assert mixed.apply(s) == FiniteSeq(["-19/28", "-19/14", "-19/7", "-38/7"])
+    assert (MIDDLE**2).apply(s) == FiniteSeq(["9/4", "9/2", 9])

@@ -99,7 +99,6 @@ def test_load_sequence_inline_and_files(tmp_path):
     doc = load_sequence(f"csv:{csv}")
     assert doc.values == FiniteSeq([1, 2, 3])
     assert doc.source_format == "csv"
-    assert doc.origin_index == 1
 
     bfile = tmp_path / "b000001.txt"
     bfile.write_text("1 1\n2 1\n3 2\n4 3\n5 5\n")

@@ -6,7 +6,6 @@ from seqcalc import CheckSpec, FiniteSeq, check_names, run_all, run_check
 from seqcalc.errors import BadParameter, UnknownCheck
 from seqcalc.generators import (
     arithmetic_sequence,
-    constant_sequence,
     geometric_sequence,
     random_rational_sequence,
     random_zero_free_sequence,
@@ -88,7 +87,7 @@ def test_run_all_order_and_payload():
 def test_generator_families():
     assert arithmetic_sequence(1, 2, 4) == FiniteSeq([1, 3, 5, 7])
     assert geometric_sequence(1, 2, 4) == FiniteSeq([1, 2, 4, 8])
-    assert constant_sequence(5, 3) == FiniteSeq([5, 5, 5])
+    assert FiniteSeq.constant(5, 3) == FiniteSeq([5, 5, 5])
     assert geometric_sequence(1, "1/2", 3) == FiniteSeq([1, "1/2", "1/4"])
     with pytest.raises(BadParameter):
         geometric_sequence(1, 0, 3)
