@@ -41,8 +41,8 @@ from .operators import (
     middle,
     top,
 )
-from .parser import canonicalize, parse_operator, parse_operator_poly
-from .seqio import SequenceDocument, load_sequence, render_report, render_sequence
+from .parser import parse_operator_poly
+from .seqio import load_sequence, render_sequence
 from .sequences import EMPTY, FiniteSeq, Rational, as_rational
 from .verify import CheckReport, CheckSpec, check_names, run_all, run_check
 
@@ -63,12 +63,10 @@ __all__ = [
     "OperatorPoly",
     "Polynomial",
     "Rational",
-    "SequenceDocument",
     "TOP",
     "antiderivative",
     "as_rational",
     "bottom",
-    "canonicalize",
     "check_names",
     "classify_convexity",
     "classify_monotonicity",
@@ -86,9 +84,7 @@ __all__ = [
     "load_sequence",
     "mean_filter",
     "middle",
-    "parse_operator",
     "parse_operator_poly",
-    "render_report",
     "render_sequence",
     "run_all",
     "run_check",

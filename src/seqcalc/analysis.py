@@ -53,12 +53,12 @@ def classify_monotonicity(seq: FiniteSeq) -> MonotonicityReport:
 def classify_convexity(seq: FiniteSeq) -> ConvexityReport:
     if len(seq) < 3:
         raise TooShort(len(seq), 3)
-    first = derivative(seq).values
-    second = derivative(seq, 2)
+    first = derivative(seq)
+    second = derivative(first)
     d2 = second.values
     strictly_convex = all(d > 0 for d in d2)
     strictly_concave = all(d < 0 for d in d2)
-    nonzero_slope = all(d != 0 for d in first)
+    nonzero_slope = all(d != 0 for d in first.values)
     return ConvexityReport(
         convex=all(d >= 0 for d in d2),
         concave=all(d <= 0 for d in d2),

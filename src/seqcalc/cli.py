@@ -16,7 +16,6 @@ from .calculus import antiderivative, definite_integral, derivative
 from .errors import DomainError, UsageError
 from .lagrange import dm_via_determinant, lagrange_poly
 from .parser import parse_operator_poly
-from .sequences import FiniteSeq
 from .seqio import parse_rational, render_json
 
 
@@ -38,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--op", required=True, help="operator expression, e.g. '(E - I)^2'")
     seq_arg(p_apply)
 
-    p_simplify = sub.add_parser("simplify", help="canonicalize an operator expression")
+    p_simplify = sub.add_parser("simplify", help="canonical form of an operator expression")
     p_simplify.add_argument("--op", required=True)
 
     p_diff = sub.add_parser("diff", help="discrete derivative")
@@ -76,14 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_seq(spec_text: str) -> FiniteSeq:
-    return seqio.load_sequence(spec_text).values
-
-
 def _run(args) -> int:
     if args.command == "apply":
         poly = parse_operator_poly(args.op)
-        seq = _load_seq(args.seq)
+        seq = seqio.load_sequence(args.seq)
         print(render_json(seqio.sequence_payload(poly.apply(seq))))
         return 0
 
@@ -94,31 +89,31 @@ def _run(args) -> int:
         return 0
 
     if args.command == "diff":
-        seq = _load_seq(args.seq)
+        seq = seqio.load_sequence(args.seq)
         print(render_json(seqio.sequence_payload(derivative(seq, args.order))))
         return 0
 
     if args.command == "integrate":
-        seq = _load_seq(args.seq)
+        seq = seqio.load_sequence(args.seq)
         constant = parse_rational(args.constant)
         print(render_json(seqio.sequence_payload(antiderivative(seq, constant))))
         return 0
 
     if args.command == "defint":
-        seq = _load_seq(args.seq)
+        seq = seqio.load_sequence(args.seq)
         value = definite_integral(seq, args.lower, args.upper)
         print(render_json(seqio.rational_payload(value)))
         return 0
 
     if args.command == "classify":
-        seq = _load_seq(args.seq)
+        seq = seqio.load_sequence(args.seq)
         monotonicity = classify_monotonicity(seq)
         convexity = classify_convexity(seq) if len(seq) >= 3 else None
         print(render_json(seqio.classification_payload(monotonicity, convexity)))
         return 0
 
     if args.command == "lagrange":
-        seq = _load_seq(args.seq)
+        seq = seqio.load_sequence(args.seq)
         if args.det:
             value = dm_via_determinant(seq, args.n0, args.m)
             print(render_json(seqio.rational_payload(value)))

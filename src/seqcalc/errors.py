@@ -7,6 +7,20 @@ precondition, exit code 3).
 
 from __future__ import annotations
 
+QUOTE_CHARS = 40
+
+
+def quoted(value: object) -> str:
+    """repr of a value from the input, cut to its first QUOTE_CHARS characters.
+
+    A longer string (or repr, for a non-string) is quoted as its prefix plus
+    its total length, so one bad token cannot flood stderr.
+    """
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return repr(value)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+
 
 class SeqCalcError(Exception):
     """Base class for all seqcalc errors."""
@@ -91,5 +105,5 @@ class NonContiguousIndex(UsageError):
 
 class UnknownCheck(UsageError):
     def __init__(self, name: str, catalog: tuple[str, ...]):
-        super().__init__(f"unknown check {name!r}; known: {', '.join(catalog)}")
+        super().__init__(f"unknown check {quoted(name)}; known: {', '.join(catalog)}")
         self.name = name

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from .errors import NegativePower
+from .errors import BadParameter, NegativePower
 from .sequences import FiniteSeq, RationalLike, as_rational, format_terms
 
 Monomial = tuple[int, int]  # (top exponent, bottom exponent)
@@ -135,6 +135,8 @@ class OperatorPoly:
 
     def __truediv__(self, scalar: RationalLike) -> OperatorPoly:
         s = as_rational(scalar)
+        if s == 0:
+            raise BadParameter("division of an operator by the scalar zero")
         return OperatorPoly({k: c / s for k, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> OperatorPoly:

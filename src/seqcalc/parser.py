@@ -8,83 +8,22 @@ Grammar (whitespace-insensitive; juxtaposition means composition):
     atom     := "1" | "I" | "E" | "M" | "D" | rational | "(" expr ")"
     rational := uint ("/" uint)?
 
-Negative exponents are rejected at parse time; canonicalize() turns a tree
-into the canonical OperatorPoly, replacing M with (I+E)/2 and D with E-I by
-construction.  The canonical rendering produced by OperatorPoly.render() is
-always re-parseable, and re-canonicalizes to the same polynomial.
+Each rule returns its value in the operator ring: a generator is its
+OperatorPoly (M is (I+E)/2 and D is E-I by construction), a number is a
+scalar, and every operator symbol is the ring operation of the same name.
+There is no syntax tree, so a malformed expression fails only after its
+well-formed prefix has been evaluated.  The canonical rendering produced by
+OperatorPoly.render() is always re-parseable, and parses back to the same
+polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .errors import NegativePower, ParseError
+from .errors import ParseError
 from .operators import GENERATORS, OperatorPoly
-
-
-@dataclass(frozen=True)
-class Generator:
-    symbol: str  # one of 1, I, E, M, D
-
-
-@dataclass(frozen=True)
-class Scalar:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Subtract:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Multiply:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: "Node"
-
-
-Node = Union[Generator, Scalar, Add, Subtract, Multiply, Power, Negate]
-
-
-def canonicalize(node: Node) -> OperatorPoly:
-    """Expand an expression tree into its canonical polynomial."""
-    if isinstance(node, Generator):
-        return GENERATORS[node.symbol]
-    if isinstance(node, Scalar):
-        return OperatorPoly.scalar(node.value)
-    if isinstance(node, Add):
-        return canonicalize(node.left) + canonicalize(node.right)
-    if isinstance(node, Subtract):
-        return canonicalize(node.left) - canonicalize(node.right)
-    if isinstance(node, Multiply):
-        return canonicalize(node.left) * canonicalize(node.right)
-    if isinstance(node, Power):
-        if node.exponent < 0:
-            raise NegativePower(node.exponent)
-        return canonicalize(node.base) ** node.exponent
-    if isinstance(node, Negate):
-        return -canonicalize(node.operand)
-    raise TypeError(f"not an operator expression node: {node!r}")
 
 
 @dataclass(frozen=True)
@@ -154,68 +93,66 @@ class _Parser:
             raise ParseError(token.offset, expected, token.text or "end of input")
         return self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> OperatorPoly:
+        poly = self.expr()
         tail = self.peek()
         if tail.kind != "END":
             raise ParseError(tail.offset, ("operator", "end of input"), tail.text)
-        return node
+        return poly
 
-    def expr(self) -> Node:
+    def expr(self) -> OperatorPoly:
         if self.peek().kind == "MINUS":
             self.advance()
-            node: Node = Negate(self.term())
+            poly = -self.term()
         else:
-            node = self.term()
+            poly = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.advance()
             right = self.term()
-            node = Add(node, right) if op.kind == "PLUS" else Subtract(node, right)
-        return node
+            poly = poly + right if op.kind == "PLUS" else poly - right
+        return poly
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> OperatorPoly:
+        poly = self.factor()
         while True:
-            token = self.peek()
-            if token.kind == "STAR":
+            kind = self.peek().kind
+            if kind == "STAR":
                 self.advance()
-                node = Multiply(node, self.factor())
-            elif token.kind in _ATOM_START:
-                node = Multiply(node, self.factor())
-            else:
-                return node
+            elif kind not in _ATOM_START:
+                return poly
+            poly = poly * self.factor()
 
-    def factor(self) -> Node:
+    def factor(self) -> OperatorPoly:
         if self.peek().kind == "MINUS":
             self.advance()
-            return Negate(self.factor())
-        node = self.atom()
+            return -self.factor()
+        poly = self.atom()
         if self.peek().kind == "CARET":
             self.advance()
             exponent = self.expect("NUMBER", ("nonnegative integer exponent",))
-            return Power(node, _integer(exponent))
-        return node
+            return poly ** _integer(exponent)
+        return poly
 
-    def atom(self) -> Node:
+    def atom(self) -> OperatorPoly:
         token = self.peek()
         if token.kind == "NUMBER":
             self.advance()
-            numerator = _integer(token)
+            numerator, denominator = _integer(token), 1
             if self.peek().kind == "SLASH":
                 self.advance()
                 denom = self.expect("NUMBER", ("denominator",))
-                if _integer(denom) == 0:
+                denominator = _integer(denom)
+                if denominator == 0:
                     raise ParseError(denom.offset, ("nonzero denominator",), denom.text)
-                return Scalar(Fraction(numerator, _integer(denom)))
-            return Scalar(Fraction(numerator))
+            return OperatorPoly.scalar(Fraction(numerator, denominator))
         if token.kind == "LETTER":
             self.advance()
-            return Generator(token.text)
+            return GENERATORS[token.text]
         if token.kind == "LPAREN":
             self.advance()
-            node = self.expr()
+            poly = self.expr()
             self.expect("RPAREN", ("')'",))
-            return node
+            return poly
         raise ParseError(token.offset, ("generator", "number", "'('"), token.text or "end of input")
 
 
@@ -227,11 +164,6 @@ def _integer(token: _Token) -> int:
         raise ParseError(token.offset, ("fewer digits",), f"{len(token.text)} digits") from None
 
 
-def parse_operator(text: str) -> Node:
-    """Parse an operator expression into its syntax tree."""
-    return _Parser(text).parse()
-
-
 def parse_operator_poly(text: str) -> OperatorPoly:
-    """Parse and canonicalize in one step."""
-    return canonicalize(parse_operator(text))
+    """Parse operator text straight into its canonical polynomial."""
+    return _Parser(text).parse()

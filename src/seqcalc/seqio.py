@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .analysis import ConvexityReport, MonotonicityReport
-from .errors import FormatError, NonContiguousIndex
+from .errors import FormatError, NonContiguousIndex, quoted
 from .lagrange import Polynomial
 from .operators import OperatorPoly
 from .sequences import FiniteSeq, format_rational
@@ -32,23 +31,15 @@ SCHEMA = "seqcalc/1"
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-FORMATS = ("inline", "csv", "json", "bfile")
-
-
-@dataclass(frozen=True)
-class SequenceDocument:
-    source_format: str
-    values: FiniteSeq
-
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
     token = text.strip()
     if not _RATIONAL_RE.match(token):
-        raise FormatError(f"not a rational literal: {token!r}", line)
+        raise FormatError(f"not a rational literal: {quoted(token)}", line)
     try:
         return Fraction(token)
     except ZeroDivisionError:
-        raise FormatError(f"zero denominator in {token!r}", line) from None
+        raise FormatError(f"zero denominator in {quoted(token)}", line) from None
     except ValueError:
         raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
 
@@ -91,7 +82,7 @@ def parse_json(text: str) -> FiniteSeq:
     values = []
     for item in data:
         if isinstance(item, bool) or not isinstance(item, (int, str)):
-            raise FormatError(f"json entries must be integers or 'p/q' strings, got {item!r}")
+            raise FormatError(f"json entries must be integers or 'p/q' strings, got {quoted(item)}")
         values.append(parse_rational(str(item)))
     return FiniteSeq(values)
 
@@ -105,11 +96,11 @@ def parse_bfile(text: str) -> FiniteSeq:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise FormatError(f"expected 'index value', got {line!r}", number)
+            raise FormatError(f"expected 'index value', got {quoted(line)}", number)
         try:
             index = int(fields[0])
         except ValueError:
-            raise FormatError(f"bad index {fields[0]!r}", number) from None
+            raise FormatError(f"bad index {quoted(fields[0])}", number) from None
         if expected is not None and index != expected:
             raise NonContiguousIndex(expected, index, number)
         expected = index + 1
@@ -124,28 +115,30 @@ _PARSERS = {
     "bfile": parse_bfile,
 }
 
+FORMATS = tuple(_PARSERS)
 
-def parse_sequence_text(text: str, source_format: str) -> SequenceDocument:
+
+def parse_sequence_text(text: str, source_format: str) -> FiniteSeq:
     try:
         parser = _PARSERS[source_format]
     except KeyError:
         raise FormatError(
-            f"unknown sequence format {source_format!r}; known: {', '.join(FORMATS)}"
+            f"unknown sequence format {quoted(source_format)}; known: {', '.join(FORMATS)}"
         ) from None
-    return SequenceDocument(source_format, parser(text))
+    return parser(text)
 
 
-def load_sequence(spec_text: str) -> SequenceDocument:
+def load_sequence(spec_text: str) -> FiniteSeq:
     """Resolve a --seq argument: inline:1,2,3 | csv:path | json:path | bfile:path."""
     tag, _, rest = spec_text.partition(":")
     if tag not in FORMATS:
-        raise FormatError(f"sequence spec must start with one of {FORMATS}, got {tag!r}")
+        raise FormatError(f"sequence spec must start with one of {FORMATS}, got {quoted(tag)}")
     if tag == "inline":
         return parse_sequence_text(rest, "inline")
     try:
         text = Path(rest).read_text()
     except OSError as exc:
-        raise FormatError(f"cannot read {rest!r}: {exc.strerror}") from None
+        raise FormatError(f"cannot read {quoted(rest)}: {exc.strerror}") from None
     return parse_sequence_text(text, tag)
 
 
@@ -161,7 +154,7 @@ def render_sequence(seq: FiniteSeq, target_format: str) -> str:
     if target_format == "bfile":
         lines = [f"{i} {format_rational(v)}" for i, v in enumerate(seq, start=1)]
         return "\n".join(lines) + ("\n" if lines else "")
-    raise FormatError(f"unknown sequence format {target_format!r}")
+    raise FormatError(f"unknown sequence format {quoted(target_format)}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +249,3 @@ def verification_payload(reports: list[CheckReport]) -> dict:
 
 def render_json(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
-
-
-def render_report(result) -> str:
-    """Serialize any module output to its schema-tagged JSON text."""
-    if isinstance(result, FiniteSeq):
-        return render_json(sequence_payload(result))
-    if isinstance(result, Fraction):
-        return render_json(rational_payload(result))
-    if isinstance(result, OperatorPoly):
-        return render_json(operator_payload(result))
-    if isinstance(result, Polynomial):
-        return render_json(polynomial_payload(result))
-    if isinstance(result, CheckReport):
-        return render_json(verification_payload([result]))
-    if isinstance(result, list) and all(isinstance(r, CheckReport) for r in result):
-        return render_json(verification_payload(result))
-    if isinstance(result, MonotonicityReport):
-        return render_json({"schema": SCHEMA, "kind": "monotonicity", **monotonicity_payload(result)})
-    if isinstance(result, ConvexityReport):
-        return render_json({"schema": SCHEMA, "kind": "convexity", **convexity_payload(result)})
-    raise TypeError(f"no JSON rendering for {type(result).__name__}")

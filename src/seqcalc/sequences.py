@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .errors import FormatError, LengthMismatch, OutOfRange, ZeroEntry
+from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
 
 Rational = Fraction
 
@@ -121,6 +121,8 @@ class FiniteSeq:
             if len(self) != len(other):
                 raise LengthMismatch(len(self), len(other))
             return FiniteSeq(a * b for a, b in zip(self.values, other.values))
+        if not isinstance(other, (int, str, Fraction)):
+            return NotImplemented
         return FiniteSeq(a * as_rational(other) for a in self.values)
 
     def __rmul__(self, other: RationalLike) -> FiniteSeq:
@@ -131,7 +133,7 @@ class FiniteSeq:
             return self * other.inverse()
         scalar = as_rational(other)
         if scalar == 0:
-            raise ZeroDivisionError("division of a sequence by the scalar zero")
+            raise BadParameter("division of a sequence by the scalar zero")
         return FiniteSeq(a / scalar for a in self.values)
 
     def inverse(self) -> FiniteSeq:

@@ -35,10 +35,9 @@ from seqcalc import (
 )
 from seqcalc.generators import geometric_sequence, random_rational_sequence
 from seqcalc.lagrange import interpolation_determinants
-from seqcalc.parser import canonicalize
 from seqcalc.seqio import FORMATS, parse_sequence_text, render_sequence
 
-from test_parser import random_ast
+from test_parser import random_expr
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -206,14 +205,15 @@ def test_criterion_7_round_trips_and_determinism():
     """1000 seeded parser round-trips, ingestion round-trips, byte-identical CLI."""
     rng = random.Random("criterion7")
     for _ in range(1000):
-        poly = canonicalize(random_ast(rng))
+        text, poly = random_expr(rng)
+        assert parse_operator_poly(text) == poly
         assert parse_operator_poly(poly.render()) == poly
 
     for _ in range(100):
         n = rng.randint(0, 12)
         s = random_rational_sequence(n, rng)
         for fmt in FORMATS:
-            assert parse_sequence_text(render_sequence(s, fmt), fmt).values == s
+            assert parse_sequence_text(render_sequence(s, fmt), fmt) == s
 
     invocations = (
         ("classify", "--seq", "inline:1,4,9,16"),

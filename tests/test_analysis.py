@@ -8,6 +8,7 @@ from hypothesis import given
 
 from seqcalc import (
     FiniteSeq,
+    OperatorPoly,
     classify_convexity,
     classify_monotonicity,
     collinearity_determinant,
@@ -133,3 +134,17 @@ def test_monotonicity_flag_implications(s):
         assert report.decreasing
     if report.constant:
         assert report.increasing and report.decreasing
+
+
+def test_classify_convexity_takes_two_difference_passes(monkeypatch):
+    calls = []
+    apply = OperatorPoly.apply
+
+    def counted(self, seq):
+        calls.append(len(seq))
+        return apply(self, seq)
+
+    monkeypatch.setattr(OperatorPoly, "apply", counted)
+    report = classify_convexity(FiniteSeq([1, 4, 9, 16, 25]))
+    assert report.second_derivative == FiniteSeq([2, 2, 2])
+    assert calls == [5, 4]

@@ -165,3 +165,34 @@ def test_empty_sequence_flows_through(capsys):
     code, out = run_cli(capsys, "diff", "--seq", "inline:")
     assert code == 0
     assert json.loads(out)["values"] == []
+
+
+LONG = 3000
+
+# Each case feeds one 3000-character token to a different error message.
+LONG_INPUTS = {
+    "rational literal": lambda tmp: ("diff", "--seq", "inline:" + "x" * LONG),
+    "zero denominator": lambda tmp: ("diff", "--seq", "inline:1/" + "0" * (LONG - 2)),
+    "json entry": lambda tmp: ("diff", "--seq", "json:" + _write(tmp, "[[" + ",".join("0" * LONG) + "]]")),
+    "bfile line": lambda tmp: ("diff", "--seq", "bfile:" + _write(tmp, "1 2 " + "3" * LONG + "\n")),
+    "bfile index": lambda tmp: ("diff", "--seq", "bfile:" + _write(tmp, "x" * LONG + " 1\n")),
+    "spec tag": lambda tmp: ("diff", "--seq", "t" * LONG),
+    "spec path": lambda tmp: ("diff", "--seq", "csv:" + "p" * LONG),
+    "check name": lambda tmp: ("verify", "--check", "c" * LONG),
+}
+
+
+def _write(tmp, text):
+    path = tmp / "input"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INPUTS))
+def test_long_bad_input_is_quoted_in_short(capsys, tmp_path, case):
+    assert main(list(LONG_INPUTS[case](tmp_path))) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 512
+    assert "Traceback" not in err
+    assert " characters)" in err  # the total length is quoted

@@ -20,7 +20,7 @@ from seqcalc import (
     middle,
     top,
 )
-from seqcalc.errors import NegativePower
+from seqcalc.errors import BadParameter, NegativePower
 
 from strategies import finite_seqs, homogeneous_polys, operator_polys, rationals, same_length_pairs
 
@@ -185,3 +185,10 @@ def test_apply_rational_and_negative_weights():
     mixed = TOP * Fraction(3, 4) - BOTTOM * Fraction(5, 7)
     assert mixed.apply(s) == FiniteSeq(["-19/28", "-19/14", "-19/7", "-38/7"])
     assert (MIDDLE**2).apply(s) == FiniteSeq(["9/4", "9/2", 9])
+
+
+def test_division_by_scalar_zero_is_bad_parameter():
+    assert DIFFERENCE / 2 == OperatorPoly({(0, 1): "1/2", (1, 0): "-1/2"})
+    for zero in (0, "0", Fraction(0)):
+        with pytest.raises(BadParameter):
+            DIFFERENCE / zero

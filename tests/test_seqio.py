@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from seqcalc import FiniteSeq, classify_convexity, classify_monotonicity
-from seqcalc.errors import FormatError, NonContiguousIndex
+from seqcalc.errors import QUOTE_CHARS, FormatError, NonContiguousIndex
 from seqcalc.seqio import (
     FORMATS,
     classification_payload,
@@ -88,21 +88,19 @@ def test_parse_bfile():
 def test_round_trip_every_format(s):
     for fmt in FORMATS:
         text = render_sequence(s, fmt)
-        assert parse_sequence_text(text, fmt).values == s
+        assert parse_sequence_text(text, fmt) == s
 
 
 def test_load_sequence_inline_and_files(tmp_path):
-    assert load_sequence("inline:1,2,3").values == FiniteSeq([1, 2, 3])
+    assert load_sequence("inline:1,2,3") == FiniteSeq([1, 2, 3])
 
     csv = tmp_path / "s.csv"
     csv.write_text("1\n2\n3\n")
-    doc = load_sequence(f"csv:{csv}")
-    assert doc.values == FiniteSeq([1, 2, 3])
-    assert doc.source_format == "csv"
+    assert load_sequence(f"csv:{csv}") == FiniteSeq([1, 2, 3])
 
     bfile = tmp_path / "b000001.txt"
     bfile.write_text("1 1\n2 1\n3 2\n4 3\n5 5\n")
-    assert load_sequence(f"bfile:{bfile}").values == FiniteSeq([1, 1, 2, 3, 5])
+    assert load_sequence(f"bfile:{bfile}") == FiniteSeq([1, 1, 2, 3, 5])
 
     with pytest.raises(FormatError):
         load_sequence("nope:1,2")
@@ -130,20 +128,11 @@ def test_format_rational():
     assert format_rational(Fraction(-3, 2)) == "-3/2"
 
 
-def test_render_report_dispatch():
-    from seqcalc import CheckSpec, OperatorPoly, lagrange_poly, run_check
-    from seqcalc.seqio import render_report
-
-    assert json.loads(render_report(FiniteSeq([1, 2])))["kind"] == "sequence"
-    assert json.loads(render_report(Fraction(3, 2)))["value"] == "3/2"
-    assert json.loads(render_report(OperatorPoly.scalar(1)))["kind"] == "operator"
-    poly = lagrange_poly(FiniteSeq([1, 4, 9]), 1, 2)
-    assert json.loads(render_report(poly))["coefficients"] == ["0", "0", "1"]
-    report = run_check(CheckSpec("partial_sums", trials=3))
-    assert json.loads(render_report(report))["all_passed"] is True
-    assert json.loads(render_report([report]))["kind"] == "verification"
-    s = FiniteSeq([1, 4, 9, 16])
-    assert json.loads(render_report(classify_monotonicity(s)))["kind"] == "monotonicity"
-    assert json.loads(render_report(classify_convexity(s)))["kind"] == "convexity"
-    with pytest.raises(TypeError):
-        render_report(object())
+def test_unknown_format_quotes_a_short_excerpt():
+    name = "f" * 3000
+    for call in (lambda: parse_sequence_text("1", name), lambda: render_sequence(FiniteSeq(), name)):
+        with pytest.raises(FormatError) as err:
+            call()
+        message = str(err.value)
+        assert "f" * QUOTE_CHARS in message and "f" * (QUOTE_CHARS + 1) not in message
+        assert "(3000 characters)" in message

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqcalc import EMPTY, FiniteSeq, as_rational, top
-from seqcalc.errors import LengthMismatch, OutOfRange, ZeroEntry
+from seqcalc.errors import BadParameter, LengthMismatch, OutOfRange, ZeroEntry
 
 from strategies import (
     finite_seqs,
@@ -122,3 +122,22 @@ def test_constant_builder(n, value):
     s = FiniteSeq.constant(value, n)
     assert len(s) == n
     assert all(v == value for v in s)
+
+
+def test_division_by_scalar_zero_is_bad_parameter():
+    s = FiniteSeq([1, 2])
+    assert s / 2 == FiniteSeq(["1/2", 1])
+    for zero in (0, "0/3", Fraction(0)):
+        with pytest.raises(BadParameter):
+            s / zero
+
+
+def test_unknown_operand_defers_to_its_reflected_product():
+    class Tag:
+        def __rmul__(self, other):
+            return ("tagged", other)
+
+    s = FiniteSeq([1, 2])
+    assert s * Tag() == ("tagged", s)
+    with pytest.raises(TypeError):
+        s * object()
