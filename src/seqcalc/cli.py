@@ -13,10 +13,18 @@ import sys
 from . import seqio, verify
 from .analysis import classify_convexity, classify_monotonicity
 from .calculus import antiderivative, definite_integral, derivative
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, quoted
 from .lagrange import dm_via_determinant, lagrange_poly
 from .parser import parse_operator_poly
 from .seqio import parse_rational, render_json
+
+
+def _integer(text: str) -> int:
+    """argparse type for integer options; a bad value is quoted in short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser("diff", help="discrete derivative")
     seq_arg(p_diff)
-    p_diff.add_argument("--order", type=int, default=1)
+    p_diff.add_argument("--order", type=_integer, default=1)
 
     p_int = sub.add_parser("integrate", help="antiderivative (cumulative sums)")
     seq_arg(p_int)
@@ -50,16 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_defint = sub.add_parser("defint", help="definite integral (inclusive sum)")
     seq_arg(p_defint)
-    p_defint.add_argument("--from", dest="lower", type=int, required=True)
-    p_defint.add_argument("--to", dest="upper", type=int, required=True)
+    p_defint.add_argument("--from", dest="lower", type=_integer, required=True)
+    p_defint.add_argument("--to", dest="upper", type=_integer, required=True)
 
     p_classify = sub.add_parser("classify", help="monotonicity and convexity flags")
     seq_arg(p_classify)
 
     p_lagrange = sub.add_parser("lagrange", help="interpolation through consecutive points")
     seq_arg(p_lagrange)
-    p_lagrange.add_argument("--n0", type=int, required=True)
-    p_lagrange.add_argument("--m", type=int, required=True)
+    p_lagrange.add_argument("--n0", type=_integer, required=True)
+    p_lagrange.add_argument("--m", type=_integer, required=True)
     mode = p_lagrange.add_mutually_exclusive_group()
     mode.add_argument("--eval", dest="eval_at", help="evaluate the interpolant at a rational")
     mode.add_argument("--coeffs", action="store_true", help="print the polynomial (default)")
@@ -67,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("--check", required=True, help="check name or 'all'")
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--min-len", dest="min_len", type=int, default=2)
-    p_verify.add_argument("--max-len", dest="max_len", type=int, default=12)
+    p_verify.add_argument("--trials", type=_integer, default=200)
+    p_verify.add_argument("--seed", type=_integer, default=0)
+    p_verify.add_argument("--min-len", dest="min_len", type=_integer, default=2)
+    p_verify.add_argument("--max-len", dest="max_len", type=_integer, default=12)
 
     return parser
 

@@ -12,14 +12,16 @@ where V has rows ((i+r)^m, ..., (i+r), 1) and M_S replaces the first column
 with S(i+r).  det(V) is a column-reversed Vandermonde determinant, so it is
 never zero but equals m! in absolute value only for m <= 2; the bare
 det(M_S) therefore does not equal D^m S for m >= 3 (the verifier pins this).
-Determinants are evaluated by fraction-free (Bareiss) elimination.
+Determinants are evaluated by fraction-free (Bareiss) elimination on
+integers: each row is scaled once by the lcm of its denominators, so the
+inner loop divides Python ints exactly and one Fraction is built at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .errors import OutOfRange
@@ -69,13 +71,24 @@ class Polynomial:
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Fraction-free determinant; exact for rational entries."""
+    """Fraction-free determinant; exact for rational entries.
+
+    Each row is scaled to integers by the lcm of its denominators, so every
+    elimination step divides exactly with ``//``; the determinant is the last
+    pivot over the product of the row scales.
+    """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    m = [[as_rational(v) for v in row] for row in matrix]
+    m: list[list[int]] = []
+    scale = 1
+    for row in matrix:
+        entries = [as_rational(v) for v in row]
+        d = lcm(*(v.denominator for v in entries))
+        scale *= d
+        m.append([v.numerator * (d // v.denominator) for v in entries])
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
@@ -83,12 +96,12 @@ def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
                 return Fraction(0)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        pivot, pivot_tail = m[k][k], m[k][k + 1 :]
+        for row in m[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], pivot_tail)]
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def _check_window(seq: FiniteSeq, start: int, m: int) -> None:

@@ -26,6 +26,11 @@ of the same length (it acts as the scalar 0).
 the coefficients by bottom exponent b into a scale times coprime integers;
 each call adds one multiple of the slice S[b : b + n - d] per shift, a plain
 add or subtract for a unit weight, so D costs one subtraction per entry.
+
+Ring multiplication (and so ``**`` and every parsed product or power) works
+on integers over a common denominator: each factor is scaled once by the lcm
+of its coefficient denominators, the integer numerators are convolved, and
+one ``Fraction`` is built per output monomial.
 """
 
 from __future__ import annotations
@@ -124,12 +129,19 @@ class OperatorPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        product: dict[Monomial, Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
+        d1, left = _over_common_denominator(self._terms)
+        d2, right = _over_common_denominator(other._terms)
+        sums: dict[Monomial, int] = {}
+        for (a1, b1), n1 in left:
+            for (a2, b2), n2 in right:
                 key = (a1 + a2, b1 + b2)
-                product[key] = product.get(key, Fraction(0)) + c1 * c2
-        return OperatorPoly(product)
+                sums[key] = sums.get(key, 0) + n1 * n2
+        den = d1 * d2
+        # the sums are already merged by monomial: skip __init__'s Fraction pass
+        product = object.__new__(OperatorPoly)
+        product._terms = {key: Fraction(c, den) for key, c in sums.items() if c}
+        product._stencil = None
+        return product
 
     __rmul__ = __mul__
 
@@ -199,6 +211,14 @@ class OperatorPoly:
 
     def __repr__(self) -> str:
         return f"<OperatorPoly {self.render()}>"
+
+
+def _over_common_denominator(
+    terms: dict[Monomial, Fraction],
+) -> tuple[int, list[tuple[Monomial, int]]]:
+    """(d, [(monomial, d * coeff)]) with d the lcm of the coefficient denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
 
 
 def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:

@@ -77,6 +77,8 @@ def parse_json(text: str) -> FiniteSeq:
         raise FormatError(f"invalid json: {exc.msg}", exc.lineno) from None
     except ValueError:
         raise FormatError("json integer has too many digits to parse") from None
+    except RecursionError:
+        raise FormatError("json arrays are nested too deeply to parse") from None
     if not isinstance(data, list):
         raise FormatError("json sequence must be an array")
     values = []

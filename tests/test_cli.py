@@ -196,3 +196,36 @@ def test_long_bad_input_is_quoted_in_short(capsys, tmp_path, case):
     assert len(err.encode()) < 512
     assert "Traceback" not in err
     assert " characters)" in err  # the total length is quoted
+
+
+def test_deeply_nested_json_is_a_format_error(capsys, tmp_path):
+    depth = 100_000
+    path = _write(tmp_path, "[" * depth + "]" * depth)
+    assert main(["diff", "--seq", f"json:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+# Every integer option, given one 3000-character token.
+INTEGER_OPTIONS = [
+    ("diff", "--seq", "inline:1,2", "--order"),
+    ("defint", "--seq", "inline:1,2", "--to", "2", "--from"),
+    ("defint", "--seq", "inline:1,2", "--from", "1", "--to"),
+    ("lagrange", "--seq", "inline:1,2", "--m", "1", "--n0"),
+    ("lagrange", "--seq", "inline:1,2", "--n0", "1", "--m"),
+    ("verify", "--check", "all", "--trials"),
+    ("verify", "--check", "all", "--seed"),
+    ("verify", "--check", "all", "--min-len"),
+    ("verify", "--check", "all", "--max-len"),
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: argv[-1])
+@pytest.mark.parametrize("token", ["x" * LONG, "9" * 5000], ids=["letters", "digits"])
+def test_long_integer_option_is_quoted_in_short(capsys, argv, token):
+    assert main([*argv, token]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 512
+    assert "Traceback" not in err
+    assert f"{argv[-1]}: invalid int value: " in err
+    assert " characters)" in err

@@ -184,3 +184,61 @@ def test_high_order_interpolant_hits_nodes_and_basis_form(m):
         probe = Fraction(rng.randint(-99, 99), rng.randint(1, 9))
         assert poly.evaluate(probe) == basis_form_oracle(xs, ys, probe)
     assert factorial(m) * poly.coefficient(m) == derivative(s, m).at(n0)
+
+
+def gauss_oracle(matrix):
+    """Determinant by plain Fraction Gaussian elimination with row swaps."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1 :]:
+            factor = row[k] / m[k][k]
+            for j in range(k, len(m)):
+                row[j] -= factor * m[k][j]
+    return det
+
+
+def random_matrix(rng, n):
+    return [
+        [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 7, 11, 16))) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_bareiss_matches_gauss_oracle(n):
+    rng = random.Random(n)
+    plain = random_matrix(rng, n)
+    # zero pivots at steps 0 and 1: row 0 starts 0, 0, and after the first
+    # swap it is the row that eliminates to a zero in column 1
+    swapped = random_matrix(rng, n)
+    swapped[0][:2] = [Fraction(0), Fraction(0)]
+    # singular: the last row is a rational combination of the first two
+    singular = random_matrix(rng, n)
+    singular[-1] = [
+        x * Fraction(2, 3) - y * Fraction(5, 11) for x, y in zip(singular[0], singular[1])
+    ]
+    zero_column = random_matrix(rng, n)
+    for row in zero_column:
+        row[n // 2] = Fraction(0)
+    for matrix in (plain, swapped, singular, zero_column):
+        assert bareiss_determinant(matrix) == gauss_oracle(matrix)
+    assert bareiss_determinant(plain) != 0
+    assert bareiss_determinant(singular) == bareiss_determinant(zero_column) == 0
+
+
+@pytest.mark.parametrize("m", range(31))
+def test_vandermonde_determinant_closed_form(m):
+    s = FiniteSeq(range(-3, 40))
+    superfactorial = 1
+    for k in range(1, m + 1):
+        superfactorial *= factorial(k)
+    expected = (-1) ** (m * (m + 1) // 2) * superfactorial
+    assert interpolation_determinants(s, 1 + m % 7, m)[1] == expected

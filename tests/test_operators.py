@@ -1,5 +1,6 @@
 """Operator ring canonical forms, application semantics and ring laws."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -192,3 +193,49 @@ def test_division_by_scalar_zero_is_bad_parameter():
     for zero in (0, "0", Fraction(0)):
         with pytest.raises(BadParameter):
             DIFFERENCE / zero
+
+
+def convolution_oracle(p, q):
+    """Term map of p * q, summed monomial by monomial in Fraction arithmetic."""
+    product = {}
+    for (a1, b1), c1 in p.terms.items():
+        for (a2, b2), c2 in q.terms.items():
+            key = (a1 + a2, b1 + b2)
+            product[key] = product.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in product.items() if c != 0}
+
+
+def coprime_poly(rng, size):
+    denominators = (1, 2, 3, 5, 7, 11, 13, 49, 1024)
+    return OperatorPoly(
+        {
+            (rng.randint(0, 6), rng.randint(0, 6)): Fraction(
+                rng.randint(-99, 99), rng.choice(denominators)
+            )
+            for _ in range(size)
+        }
+    )
+
+
+@given(operator_polys, operator_polys)
+def test_product_matches_convolution_oracle(p, q):
+    assert (p * q).terms == convolution_oracle(p, q)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_with_mixed_coprime_denominators(seed):
+    rng = random.Random(seed)
+    p, q = coprime_poly(rng, 6), coprime_poly(rng, 9)
+    product, expected = p * q, convolution_oracle(p, q)
+    assert product.terms == expected
+    assert all(type(c) is Fraction for c in product.terms.values())
+    s = FiniteSeq(range(20))
+    assert product.apply(s) == OperatorPoly(expected).apply(s)
+
+
+def test_cancelling_product_keeps_no_zero_coefficient():
+    product = (TOP + BOTTOM) * (TOP - BOTTOM)
+    assert set(product.terms) == {(2, 0), (0, 2)}
+    assert product.terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
+    assert (MIDDLE * (TOP - BOTTOM) * 2).terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
+    assert (DIFFERENCE * OperatorPoly.zero()).is_zero()
