@@ -43,10 +43,20 @@ from .operators import (
 )
 from .parser import parse_operator_poly
 from .seqio import load_sequence, render_sequence
-from .sequences import EMPTY, FiniteSeq, Rational, as_rational
-from .verify import CheckReport, CheckSpec, check_names, run_all, run_check
+from .sequences import EMPTY, FiniteSeq, as_rational
 
 __version__ = "0.1.0"
+
+_VERIFIER_NAMES = ("CheckReport", "CheckSpec", "check_names", "run_all", "run_check")
+
+
+def __getattr__(name: str):
+    """Resolve the verifier's names on first use (PEP 562), so importing the CLI skips it."""
+    if name in _VERIFIER_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BOTTOM",
@@ -62,7 +72,6 @@ __all__ = [
     "MonotonicityReport",
     "OperatorPoly",
     "Polynomial",
-    "Rational",
     "TOP",
     "antiderivative",
     "as_rational",

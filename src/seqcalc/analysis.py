@@ -40,7 +40,7 @@ class ConvexityReport:
 def classify_monotonicity(seq: FiniteSeq) -> MonotonicityReport:
     if len(seq) < 2:
         raise TooShort(len(seq), 2)
-    diffs = derivative(seq).values
+    diffs, _ = derivative(seq).scaled()  # den > 0, so the items carry the signs
     return MonotonicityReport(
         strictly_increasing=all(d > 0 for d in diffs),
         strictly_decreasing=all(d < 0 for d in diffs),
@@ -55,10 +55,11 @@ def classify_convexity(seq: FiniteSeq) -> ConvexityReport:
         raise TooShort(len(seq), 3)
     first = derivative(seq)
     second = derivative(first)
-    d2 = second.values
+    d1, _ = first.scaled()  # den > 0, so the items carry the signs
+    d2, _ = second.scaled()
     strictly_convex = all(d > 0 for d in d2)
     strictly_concave = all(d < 0 for d in d2)
-    nonzero_slope = all(d != 0 for d in first.values)
+    nonzero_slope = all(d != 0 for d in d1)
     return ConvexityReport(
         convex=all(d >= 0 for d in d2),
         concave=all(d <= 0 for d in d2),

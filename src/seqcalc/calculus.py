@@ -9,6 +9,8 @@ of S(a)..S(b).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .errors import InvertedBounds, OutOfRange
 from .operators import DIFFERENCE
@@ -31,12 +33,12 @@ def antiderivative(seq: FiniteSeq, constant: RationalLike = 0) -> FiniteSeq:
     J(i) = constant + S(1) + ... + S(i-1); derivative(J) == S exactly.
     """
     c = as_rational(constant)
-    values = [c]
-    acc = c
-    for v in seq.values:
-        acc += v
-        values.append(acc)
-    return FiniteSeq(values)
+    items, den = seq.scaled()
+    common = lcm(den, c.denominator)
+    if common != den:
+        items = [x * (common // den) for x in items]
+    start = c.numerator * (common // c.denominator)
+    return FiniteSeq.from_scaled(list(accumulate(items, initial=start)), common)
 
 
 def definite_integral(seq: FiniteSeq, a: int, b: int) -> Fraction:
@@ -46,4 +48,5 @@ def definite_integral(seq: FiniteSeq, a: int, b: int) -> Fraction:
         raise InvertedBounds(a, b)
     if a < 1 or b > n:
         raise OutOfRange(f"bounds {a}..{b} outside 1..{n}")
-    return sum(seq.values[a - 1 : b], Fraction(0))
+    items, den = seq.scaled()
+    return Fraction(sum(items[a - 1 : b]), den)

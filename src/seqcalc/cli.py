@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 domain error (length mismatch, zero entry, out-of-range index, ...).
+3 domain error (length mismatch, zero entry, out-of-range index, ...),
+4 internal error (any other exception, reported in one line).
 All stdout is deterministic for identical invocations.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import seqio, verify
+from . import seqio
 from .analysis import classify_convexity, classify_monotonicity
 from .calculus import antiderivative, definite_integral, derivative
 from .errors import DomainError, UsageError, quoted
@@ -135,6 +136,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
+        from . import verify  # imported on need: no other command uses the verifier
+
         if args.check == "all":
             reports = verify.run_all(args.trials, args.seed, args.min_len, args.max_len)
         else:
@@ -162,6 +165,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"seqcalc: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # exit 1 must keep meaning "a check failed"
+        print(f"seqcalc: internal error: {type(exc).__name__}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -24,8 +24,11 @@ of the same length (it acts as the scalar 0).
 
 ``apply`` is the library's one linear stencil.  Once per operator it sums
 the coefficients by bottom exponent b into a scale times coprime integers;
-each call adds one multiple of the slice S[b : b + n - d] per shift, a plain
-add or subtract for a unit weight, so D costs one subtraction per entry.
+each call adds one multiple of the slice S[b : b + n - d] of the sequence's
+working form (integers over a common denominator, see ``sequences``) per
+shift, a plain add or subtract for a unit weight, so D costs one subtraction
+per entry.  The scale's numerator multiplies the sums and its denominator
+joins the common denominator, so integer items stay integers.
 
 Ring multiplication (and so ``**`` and every parsed product or power) works
 on integers over a common denominator: each factor is scaled once by the lcm
@@ -182,23 +185,23 @@ class OperatorPoly:
         if self._stencil is None:
             self._stencil = self._weights()
         depth, scale, weights = self._stencil
-        vals = seq.values
-        out_len = max(len(vals) - depth, 0)
+        items, den = seq.scaled()
+        out_len = max(len(items) - depth, 0)
         if not weights:
-            return FiniteSeq([Fraction(0)] * out_len)
+            return FiniteSeq.from_scaled([0] * out_len, 1)
         (b, w), *rest = weights
-        acc = vals[b : b + out_len] if w == 1 else [v * w for v in vals[b : b + out_len]]
+        acc = items[b : b + out_len] if w == 1 else [v * w for v in items[b : b + out_len]]
         for b, w in rest:
-            window = vals[b : b + out_len]
+            window = items[b : b + out_len]
             if w == 1:
                 acc = [x + v for x, v in zip(acc, window)]
             elif w == -1:
                 acc = [x - v for x, v in zip(acc, window)]
             else:
                 acc = [x + v * w for x, v in zip(acc, window)]
-        if scale != 1:
-            acc = [x * scale for x in acc]
-        return FiniteSeq(acc)
+        if scale.numerator != 1:
+            acc = [x * scale.numerator for x in acc]
+        return FiniteSeq.from_scaled(acc, den * scale.denominator)
 
     def render(self) -> str:
         """Canonical text: terms by total degree then bottom exponent.

@@ -19,55 +19,66 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .analysis import ConvexityReport, MonotonicityReport
 from .errors import FormatError, NonContiguousIndex, quoted
 from .lagrange import Polynomial
 from .operators import OperatorPoly
-from .sequences import FiniteSeq, format_rational
-from .verify import CheckReport
+from .sequences import FiniteSeq, format_rational, format_sequence
+
+if TYPE_CHECKING:
+    from .verify import CheckReport
 
 SCHEMA = "seqcalc/1"
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def _ratio(text: str, line: int | None = None) -> tuple[int, int]:
+    """(numerator, denominator) of a rational literal as written, not reduced."""
+    token = text.strip()
+    match = _RATIONAL_RE.match(token)
+    if match is None:
+        raise FormatError(f"not a rational literal: {quoted(token)}", line)
+    num, den = match.groups()
+    try:
+        p, q = int(num), int(den) if den else 1
+    except ValueError:
+        raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
+    if q == 0:
+        raise FormatError(f"zero denominator in {quoted(token)}", line)
+    return p, q
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
-    token = text.strip()
-    if not _RATIONAL_RE.match(token):
-        raise FormatError(f"not a rational literal: {quoted(token)}", line)
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise FormatError(f"zero denominator in {quoted(token)}", line) from None
-    except ValueError:
-        raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
+    return Fraction(*_ratio(text, line))
 
 
 def parse_inline(text: str) -> FiniteSeq:
     body = text.strip()
     if not body:
         return FiniteSeq()
-    return FiniteSeq(parse_rational(piece) for piece in body.split(","))
+    return FiniteSeq.from_ratios([_ratio(piece) for piece in body.split(",")])
 
 
 def parse_csv(text: str) -> FiniteSeq:
     rows = [
-        (number, line.strip())
-        for number, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
+        (number, line)
+        for number, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip())
     ]
     if not rows:
         return FiniteSeq()
     if len(rows) == 1 and "," in rows[0][1]:
         number, line = rows[0]
-        return FiniteSeq(parse_rational(piece, number) for piece in line.split(","))
-    values = []
+        return FiniteSeq.from_ratios([_ratio(piece, number) for piece in line.split(",")])
+    ratios = []
     for number, line in rows:
         if "," in line:
             raise FormatError("unexpected comma in multi-row csv", number)
-        values.append(parse_rational(line, number))
-    return FiniteSeq(values)
+        ratios.append(_ratio(line, number))
+    return FiniteSeq.from_ratios(ratios)
 
 
 def parse_json(text: str) -> FiniteSeq:
@@ -81,16 +92,16 @@ def parse_json(text: str) -> FiniteSeq:
         raise FormatError("json arrays are nested too deeply to parse") from None
     if not isinstance(data, list):
         raise FormatError("json sequence must be an array")
-    values = []
+    ratios = []
     for item in data:
         if isinstance(item, bool) or not isinstance(item, (int, str)):
             raise FormatError(f"json entries must be integers or 'p/q' strings, got {quoted(item)}")
-        values.append(parse_rational(str(item)))
-    return FiniteSeq(values)
+        ratios.append((item, 1) if isinstance(item, int) else _ratio(item))
+    return FiniteSeq.from_ratios(ratios)
 
 
 def parse_bfile(text: str) -> FiniteSeq:
-    values = []
+    ratios = []
     expected = None
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -106,8 +117,8 @@ def parse_bfile(text: str) -> FiniteSeq:
         if expected is not None and index != expected:
             raise NonContiguousIndex(expected, index, number)
         expected = index + 1
-        values.append(parse_rational(fields[1], number))
-    return FiniteSeq(values)
+        ratios.append(_ratio(fields[1], number))
+    return FiniteSeq.from_ratios(ratios)
 
 
 _PARSERS = {
@@ -138,23 +149,25 @@ def load_sequence(spec_text: str) -> FiniteSeq:
     if tag == "inline":
         return parse_sequence_text(rest, "inline")
     try:
-        text = Path(rest).read_text()
+        text = Path(rest).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {quoted(rest)}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"cannot read {quoted(rest)}: not UTF-8 text") from None
     return parse_sequence_text(text, tag)
 
 
 def render_sequence(seq: FiniteSeq, target_format: str) -> str:
     """Inverse of parse_sequence_text for every supported format."""
     if target_format == "inline":
-        return ",".join(format_rational(v) for v in seq)
+        return ",".join(format_sequence(seq))
     if target_format == "csv":
-        return "\n".join(format_rational(v) for v in seq) + ("\n" if len(seq) else "")
+        return "\n".join(format_sequence(seq)) + ("\n" if len(seq) else "")
     if target_format == "json":
-        texts = [format_rational(v) for v in seq]
+        texts = format_sequence(seq)
         return "[" + ", ".join(f'"{t}"' if "/" in t else t for t in texts) + "]"
     if target_format == "bfile":
-        lines = [f"{i} {format_rational(v)}" for i, v in enumerate(seq, start=1)]
+        lines = [f"{i} {t}" for i, t in enumerate(format_sequence(seq), start=1)]
         return "\n".join(lines) + ("\n" if lines else "")
     raise FormatError(f"unknown sequence format {quoted(target_format)}")
 
@@ -167,7 +180,7 @@ def sequence_payload(seq: FiniteSeq) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "sequence",
-        "values": [format_rational(v) for v in seq],
+        "values": format_sequence(seq),
     }
 
 
@@ -216,7 +229,7 @@ def convexity_payload(report: ConvexityReport) -> dict:
         "strictly_concave": report.strictly_concave,
         "continuously_convex": report.continuously_convex,
         "continuously_concave": report.continuously_concave,
-        "second_derivative": [format_rational(v) for v in report.second_derivative],
+        "second_derivative": format_sequence(report.second_derivative),
     }
 
 

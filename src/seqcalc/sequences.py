@@ -1,26 +1,52 @@
 """Exact rational scalars and finite sequences.
 
-The single scalar type of the whole library is ``fractions.Fraction``
-(aliased ``Rational``): arbitrary precision, always stored with a positive
-denominator and gcd(|num|, den) = 1, so every identity downstream can be
-asserted with exact equality.
+The single scalar type of the whole library is ``fractions.Fraction``:
+arbitrary precision, always stored with a positive denominator and
+gcd(|num|, den) = 1, so every identity downstream can be asserted with exact
+equality.
 
-``FiniteSeq`` is an immutable tuple of rationals with 1-based public
+``FiniteSeq`` is an immutable sequence of rationals with 1-based public
 indexing, written S(1)...S(n).  Length 0 is the empty sequence; it is a
 legal value everywhere.
+
+A sequence's working form is integers over one common denominator:
+``scaled()`` returns ``(items, den)`` with entry i equal to ``items[i] / den``
+and ``den`` a positive int.  The items are plain ints while the lcm of the
+entry denominators fits in ``DEN_BITS`` bits; past that bound they are the
+entries' own Fractions over ``den = 1``, and the same kernel loops run on
+them.  Parsers and kernels build the working form directly, and ``values``,
+the public tuple of reduced Fractions, is built from it only when asked for.
+A sequence built from Fractions keeps them and derives its working form when
+a kernel first asks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
+
+DEN_BITS = 64
+"""Largest bit length of a sequence's common denominator over integer items.
+
+One lcm for a whole sequence grows with its number of distinct denominators:
+on 2000 entries 1/p with distinct primes p it has thousands of digits, and
+every entry would carry them.  Past this bound the items stay Fractions.
+"""
+
+
+def _common_denominator(dens: Iterable[int]) -> int | None:
+    """lcm of the denominators, or None once it passes DEN_BITS bits."""
+    den = 1
+    for q in dens:
+        den = lcm(den, q)
+        if den.bit_length() > DEN_BITS:
+            return None
+    return den
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -34,12 +60,33 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+_TOO_MANY_DIGITS = "a number in the result has too many digits to write as text"
+
+
 def format_rational(value: Fraction) -> str:
     """The one place a rational becomes text; Python's int/str digit limit raises FormatError."""
     try:
         return str(value)
     except ValueError:
-        raise FormatError("a number in the result has too many digits to write as text") from None
+        raise FormatError(_TOO_MANY_DIGITS) from None
+
+
+def format_sequence(seq: FiniteSeq) -> list[str]:
+    """Every entry's text as format_rational writes it, from the working form.
+
+    Each entry costs one gcd with the common denominator; no Fraction is built.
+    """
+    items, den = seq.scaled()
+    try:
+        if den == 1:  # also the case for Fraction items
+            return [str(x) for x in items]
+        texts = []
+        for x in items:
+            g = gcd(x, den)
+            texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return texts
+    except ValueError:
+        raise FormatError(_TOO_MANY_DIGITS) from None
 
 
 def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
@@ -56,7 +103,6 @@ def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
     return "".join(pieces) or "0"
 
 
-@dataclass(frozen=True)
 class FiniteSeq:
     """An immutable finite sequence of exact rationals.
 
@@ -65,10 +111,55 @@ class FiniteSeq:
     sequence (x, ..., x).
     """
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("_values", "_items", "_den")
 
     def __init__(self, values: Iterable[RationalLike] = ()):
-        object.__setattr__(self, "values", tuple(as_rational(v) for v in values))
+        self._values = tuple(as_rational(v) for v in values)
+        self._items = None
+        self._den = 1
+
+    @staticmethod
+    def from_scaled(items: Sequence, den: int) -> FiniteSeq:
+        """The sequence items[i] / den, trusted to be a working form (see ``scaled``)."""
+        if den != 1 and items and not isinstance(items[-1], int):
+            # Fraction items keep den = 1 (only an antiderivative's first item may be an int)
+            items, den = [Fraction(x, den) for x in items], 1
+        seq = object.__new__(FiniteSeq)
+        seq._values, seq._items, seq._den = None, items, den
+        return seq
+
+    @staticmethod
+    def from_ratios(ratios: Sequence[tuple[int, int]]) -> FiniteSeq:
+        """The sequence of p / q over (p, q) pairs with q > 0, not necessarily reduced."""
+        den = _common_denominator({q for _, q in ratios})
+        if den is None:
+            seq = FiniteSeq.from_scaled(tuple(Fraction(p, q) for p, q in ratios), 1)
+            seq._values = seq._items
+            return seq
+        return FiniteSeq.from_scaled([p * (den // q) for p, q in ratios], den)
+
+    def scaled(self) -> tuple[Sequence, int]:
+        """The working form (items, den): entry i is items[i] / den, with den > 0.
+
+        The items are ints when the lcm of the denominators fits in DEN_BITS
+        bits, else the entries' Fractions over den = 1.
+        """
+        if self._items is None:
+            vals = self._values
+            den = _common_denominator({v.denominator for v in vals})
+            if den is None:
+                self._items = vals
+            else:
+                self._items, self._den = [v.numerator * (den // v.denominator) for v in vals], den
+        return self._items, self._den
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as reduced Fractions, built on first use and kept."""
+        if self._values is None:
+            den = self._den
+            self._values = tuple(Fraction(x, den) for x in self._items)
+        return self._values
 
     @staticmethod
     def of(*values: RationalLike) -> FiniteSeq:
@@ -79,25 +170,37 @@ class FiniteSeq:
         return FiniteSeq([as_rational(value)] * length)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._items if self._values is None else self._values)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
 
     def __bool__(self) -> bool:
-        return len(self.values) > 0
+        return len(self) > 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteSeq):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     def at(self, i: int) -> Fraction:
         """1-based access: at(1) is the first term."""
-        if not 1 <= i <= len(self.values):
-            raise OutOfRange(f"index {i} outside 1..{len(self.values)}")
-        return self.values[i - 1]
+        if not 1 <= i <= len(self):
+            raise OutOfRange(f"index {i} outside 1..{len(self)}")
+        if self._values is None:
+            return Fraction(self._items[i - 1], self._den)
+        return self._values[i - 1]
 
     def prefix(self, k: int) -> FiniteSeq:
         """First k terms; prefix(n - 1) is the top of a length-n sequence."""
-        if not 0 <= k <= len(self.values):
-            raise OutOfRange(f"prefix length {k} outside 0..{len(self.values)}")
-        return FiniteSeq(self.values[:k])
+        if not 0 <= k <= len(self):
+            raise OutOfRange(f"prefix length {k} outside 0..{len(self)}")
+        if self._values is None:
+            return FiniteSeq.from_scaled(self._items[:k], self._den)
+        return FiniteSeq(self._values[:k])
 
     def __add__(self, other: FiniteSeq) -> FiniteSeq:
         if not isinstance(other, FiniteSeq):

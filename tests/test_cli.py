@@ -1,6 +1,10 @@
 """CLI surface: subcommands, JSON output, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +233,40 @@ def test_long_integer_option_is_quoted_in_short(capsys, argv, token):
     assert "Traceback" not in err
     assert f"{argv[-1]}: invalid int value: " in err
     assert " characters)" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "bfile"])
+def test_non_utf8_file_is_a_format_error(capsys, tmp_path, fmt):
+    path = tmp_path / f"input.{fmt}"
+    path.write_bytes(b"\xff\xfe" + "1\n2\n".encode("utf-16-le"))
+    assert main(["diff", "--seq", f"{fmt}:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    from seqcalc import cli
+
+    def broken_kernel(seq, order=1):
+        raise RuntimeError("synthetic kernel fault")
+
+    monkeypatch.setattr(cli, "derivative", broken_kernel)
+    assert main(["diff", "--seq", "inline:1,2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "seqcalc: internal error: RuntimeError\n"
+
+
+def test_cli_import_leaves_the_verifier_unloaded():
+    program = (
+        "import sys, seqcalc.cli\n"
+        "assert 'seqcalc.verify' not in sys.modules\n"
+        "import seqcalc\n"
+        "print(seqcalc.run_all.__module__)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "seqcalc.verify\n"
