@@ -75,15 +75,19 @@ def collinearity_determinant(seq: FiniteSeq, i: int) -> Fraction:
     """det of rows (i, S(i), 1), (i+1, S(i+1), 1), (i+2, S(i+2), 1).
 
     Zero exactly when the three graph points are collinear; |det|/2 is the
-    triangle area; the value equals derivative(seq, 2)(i).
+    triangle area; the value equals derivative(seq, 2)(i).  The formula runs
+    on the working form, integer x's against items i..i+2, and one Fraction
+    divides the result by the common denominator.
     """
     n = len(seq)
     if not 1 <= i <= n - 2:
         raise OutOfRange(f"index {i} outside 1..{n - 2}")
-    x = [Fraction(i), Fraction(i + 1), Fraction(i + 2)]
-    y = [seq.at(i), seq.at(i + 1), seq.at(i + 2)]
-    return (
+    items, den = seq.scaled()
+    x = [i, i + 1, i + 2]
+    y = items[i - 1 : i + 2]
+    det = (
         x[0] * (y[1] - y[2])
         - y[0] * (x[1] - x[2])
         + (x[1] * y[2] - x[2] * y[1])
     )
+    return Fraction(det, den)

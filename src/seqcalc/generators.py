@@ -23,7 +23,8 @@ def random_nonzero_rational(rng: random.Random) -> Fraction:
 
 
 def random_rational_sequence(length: int, rng: random.Random) -> FiniteSeq:
-    return FiniteSeq(random_rational(rng) for _ in range(length))
+    # random_rational's draws in its order, so a seed gives the same sequences
+    return FiniteSeq.from_ratios([(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)])
 
 
 def random_zero_free_sequence(length: int, rng: random.Random) -> FiniteSeq:
@@ -31,7 +32,7 @@ def random_zero_free_sequence(length: int, rng: random.Random) -> FiniteSeq:
     # surely since each entry is zero with probability < 1.
     while True:
         seq = random_rational_sequence(length, rng)
-        if all(v != 0 for v in seq):
+        if all(x != 0 for x in seq.scaled()[0]):
             return seq
 
 

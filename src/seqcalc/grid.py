@@ -49,14 +49,15 @@ def difference(grid: GridFunction) -> GridFunction:
 
 
 def displacement(grid: GridFunction, k: int) -> GridFunction:
-    n = len(grid.samples)
+    items, den = grid.samples.scaled()
+    n = len(items)
     if k >= 0:
-        kept = grid.samples.values[k:]
+        kept = items[k:]
     else:
         if -k > n:
             raise OutOfRange(f"cannot displace by {k}: only {n} samples")
-        kept = grid.samples.values[: n + k]
-    return GridFunction(grid.origin + k * grid.step, grid.step, FiniteSeq(kept))
+        kept = items[: n + k]
+    return GridFunction(grid.origin + k * grid.step, grid.step, FiniteSeq.from_scaled(kept, den))
 
 
 def mean_filter(grid: GridFunction) -> GridFunction:

@@ -116,11 +116,12 @@ def _check_window(seq: FiniteSeq, start: int, m: int) -> None:
 def lagrange_poly(seq: FiniteSeq, n0: int, m: int) -> Polynomial:
     """Unique polynomial of degree <= m through (j, S(j)), j = n0..n0+m."""
     _check_window(seq, n0, m)
-    window = FiniteSeq(seq.values[n0 - 1 : n0 + m])
-    diffs = [window.values[0]]
+    items, den = seq.scaled()
+    window = FiniteSeq.from_scaled(items[n0 - 1 : n0 + m], den)
+    diffs = [window.at(1)]
     for _ in range(m):
         window = DIFFERENCE.apply(window)
-        diffs.append(window.values[0])
+        diffs.append(window.at(1))
     coeffs: list[Fraction] = []
     for k in range(m, -1, -1):
         # coeffs <- coeffs * (x - (n0 + k)) + D^k S(n0) / k!, ascending powers

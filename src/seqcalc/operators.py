@@ -252,12 +252,14 @@ GENERATORS = {"1": IDENTITY, "I": TOP, "E": BOTTOM, "M": MIDDLE, "D": DIFFERENCE
 
 def top(seq: FiniteSeq) -> FiniteSeq:
     """Drop the last term (length n -> n-1; empty stays empty)."""
-    return FiniteSeq(seq.values[:-1]) if seq.values else seq
+    items, den = seq.scaled()
+    return FiniteSeq.from_scaled(items[:-1], den)
 
 
 def bottom(seq: FiniteSeq) -> FiniteSeq:
     """Drop the first term; the unit shift."""
-    return FiniteSeq(seq.values[1:]) if seq.values else seq
+    items, den = seq.scaled()
+    return FiniteSeq.from_scaled(items[1:], den)
 
 
 def middle(seq: FiniteSeq) -> FiniteSeq:

@@ -14,16 +14,21 @@ A sequence's working form is integers over one common denominator:
 and ``den`` a positive int.  The items are plain ints while the lcm of the
 entry denominators fits in ``DEN_BITS`` bits; past that bound they are the
 entries' own Fractions over ``den = 1``, and the same kernel loops run on
-them.  Parsers and kernels build the working form directly, and ``values``,
-the public tuple of reduced Fractions, is built from it only when asked for.
-A sequence built from Fractions keeps them and derives its working form when
-a kernel first asks.
+them.  Parsers, kernels, slices and elementwise arithmetic build the working
+form directly, and ``values``, the public tuple of reduced Fractions, is built
+from it only when asked for.  Sums and differences align two sequences to
+lcm(d1, d2), products multiply over d1 * d2, and equality compares
+x * d2 == y * d1; where an aligned or product denominator would pass
+``DEN_BITS``, the arithmetic runs on ``values`` instead.  A sequence built
+from Fractions keeps them and derives its working form when a kernel first
+asks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
@@ -181,7 +186,12 @@ class FiniteSeq:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSeq):
             return NotImplemented
-        return self.values == other.values
+        if self._values is not None and other._values is not None:
+            return self._values == other._values
+        if len(self) != len(other):
+            return False
+        (x, d1), (y, d2) = self.scaled(), other.scaled()
+        return all(a * d2 == b * d1 for a, b in zip(x, y))
 
     def __hash__(self) -> int:
         return hash(self.values)
@@ -202,31 +212,55 @@ class FiniteSeq:
             return FiniteSeq.from_scaled(self._items[:k], self._den)
         return FiniteSeq(self._values[:k])
 
+    def _int_form(self) -> tuple[Sequence[int], int] | None:
+        """The working form while its items are ints; None past DEN_BITS."""
+        items, den = self.scaled()
+        if items and not isinstance(items[-1], int):
+            return None
+        return items, den
+
+    def _combine(self, other: FiniteSeq, op) -> FiniteSeq:
+        """Entry by entry ``op`` (add, sub or mul) of two equal-length sequences.
+
+        Sums and differences align the items to lcm(d1, d2); products multiply
+        them over d1 * d2.  Where that denominator would pass DEN_BITS, the
+        entries' Fractions are combined instead.
+        """
+        if len(self) != len(other):
+            raise LengthMismatch(len(self), len(other))
+        left, right = self._int_form(), other._int_form()
+        if left is not None and right is not None:
+            (x, d1), (y, d2) = left, right
+            if op is mul:
+                den, f1, f2 = d1 * d2, 1, 1
+            else:
+                den = lcm(d1, d2)
+                f1, f2 = den // d1, den // d2
+            if den.bit_length() <= DEN_BITS:
+                return FiniteSeq.from_scaled([op(a * f1, b * f2) for a, b in zip(x, y)], den)
+        return FiniteSeq(map(op, self.values, other.values))
+
     def __add__(self, other: FiniteSeq) -> FiniteSeq:
         if not isinstance(other, FiniteSeq):
             return NotImplemented
-        if len(self) != len(other):
-            raise LengthMismatch(len(self), len(other))
-        return FiniteSeq(a + b for a, b in zip(self.values, other.values))
+        return self._combine(other, add)
 
     def __sub__(self, other: FiniteSeq) -> FiniteSeq:
         if not isinstance(other, FiniteSeq):
             return NotImplemented
-        if len(self) != len(other):
-            raise LengthMismatch(len(self), len(other))
-        return FiniteSeq(a - b for a, b in zip(self.values, other.values))
+        return self._combine(other, sub)
 
     def __neg__(self) -> FiniteSeq:
-        return FiniteSeq(-a for a in self.values)
+        return self * -1
 
     def __mul__(self, other: Union[FiniteSeq, RationalLike]) -> FiniteSeq:
         if isinstance(other, FiniteSeq):
-            if len(self) != len(other):
-                raise LengthMismatch(len(self), len(other))
-            return FiniteSeq(a * b for a, b in zip(self.values, other.values))
+            return self._combine(other, mul)
         if not isinstance(other, (int, str, Fraction)):
             return NotImplemented
-        return FiniteSeq(a * as_rational(other) for a in self.values)
+        scalar = as_rational(other)
+        constant = FiniteSeq.from_scaled([scalar.numerator] * len(self), scalar.denominator)
+        return self._combine(constant, mul)
 
     def __rmul__(self, other: RationalLike) -> FiniteSeq:
         return self.__mul__(other)
@@ -237,14 +271,19 @@ class FiniteSeq:
         scalar = as_rational(other)
         if scalar == 0:
             raise BadParameter("division of a sequence by the scalar zero")
-        return FiniteSeq(a / scalar for a in self.values)
+        return self * (1 / scalar)
 
     def inverse(self) -> FiniteSeq:
         """Termwise reciprocal; rejects the first zero entry by index."""
-        for i, a in enumerate(self.values, start=1):
-            if a == 0:
+        items, den = self.scaled()
+        ratios = []
+        for i, x in enumerate(items, start=1):
+            if x == 0:
                 raise ZeroEntry(i)
-        return FiniteSeq(1 / a for a in self.values)
+            # den / x, with x an int or (past DEN_BITS) a Fraction over den = 1
+            p, q = den * x.denominator, x.numerator
+            ratios.append((p, q) if q > 0 else (-p, -q))
+        return FiniteSeq.from_ratios(ratios)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(v) for v in self.values)

@@ -1,9 +1,10 @@
 """The working form of a sequence: integers over one common denominator.
 
-Every command that reads a sequence runs on ``FiniteSeq.scaled()``.  These
-tests drive the CLI on inline text against raw-index Fraction oracles written
-here, with tokens that keep the items plain ints and tokens whose
-denominators push the lcm past ``DEN_BITS``, so the items stay Fractions.
+Every command that reads a sequence runs on ``FiniteSeq.scaled()``, and so
+does elementwise arithmetic.  These tests drive the CLI on inline text and the
+arithmetic operators against raw-index Fraction oracles written here, with
+tokens that keep the items plain ints and tokens whose denominators push the
+lcm past ``DEN_BITS``, so the items stay Fractions.
 """
 
 import io
@@ -11,11 +12,17 @@ import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcalc import DIFFERENCE, MIDDLE, FiniteSeq, derivative
+from seqcalc.grid import GridFunction, displacement
+from seqcalc.lagrange import lagrange_poly
+from seqcalc.operators import bottom, top
+from seqcalc.analysis import collinearity_determinant
 from seqcalc.cli import main
+from seqcalc.errors import BadParameter, LengthMismatch, ZeroEntry
 from seqcalc.seqio import parse_csv, parse_inline
 from seqcalc.sequences import DEN_BITS, format_sequence
 
@@ -155,6 +162,12 @@ def test_unreduced_tokens_are_stored_as_written_and_read_reduced():
     assert hash(seq) == hash(FiniteSeq(["2/3", 0, 3, "1/2"]))
     assert format_sequence(seq) == ["2/3", "0", "3", "1/2"]
 
+    unreduced = FiniteSeq.from_scaled([2, 4], 4)
+    assert unreduced == FiniteSeq.of(Fraction(1, 2), 1) == unreduced
+    assert unreduced == FiniteSeq.from_ratios([(3, 6), (5, 5)])
+    assert unreduced != FiniteSeq.from_scaled([2, 5], 4)
+    assert hash(unreduced) == hash(FiniteSeq.of(Fraction(1, 2), 1))
+
 
 def test_length_access_and_prefix_leave_the_fraction_tuple_unbuilt():
     seq = DIFFERENCE.apply(parse_inline("1,1/2,1/3,1/4,1/5"))
@@ -163,3 +176,123 @@ def test_length_access_and_prefix_leave_the_fraction_tuple_unbuilt():
     assert seq.prefix(2) == FiniteSeq([Fraction(-1, 2), Fraction(-1, 6)])
     assert seq._values is None
     assert seq.values[3] == Fraction(1, 5) - Fraction(1, 4)
+
+    vals = [Fraction(k % 19 - 9, k % 8 + 1) for k in range(5000)]
+    loaded = parse_csv("".join(f"{v}\n" for v in vals))
+    poly = lagrange_poly(loaded, 4000, 4)
+    assert [poly.evaluate(j) for j in range(4000, 4005)] == vals[3999:4004]
+    assert loaded._values is None
+    shorter = [top(loaded), bottom(loaded)]
+    assert loaded._values is None
+    grid = GridFunction(0, 1, loaded)
+    shorter += [displacement(grid, 3).samples, displacement(grid, -3).samples]
+    assert loaded._values is None
+    assert [s._values for s in shorter] == [None] * 4
+    assert [s.at(1) for s in shorter] == [vals[0], vals[1], vals[3], vals[0]]
+    assert [s.at(len(s)) for s in shorter] == [vals[-2], vals[-1], vals[-1], vals[-4]]
+
+
+entries = tokens.map(lambda pair: pair[1])
+
+
+def stored(vals, form):
+    """A sequence of vals built from Fractions, from reduced ratios, or from unreduced ones."""
+    if form == "fractions":
+        return FiniteSeq(vals)
+    k = 1 if form == "ratios" else 6
+    return FiniteSeq.from_ratios([(v.numerator * k, v.denominator * k) for v in vals])
+
+
+def assert_entries(seq, vals):
+    expected = FiniteSeq(vals)
+    assert seq == expected and expected == seq
+    items, den = seq.scaled()
+    assert [Fraction(x, den) for x in items] == vals
+    if items and isinstance(items[-1], int):
+        assert den.bit_length() <= DEN_BITS
+    assert seq.values == tuple(vals)
+    assert hash(seq) == hash(expected)
+
+
+def first_zero(vals):
+    return next((i for i, v in enumerate(vals, start=1) if v == 0), None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    forms=st.tuples(*[st.sampled_from(["fractions", "ratios", "unreduced"])] * 3),
+    scalar=st.one_of(entries, st.integers(-5, 5)),
+    chain=st.integers(1, 4),
+    data=st.data(),
+)
+def test_elementwise_arithmetic_matches_fraction_oracles(n, forms, scalar, chain, data):
+    svals = data.draw(st.lists(entries, min_size=n, max_size=n))
+    gvals = data.draw(st.lists(entries, min_size=n, max_size=n))
+    s, g, s_again = stored(svals, forms[0]), stored(gvals, forms[1]), stored(svals, forms[2])
+
+    # equality first, while the operands may still lack their Fraction tuples
+    assert s == s_again and hash(s) == hash(s_again)
+    assert (s == g) == (svals == gvals)
+    assert (s == stored(svals + [Fraction(1)], forms[2])) is False
+
+    assert_entries(s + g, [a + b for a, b in zip(svals, gvals)])
+    assert_entries(s - g, [a - b for a, b in zip(svals, gvals)])
+    assert_entries(-s, [-a for a in svals])
+    assert_entries(s * g, [a * b for a, b in zip(svals, gvals)])
+    assert_entries(s * scalar, [a * scalar for a in svals])
+    assert_entries(scalar * s, [scalar * a for a in svals])
+    assert_entries(s * "-3/4", [a * Fraction(-3, 4) for a in svals])
+
+    if scalar == 0:
+        with pytest.raises(BadParameter):
+            s / scalar
+    else:
+        assert_entries(s / scalar, [a / Fraction(scalar) for a in svals])
+
+    zero = first_zero(gvals)
+    if zero is None:
+        assert_entries(g.inverse(), [1 / b for b in gvals])
+        assert_entries(s / g, [a / b for a, b in zip(svals, gvals)])
+    else:
+        for call in (g.inverse, lambda: s / g):
+            with pytest.raises(ZeroEntry) as caught:
+                call()
+            assert caught.value.index == zero
+
+    product, expected = s, list(svals)
+    for k in range(chain):
+        factor, fvals = (g, gvals) if k % 2 else (s, svals)
+        product, expected = product * factor, [a * b for a, b in zip(expected, fvals)]
+        assert_entries(product, expected)
+
+    if n:
+        with pytest.raises(LengthMismatch):
+            s + stored(gvals[1:], forms[1])
+
+
+def test_a_chain_of_products_passes_the_bound_and_falls_back():
+    p = BIG_PRIMES[0]  # 31 bits: the product of two such denominators fits in DEN_BITS, of three not
+    vals = [Fraction(1, p), Fraction(-2), Fraction(5, p)]
+    factor = FiniteSeq.from_ratios([(1, p), (-2, 1), (5, p)])
+    square = factor * factor
+    items, den = square.scaled()
+    assert all(isinstance(x, int) for x in items) and den == p * p
+    cube = square * factor
+    assert (p**3).bit_length() > DEN_BITS
+    assert_entries(cube, [a * a * a for a in vals])
+    assert_entries(cube * factor - square * square, [0, 0, 0])
+
+
+def test_collinearity_determinant_past_the_bound_matches_the_written_out_formula():
+    vals = [Fraction(k - 7, p) for k, p in enumerate(BIG_PRIMES)] + [Fraction(3), Fraction(-5, 4)]
+    loaded = parse_inline(",".join(str(v) for v in vals))
+    assert not isinstance(loaded.scaled()[0][-1], int)
+    within = parse_inline("1/2,-3,7/9,0,5/6,4,-1/7")
+    for seq in (loaded, within, FiniteSeq(vals)):
+        ys = list(seq.values)
+        for i in range(1, len(ys) - 1):
+            (x0, y0), (x1, y1), (x2, y2) = [(i + r, ys[i - 1 + r]) for r in range(3)]
+            # det of rows (x_r, y_r, 1), expanded along the last column
+            det = (x1 * y2 - x2 * y1) - (x0 * y2 - x2 * y0) + (x0 * y1 - x1 * y0)
+            assert collinearity_determinant(seq, i) == det

@@ -2,7 +2,7 @@
 
 import pytest
 
-from seqcalc import CheckSpec, FiniteSeq, check_names, run_all, run_check
+from seqcalc import CheckSpec, FiniteSeq, check_names, run_all, run_check, verify
 from seqcalc.errors import BadParameter, UnknownCheck
 from seqcalc.generators import (
     arithmetic_sequence,
@@ -100,3 +100,29 @@ def test_random_generator_ranges():
     assert all(1 <= v.denominator <= 9 for v in s)
     zero_free = random_zero_free_sequence(50, random.Random(1))
     assert all(v != 0 for v in zero_free)
+
+
+def _off_by_one_in_the_first_entry(seq):
+    return FiniteSeq([seq.at(1) + 1, *seq.values[1:]]) if seq else seq
+
+
+def test_oracles_catch_a_broken_product_kernel(monkeypatch):
+    original = FiniteSeq.__mul__
+
+    def broken(self, other):
+        return _off_by_one_in_the_first_entry(original(self, other))
+
+    monkeypatch.setattr(FiniteSeq, "__mul__", broken)
+    report = run_check(CheckSpec("product_rule", trials=10, seed=7, min_length=2, max_length=6))
+    assert report.passed is False
+
+
+def test_oracles_catch_a_broken_collinearity_determinant(monkeypatch):
+    original = verify.collinearity_determinant
+
+    def broken(seq, i):
+        return original(seq, i) + (1 if i == 1 else 0)
+
+    monkeypatch.setattr(verify, "collinearity_determinant", broken)
+    report = run_check(CheckSpec("det_equals_d2", trials=10, seed=7, min_length=3, max_length=6))
+    assert report.passed is False
