@@ -4,12 +4,16 @@ Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 domain error (length mismatch, zero entry, out-of-range index, ...),
 4 internal error (any other exception, reported in one line).
 All stdout is deterministic for identical invocations.
+
+The argparse tree is built on the first ``main`` call and reused by every
+later call in the process; parsing a command line does not change it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import seqio
 from .analysis import classify_convexity, classify_monotonicity
@@ -28,6 +32,7 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqcalc",

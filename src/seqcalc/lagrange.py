@@ -15,6 +15,11 @@ det(M_S) therefore does not equal D^m S for m >= 3 (the verifier pins this).
 Determinants are evaluated by fraction-free (Bareiss) elimination on
 integers: each row is scaled once by the lcm of its denominators, so the
 inner loop divides Python ints exactly and one Fraction is built at the end.
+Both determinants come from one elimination over the nodes 0..m.
+
+The interpolant and the differences run on the sequence's working form:
+Newton's form is expanded in integers over den * m!, and one Fraction is
+built per coefficient.
 """
 
 from __future__ import annotations
@@ -70,12 +75,20 @@ class Polynomial:
         return f"<Polynomial {self.render()}>"
 
 
-def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
+def bareiss_determinant(
+    matrix: Sequence[Sequence[RationalLike]], bordered: int = 0
+) -> Fraction | tuple[Fraction, ...]:
     """Fraction-free determinant; exact for rational entries.
 
     Each row is scaled to integers by the lcm of its denominators, so every
     elimination step divides exactly with ``//``; the determinant is the last
     pivot over the product of the row scales.
+
+    With ``bordered = b > 0`` the n rows have n - 1 + b entries, and the
+    result is the tuple of the b determinants det[A | c_j], with A the first
+    n - 1 columns and c_j the j-th of the b trailing columns.  The same n - 1
+    elimination steps run, and by Sylvester's identity the last row then
+    holds each of them (Bareiss 1968).
     """
     n = len(matrix)
     if n == 0:
@@ -83,7 +96,8 @@ def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
     m: list[list[int]] = []
     scale = 1
     for row in matrix:
-        entries = [as_rational(v) for v in row]
+        # an int already has .numerator and .denominator (= 1): no Fraction
+        entries = [v if type(v) is int else as_rational(v) for v in row]
         d = lcm(*(v.denominator for v in entries))
         scale *= d
         m.append([v.numerator * (d // v.denominator) for v in entries])
@@ -93,7 +107,8 @@ def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
         if m[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if swap is None:
-                return Fraction(0)
+                # columns 0..k are dependent, and every determinant holds them
+                return (Fraction(0),) * bordered if bordered else Fraction(0)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot, pivot_tail = m[k][k], m[k][k + 1 :]
@@ -101,7 +116,8 @@ def bareiss_determinant(matrix: Sequence[Sequence[RationalLike]]) -> Fraction:
             f = row[k]
             row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], pivot_tail)]
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    dets = tuple(Fraction(sign * x, scale) for x in m[n - 1][n - 1 :])
+    return dets if bordered else dets[0]
 
 
 def _check_window(seq: FiniteSeq, start: int, m: int) -> None:
@@ -118,17 +134,22 @@ def lagrange_poly(seq: FiniteSeq, n0: int, m: int) -> Polynomial:
     _check_window(seq, n0, m)
     items, den = seq.scaled()
     window = FiniteSeq.from_scaled(items[n0 - 1 : n0 + m], den)
-    diffs = [window.at(1)]
+    heads = [items[n0 - 1]]
     for _ in range(m):
+        # D has scale 1, so every difference stays over the window's den
         window = DIFFERENCE.apply(window)
-        diffs.append(window.at(1))
-    coeffs: list[Fraction] = []
+        heads.append(window.scaled()[0][0])
+    # Newton's form times den * m!: D^k S(n0) / k! becomes the item times m!/k!
+    coeffs: list[int] = []
+    weight = 1
     for k in range(m, -1, -1):
-        # coeffs <- coeffs * (x - (n0 + k)) + D^k S(n0) / k!, ascending powers
+        # coeffs <- coeffs * (x - (n0 + k)) + item_k * m!/k!, ascending powers
         node = n0 + k
         coeffs = [low - high * node for low, high in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += diffs[k] / factorial(k)
-    return Polynomial(coeffs)
+        coeffs[0] += heads[k] * weight
+        weight *= k
+    total = den * factorial(m)
+    return Polynomial([Fraction(c, total) for c in coeffs])
 
 
 def lagrange_mth_derivative(seq: FiniteSeq, n0: int, m: int) -> Fraction:
@@ -143,12 +164,21 @@ def effective_degree(seq: FiniteSeq, n0: int, m: int) -> int:
 
 
 def interpolation_determinants(seq: FiniteSeq, i: int, m: int) -> tuple[Fraction, Fraction]:
-    """(det(M_S), det(V)) for the descending-power node matrix at window i."""
+    """(det(M_S), det(V)) for the descending-power node matrix at window i.
+
+    One elimination on the nodes translated to 0..m, which leaves both
+    determinants unchanged (the change of basis on the power columns is unit
+    triangular), over the columns [x^(m-1) ... 1 | x^m | S]: moving the first
+    column of V and M_S to the end multiplies each by (-1)^m.
+    """
     _check_window(seq, i, m)
-    nodes = [Fraction(i + r) for r in range(m + 1)]
-    v_matrix = [[x ** (m - k) for k in range(m + 1)] for x in nodes]
-    ms_matrix = [[seq.at(i + r)] + v_matrix[r][1:] for r in range(m + 1)]
-    return bareiss_determinant(ms_matrix), bareiss_determinant(v_matrix)
+    items, den = seq.scaled()
+    rows = [
+        [x ** (m - k) for k in range(1, m + 1)] + [x**m, items[i - 1 + x]] for x in range(m + 1)
+    ]
+    det_v, det_ms = bareiss_determinant(rows, bordered=2)
+    sign = (-1) ** m
+    return sign * det_ms / den, sign * det_v
 
 
 def dm_via_determinant(seq: FiniteSeq, i: int, m: int) -> Fraction:

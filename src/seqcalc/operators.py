@@ -30,10 +30,11 @@ shift, a plain add or subtract for a unit weight, so D costs one subtraction
 per entry.  The scale's numerator multiplies the sums and its denominator
 joins the common denominator, so integer items stay integers.
 
-Ring multiplication (and so ``**`` and every parsed product or power) works
-on integers over a common denominator: each factor is scaled once by the lcm
-of its coefficient denominators, the integer numerators are convolved, and
-one ``Fraction`` is built per output monomial.
+Ring multiplication and powers (and so every parsed product or power) work
+on integers over a common denominator: each factor, or a power's base, is
+scaled once by the lcm d of its coefficient denominators, the integer term
+lists are convolved (a power squares and multiplies them), and one
+``Fraction`` is built per output monomial, over d1 * d2 or d**N.
 """
 
 from __future__ import annotations
@@ -134,17 +135,7 @@ class OperatorPoly:
             return NotImplemented
         d1, left = _over_common_denominator(self._terms)
         d2, right = _over_common_denominator(other._terms)
-        sums: dict[Monomial, int] = {}
-        for (a1, b1), n1 in left:
-            for (a2, b2), n2 in right:
-                key = (a1 + a2, b1 + b2)
-                sums[key] = sums.get(key, 0) + n1 * n2
-        den = d1 * d2
-        # the sums are already merged by monomial: skip __init__'s Fraction pass
-        product = object.__new__(OperatorPoly)
-        product._terms = {key: Fraction(c, den) for key, c in sums.items() if c}
-        product._stencil = None
-        return product
+        return _from_integers(_convolve(left, right), d1 * d2)
 
     __rmul__ = __mul__
 
@@ -159,15 +150,16 @@ class OperatorPoly:
             raise TypeError("operator exponents must be integers")
         if exponent < 0:
             raise NegativePower(exponent)
-        result = OperatorPoly.scalar(1)
-        base = self
+        d, base = _over_common_denominator(self._terms)
+        result: list[tuple[Monomial, int]] = [((0, 0), 1)]
         n = exponent
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _convolve(result, base)
             n >>= 1
-        return result
+            if n:
+                base = _convolve(base, base)
+        return _from_integers(result, d**exponent)
 
     def _weights(self) -> tuple[int, Fraction, list[tuple[int, int]]]:
         """(truncation, scale, [(shift b, integer weight)]), a +1 weight first."""
@@ -222,6 +214,27 @@ def _over_common_denominator(
     """(d, [(monomial, d * coeff)]) with d the lcm of the coefficient denominators."""
     d = lcm(*(c.denominator for c in terms.values()))
     return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
+
+
+def _convolve(
+    left: list[tuple[Monomial, int]], right: list[tuple[Monomial, int]]
+) -> list[tuple[Monomial, int]]:
+    """The nonzero integer coefficients of the product of two integer term lists."""
+    sums: dict[Monomial, int] = {}
+    for (a1, b1), n1 in left:
+        for (a2, b2), n2 in right:
+            key = (a1 + a2, b1 + b2)
+            sums[key] = sums.get(key, 0) + n1 * n2
+    return [(key, c) for key, c in sums.items() if c]
+
+
+def _from_integers(terms: list[tuple[Monomial, int]], den: int) -> OperatorPoly:
+    """The operator sum(c / den * monomial) over distinct monomials with c != 0."""
+    # the terms are already merged by monomial: skip __init__'s Fraction pass
+    poly = object.__new__(OperatorPoly)
+    poly._terms = {key: Fraction(c, den) for key, c in terms}
+    poly._stencil = None
+    return poly
 
 
 def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:

@@ -22,6 +22,14 @@ x * d2 == y * d1; where an aligned or product denominator would pass
 ``DEN_BITS``, the arithmetic runs on ``values`` instead.  A sequence built
 from Fractions keeps them and derives its working form when a kernel first
 asks.
+
+``DEN_BITS`` governs only the denominators chosen here: when parsing (via
+``from_ratios``), in ``scaled()`` and in ``_combine``.  ``OperatorPoly.apply``
+and ``calculus.antiderivative`` fold a scalar's denominator into ``den`` and
+keep int items even past the bound: every application of ``M`` doubles
+``den``, and one application of ``(3/4*I - 5/7*E)^60`` multiplies it by 28**60.
+Values stay exact; a later sum or product with such a sequence takes the
+``values`` path.
 """
 
 from __future__ import annotations
@@ -36,11 +44,15 @@ from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroE
 RationalLike = Union[Fraction, int, str]
 
 DEN_BITS = 64
-"""Largest bit length of a sequence's common denominator over integer items.
+"""Largest bit length of a common denominator chosen for integer items.
 
 One lcm for a whole sequence grows with its number of distinct denominators:
 on 2000 entries 1/p with distinct primes p it has thousands of digits, and
 every entry would carry them.  Past this bound the items stay Fractions.
+The bound applies where a denominator is chosen: ``from_ratios`` (so the
+parsers), ``scaled()`` and ``_combine``.  A kernel that folds a scalar's
+denominator into ``den`` (``OperatorPoly.apply``, the antiderivative) does
+not check it, so a kernel's result may carry int items over a larger ``den``.
 """
 
 

@@ -20,7 +20,7 @@ from math import comb, factorial
 
 from . import calculus, grid
 from .analysis import classify_convexity, collinearity_determinant
-from .errors import BadParameter, UnknownCheck
+from .errors import BadParameter, UnknownCheck, quoted
 from .generators import (
     arithmetic_sequence,
     geometric_sequence,
@@ -40,6 +40,17 @@ from .operators import BOTTOM, DIFFERENCE, MIDDLE, TOP, OperatorPoly, bottom, mi
 from .sequences import FiniteSeq
 
 
+MAX_LENGTH = 100
+"""Largest sequence length a check may draw (``--min-len``, ``--max-len``).
+
+Each trial builds its sequences at a length drawn up to ``max_length``, so
+this bounds the work of one trial.  A zero-free sequence is drawn by
+resampling the whole sequence until no entry is zero, about (19/18)**n
+draws: at this bound one trial of every check takes a fraction of a second,
+and at n = 200 one zero-free draw takes seconds.
+"""
+
+
 @dataclass(frozen=True)
 class CheckSpec:
     name: str
@@ -53,6 +64,9 @@ class CheckSpec:
             raise BadParameter(f"trials must be >= 1, got {self.trials}")
         if self.min_length < 2:
             raise BadParameter(f"min length must be >= 2, got {self.min_length}")
+        for label, length in (("min", self.min_length), ("max", self.max_length)):
+            if length > MAX_LENGTH:
+                raise BadParameter(f"{label} length must be <= {MAX_LENGTH}, got {quoted(length)}")
         if self.max_length < self.min_length:
             raise BadParameter(
                 f"max length {self.max_length} below min length {self.min_length}"
@@ -135,6 +149,18 @@ def _o_lagrange_value(xs, ys, x):
             if k != j:
                 term *= Fraction(x - xk, xs[j] - xk)
         total += term
+    return total
+
+
+def _o_leading_coefficient(xs, ys):
+    """Top divided difference: sum of y_j / prod_{k != j} (x_j - x_k) over integer nodes."""
+    total = Fraction(0)
+    for j, yj in enumerate(ys):
+        weight = 1
+        for k, xk in enumerate(xs):
+            if k != j:
+                weight *= xs[j] - xk
+        total += yj / weight
     return total
 
 
@@ -480,9 +506,13 @@ def _check_lagrange_leading(spec: CheckSpec):
         poly = lagrange_poly(s, n0, m)
         leading = factorial(m) * poly.coefficient(m)
         oracle = _o_diff_m(list(s.values), m)[n0 - 1]
+        xs = list(range(n0, n0 + m + 1))
+        divided = _o_leading_coefficient(xs, [s.values[j - 1] for j in xs])
         deg = effective_degree(s, n0, m)
         cases += 1
-        if leading != oracle or lagrange_mth_derivative(s, n0, m) != oracle:
+        if poly.coefficient(m) != divided:
+            failures.append(f"trial {t}: divided difference m={m} n0={n0} S={_inline(s)}")
+        elif leading != oracle or lagrange_mth_derivative(s, n0, m) != oracle:
             failures.append(f"trial {t}: m={m} n0={n0} S={_inline(s)}")
         elif (deg == m) != (oracle != 0):
             failures.append(f"trial {t}: degree law m={m} n0={n0} S={_inline(s)}")

@@ -270,3 +270,26 @@ def test_cli_import_leaves_the_verifier_unloaded():
     result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "seqcalc.verify\n"
+
+
+CALL_SEQUENCES = [
+    [("diff", "--seq", "inline:1,4,9,16,25", "--order", "3"), ("diff", "--seq", "inline:1,4,9,16,25")],
+    [("diff", "--seq", "inline:1,2", "--order", "x"), ("diff", "--seq", "inline:1,2")],
+    [("--help",), ("simplify", "--op", "(E - I)^2")],
+    [("lagrange", "--seq", "inline:1,8,27,64", "--n0", "1", "--m", "3", "--det"),
+     ("lagrange", "--seq", "inline:1,8,27,64", "--n0", "1", "--m", "3")],
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("calls", CALL_SEQUENCES, ids=lambda calls: " ; ".join(c[0] for c in calls))
+def test_calls_in_one_process_match_each_call_alone(capsys, monkeypatch, calls):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    for argv in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-m", "seqcalc", *argv], env=env, capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)

@@ -6,6 +6,9 @@ a digest recorded from an earlier implementation.  Inputs are seeded: a
 300-entry sequence that mixes small p/q with 50-300-digit integers (written
 as csv, json and bfile) and a 40-entry window sequence for interpolation.
 A changed digest means changed bytes; the command line is in the case id.
+Further cases cover non-homogeneous operator powers, zeroth powers, a
+determinant window at n0 = 250 over 300-digit entries, and 13 entries k/p
+over distinct primes p, whose common denominator passes ``DEN_BITS``.
 """
 
 import hashlib
@@ -18,6 +21,8 @@ from seqcalc.cli import main
 
 SHORT = "inline:1,4,9,16,25,36/7,-2/3,5"
 POWER = "(3/4*I - 5/7*E)^60"
+MIXED = "(1/2 - 2/3*I + 5*E)"
+PRIMES = (1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097, 1103)
 
 
 def _long_entries():
@@ -47,12 +52,14 @@ def specs(tmp_path_factory):
     (root / "long.json").write_text("[" + ", ".join(f'"{t}"' for t in text) + "]")
     (root / "long.txt").write_text("".join(f"{i} {t}\n" for i, t in enumerate(text, start=1)))
     window = ",".join(str(v) for v in _window_entries())
+    primes = ",".join(f"{k}/{p}" for k, p in enumerate(PRIMES, start=1))
     return {
         "SHORT": SHORT,
         "CSV": f"csv:{root / 'long.csv'}",
         "JSON": f"json:{root / 'long.json'}",
         "BFILE": f"bfile:{root / 'long.txt'}",
         "WINDOW": f"inline:{window}",
+        "PRIMES": f"inline:{primes}",
     }
 
 
@@ -84,6 +91,13 @@ CASES = [
     (_lagrange(32, "--coeffs"), "d8b62e1adf4c95e7548f2a3b5457a4521f31896517c3ca110f45df05aa0fc73e"),
     (_lagrange(32, "--eval", "33/2"), "9df60b1a80698fc331e12827cddf4d4fff9cc1542f349892c267550feaad9205"),
     (_lagrange(32, "--det"), "07e876dbbcda408ad8cec9a2a3a9f248f8616616e8464ae1ceaa742021a8d2f0"),
+    (("simplify", "--op", MIXED + "^20"), "06ed302d3f3aa6e08788cb405efbf037a8427aa626e4f035f4f38911661b5b30"),
+    (("apply", "--op", MIXED + "^12", "--seq", "CSV"), "684abe3c8fc86a5273dfa3603bee1ea7dc805ad77550a05dd209ba6961d268bf"),
+    (("simplify", "--op", "0^0"), "f9e9732789d054a84098f41979373eab3e1f0465e6c9e62ffaa78cc55f070750"),
+    (("simplify", "--op", "(I+E)^0"), "f9e9732789d054a84098f41979373eab3e1f0465e6c9e62ffaa78cc55f070750"),
+    (("lagrange", "--seq", "CSV", "--n0", "250", "--m", "30", "--det"), "89c9287eae6de8a85a62d8f6d63b6cea9d5f35e7e186ed949767788858d6c10e"),
+    (("lagrange", "--seq", "PRIMES", "--n0", "1", "--m", "12", "--coeffs"), "9fb024752cadc1d1298e876efb7434a811e9c6171d741d513e58f6794ca0e0eb"),
+    (("lagrange", "--seq", "PRIMES", "--n0", "1", "--m", "12", "--det"), "96a1b46a388bad3edd48bfbfa0e439c2241bdb11cbd0b680306faad5caa86126"),
     (("verify", "--check", "all", "--trials", "20"), "2ccedbbb196be59da6aeab5a9f287c1784dcef6be29850f450570e1a59180910"),
     (("verify", "--check", "fd_bridge", "--trials", "60", "--seed", "9", "--max-len", "20"), "41599571a0b96c1166d1f75f8efc42c40ef3e7eeb64efbdcf6d0128d52ea92e7"),
 ]

@@ -242,3 +242,42 @@ def test_vandermonde_determinant_closed_form(m):
         superfactorial *= factorial(k)
     expected = (-1) ** (m * (m + 1) // 2) * superfactorial
     assert interpolation_determinants(s, 1 + m % 7, m)[1] == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bordered_determinants_match_each_square_determinant(n):
+    rng = random.Random(100 + n)
+    shared = [row[: n - 1] for row in random_matrix(rng, n)]
+    if n > 2:
+        shared[0][:2] = [Fraction(0), Fraction(0)]  # a zero pivot at step 0
+    borders = [[row[0] for row in random_matrix(rng, n)] for _ in range(3)] + [[0] * n]
+    bordered = [row + [col[r] for col in borders] for r, row in enumerate(shared)]
+    squares = [[row + [col[r]] for r, row in enumerate(shared)] for col in borders]
+    assert bareiss_determinant(bordered, bordered=4) == tuple(map(gauss_oracle, squares))
+    if n > 2:
+        for row in bordered:
+            row[1] = row[0] * 2  # dependent shared columns: every determinant is 0
+        assert bareiss_determinant(bordered, bordered=4) == (Fraction(0),) * 4
+
+
+@pytest.mark.parametrize("n0,m", [(19970, 30), (1, 40)])
+def test_one_elimination_matches_gauss_on_untranslated_nodes(n0, m):
+    rng = random.Random(n0 + m)
+    s = FiniteSeq(Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(n0 + m))
+    v = [[Fraction(x ** (m - k)) for k in range(m + 1)] for x in range(n0, n0 + m + 1)]
+    ms = [[s.at(x)] + row[1:] for x, row in zip(range(n0, n0 + m + 1), v)]
+    assert interpolation_determinants(s, n0, m) == (gauss_oracle(ms), gauss_oracle(v))
+
+
+def test_interpolant_past_den_bits_matches_basis_form():
+    primes = (1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097, 1103)
+    s = FiniteSeq.from_ratios([(k if k % 3 else -k, p) for k, p in enumerate(primes, start=1)])
+    assert not isinstance(s.scaled()[0][0], int)  # the lcm passes DEN_BITS
+    for n0, m in [(1, 12), (2, 9), (5, 0)]:
+        poly = lagrange_poly(s, n0, m)
+        xs = list(range(n0, n0 + m + 1))
+        ys = [s.at(j) for j in xs]
+        assert all(poly.evaluate(j) == s.at(j) for j in xs)
+        for probe in (Fraction(-7, 3), Fraction(29, 2), 0):
+            assert poly.evaluate(probe) == basis_form_oracle(xs, ys, probe)
+        assert factorial(m) * poly.coefficient(m) == derivative(s, m).at(n0)

@@ -139,12 +139,24 @@ def test_middle_is_mean_of_top_and_bottom(s):
         assert middle(s) == (top(s) + bottom(s)) * Fraction(1, 2)
 
 
-@given(operator_polys, st.integers(min_value=0, max_value=4))
+power_bases = st.one_of(
+    operator_polys,
+    rationals.map(OperatorPoly.scalar),
+    st.just(OperatorPoly.zero()),
+)
+
+
+@given(power_bases, st.integers(min_value=0, max_value=12))
 def test_power_is_repeated_product(p, n):
     expected = OperatorPoly.scalar(1)
+    terms = {(0, 0): Fraction(1)}
     for _ in range(n):
         expected = expected * p
-    assert p**n == expected
+        terms = convolution_oracle(OperatorPoly(terms), p)
+    power = p**n
+    assert power == expected
+    assert power.terms == terms
+    assert all(type(c) is Fraction and c != 0 for c in power.terms.values())
 
 
 def raw_apply_oracle(p, s):

@@ -296,3 +296,18 @@ def test_collinearity_determinant_past_the_bound_matches_the_written_out_formula
             # det of rows (x_r, y_r, 1), expanded along the last column
             det = (x1 * y2 - x2 * y1) - (x0 * y2 - x2 * y0) + (x0 * y1 - x1 * y0)
             assert collinearity_determinant(seq, i) == det
+
+
+def test_repeated_means_pass_den_bits_and_stay_exact():
+    # each M folds 1/2 into den, which apply does not check against DEN_BITS
+    entries = [Fraction((-1) ** i * (i * i + 3), 1 + i % 7) for i in range(90)]
+    seq, raw = FiniteSeq(entries), list(entries)
+    for _ in range(70):
+        seq = MIDDLE.apply(seq)
+        raw = [(a + b) / 2 for a, b in zip(raw, raw[1:])]
+    items, den = seq.scaled()
+    assert den.bit_length() > DEN_BITS and isinstance(items[0], int)
+    other = FiniteSeq([Fraction(k, 3) for k in range(len(raw))])
+    assert list((seq + other).values) == [a + Fraction(k, 3) for k, a in enumerate(raw)]
+    assert list((seq - seq).values) == [0] * len(raw)
+    assert list((seq * other).values) == [a * Fraction(k, 3) for k, a in enumerate(raw)]

@@ -1,8 +1,11 @@
 """Verifier catalog: reproducibility, generators, and per-check sanity."""
 
+from fractions import Fraction
+
 import pytest
 
-from seqcalc import CheckSpec, FiniteSeq, check_names, run_all, run_check, verify
+from seqcalc import CheckSpec, FiniteSeq, Polynomial, check_names, run_all, run_check, verify
+from seqcalc.cli import main
 from seqcalc.errors import BadParameter, UnknownCheck
 from seqcalc.generators import (
     arithmetic_sequence,
@@ -126,3 +129,39 @@ def test_oracles_catch_a_broken_collinearity_determinant(monkeypatch):
     monkeypatch.setattr(verify, "collinearity_determinant", broken)
     report = run_check(CheckSpec("det_equals_d2", trials=10, seed=7, min_length=3, max_length=6))
     assert report.passed is False
+
+
+def test_divided_difference_line_catches_a_skewed_top_coefficient(monkeypatch):
+    original = verify.lagrange_poly
+
+    def skewed(seq, n0, m):
+        coeffs = list(original(seq, n0, m).coefficients) + [0] * (m + 1)
+        coeffs[m] += Fraction(1, 7)
+        return Polynomial(coeffs)
+
+    monkeypatch.setattr(verify, "lagrange_poly", skewed)
+    report = run_check(CheckSpec("lagrange_leading", trials=10, seed=7, min_length=2, max_length=6))
+    assert report.passed is False
+    assert "divided difference" in report.failures[0]
+
+
+@pytest.mark.parametrize(
+    "option,limit_name",
+    [("--max-len", "max length"), ("--min-len", "min length")],
+)
+def test_sequence_length_limit_is_a_domain_error(capsys, monkeypatch, option, limit_name):
+    def must_not_run(spec):
+        raise AssertionError("a check ran past the length limit")
+
+    # were the limit not checked, the command would exit 4 here, not build 1e9 entries
+    monkeypatch.setattr(verify, "run_check", must_not_run)
+    for check in ("all", "ftc"):
+        assert main(["verify", "--check", check, option, "1000000000"]) == 3
+        assert capsys.readouterr().err == (
+            f"seqcalc: {limit_name} must be <= {verify.MAX_LENGTH}, got 1000000000\n"
+        )
+
+
+def test_sequence_length_limit_is_inclusive():
+    spec = CheckSpec("ftc", 2, 0, verify.MAX_LENGTH, verify.MAX_LENGTH)
+    assert run_check(spec).passed
