@@ -1,10 +1,20 @@
 """Verifier catalog: reproducibility, generators, and per-check sanity."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from seqcalc import CheckSpec, FiniteSeq, Polynomial, check_names, run_all, run_check, verify
+from seqcalc import (
+    CheckSpec,
+    FiniteSeq,
+    OperatorPoly,
+    Polynomial,
+    check_names,
+    run_all,
+    run_check,
+    verify,
+)
 from seqcalc.cli import main
 from seqcalc.errors import BadParameter, UnknownCheck
 from seqcalc.generators import (
@@ -118,6 +128,25 @@ def test_oracles_catch_a_broken_product_kernel(monkeypatch):
     monkeypatch.setattr(FiniteSeq, "__mul__", broken)
     report = run_check(CheckSpec("product_rule", trials=10, seed=7, min_length=2, max_length=6))
     assert report.passed is False
+
+
+# stdout of `verify --check all --trials 30 --seed 3 --max-len 14` while
+# OperatorPoly.apply shifts its first entry by 1: pins the draw order of
+# every check and the text of every failure a broken kernel produces.
+FAILING_REPORT_SHA256 = "cfc5b69805d3ddb3920b26f5f296051e08981792884740750eb4d7301bcb91f5"
+
+
+def test_failing_report_digest(capsys, monkeypatch):
+    original = OperatorPoly.apply
+
+    def broken(self, seq):
+        return _off_by_one_in_the_first_entry(original(self, seq))
+
+    monkeypatch.setattr(OperatorPoly, "apply", broken)
+    code = main(["verify", "--check", "all", "--trials", "30", "--seed", "3", "--max-len", "14"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_REPORT_SHA256
 
 
 def test_oracles_catch_a_broken_collinearity_determinant(monkeypatch):
