@@ -6,6 +6,13 @@ single small sequence, an exhaustive integer sweep with values -2..2 and
 length 4).  Each check carries its own brute-force oracle, written at the
 raw index level so it shares no code with the implementation under test.
 
+A check is its body: a generator ``body(spec, rng)`` that draws one instance
+(its length, through ``_length``, where its draw order needs it) and yields
+a text for each failure it finds.  ``run_check`` is the one driver: it runs
+the check's fixed instances in ``_FIXED``, then ``spec.trials`` seeded
+trials, counts each instance as a case and prefixes each failure with the
+instance's label (``exhaustive: ``, ``trial t: `` and so on).
+
 Reports are deterministic: trial t draws from a generator seeded by
 (name, seed, t), so results do not depend on execution order.
 """
@@ -15,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial
 
 from . import calculus, grid
@@ -79,14 +86,6 @@ class CheckReport:
     trials_run: int
     failures: tuple[str, ...]
     passed: bool
-
-    @staticmethod
-    def build(name: str, trials_run: int, failures: list[str]) -> CheckReport:
-        return CheckReport(name, trials_run, tuple(failures), passed=not failures)
-
-
-def _rng(spec: CheckSpec, trial: int) -> random.Random:
-    return random.Random(f"{spec.name}:{spec.seed}:{trial}")
 
 
 def _length(spec: CheckSpec, rng: random.Random, floor: int = 2) -> int:
@@ -164,432 +163,308 @@ def _o_leading_coefficient(xs, ys):
     return total
 
 
-def _exhaustive_integer_sequences(length=4, lo=-2, hi=2):
-    for combo in product(range(lo, hi + 1), repeat=length):
-        yield FiniteSeq(combo)
-
-
 # ---------------------------------------------------------------------------
-# checks
+# check bodies, in catalog order; each yields its failure texts
 
-def _check_product_rule(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        g = random_rational_sequence(n, rng)
-        lhs = calculus.derivative(s * g)
-        oracle = _o_diff([a * b for a, b in zip(s.values, g.values)])
-        symmetric = calculus.derivative(s) * middle(g) + middle(s) * calculus.derivative(g)
-        split = bottom(s) * bottom(g) - top(s) * top(g)
-        left_form = calculus.derivative(s) * bottom(g) + top(s) * calculus.derivative(g)
-        right_form = calculus.derivative(s) * top(g) + bottom(s) * calculus.derivative(g)
-        cases += 1
-        for label, candidate in (
-            ("D(SG)", lhs),
-            ("symmetric", symmetric),
-            ("split", split),
-            ("bottom-weighted", left_form),
-            ("top-weighted", right_form),
-        ):
-            if list(candidate.values) != oracle:
-                failures.append(f"trial {t}: {label} mismatch for S={_inline(s)} G={_inline(g)}")
-    return cases, failures
+def _check_product_rule(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    g = random_rational_sequence(n, rng)
+    oracle = _o_diff([a * b for a, b in zip(s.values, g.values)])
+    for label, candidate in (
+        ("D(SG)", calculus.derivative(s * g)),
+        ("symmetric", calculus.derivative(s) * middle(g) + middle(s) * calculus.derivative(g)),
+        ("split", bottom(s) * bottom(g) - top(s) * top(g)),
+        ("bottom-weighted", calculus.derivative(s) * bottom(g) + top(s) * calculus.derivative(g)),
+        ("top-weighted", calculus.derivative(s) * top(g) + bottom(s) * calculus.derivative(g)),
+    ):
+        if list(candidate.values) != oracle:
+            yield f"{label} mismatch for S={_inline(s)} G={_inline(g)}"
 
 
-def _check_quotient_rule(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        g = random_zero_free_sequence(n, rng)
-        lhs = calculus.derivative(s / g)
-        oracle = _o_diff([a / b for a, b in zip(s.values, g.values)])
-        rhs = (calculus.derivative(s) * middle(g) - calculus.derivative(g) * middle(s)) / (
-            top(g) * bottom(g)
-        )
-        cases += 1
-        if list(lhs.values) != oracle or list(rhs.values) != oracle:
-            failures.append(f"trial {t}: S={_inline(s)} G={_inline(g)}")
-    return cases, failures
+def _check_quotient_rule(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    g = random_zero_free_sequence(n, rng)
+    lhs = calculus.derivative(s / g)
+    oracle = _o_diff([a / b for a, b in zip(s.values, g.values)])
+    rhs = (calculus.derivative(s) * middle(g) - calculus.derivative(g) * middle(s)) / (
+        top(g) * bottom(g)
+    )
+    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+        yield f"S={_inline(s)} G={_inline(g)}"
 
 
-def _check_inverse_rule(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        g = random_zero_free_sequence(n, rng)
-        lhs = calculus.derivative(g.inverse())
-        oracle = _o_diff([1 / v for v in g.values])
-        rhs = -(calculus.derivative(g) / (top(g) * bottom(g)))
-        cases += 1
-        if list(lhs.values) != oracle or list(rhs.values) != oracle:
-            failures.append(f"trial {t}: G={_inline(g)}")
-    return cases, failures
+def _check_inverse_rule(spec: CheckSpec, rng: random.Random):
+    g = random_zero_free_sequence(_length(spec, rng), rng)
+    lhs = calculus.derivative(g.inverse())
+    oracle = _o_diff([1 / v for v in g.values])
+    rhs = -(calculus.derivative(g) / (top(g) * bottom(g)))
+    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+        yield f"G={_inline(g)}"
 
 
-def _check_mean_inverse(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        g = random_zero_free_sequence(n, rng)
-        lhs = middle(g.inverse())
-        oracle = [(1 / g.values[i] + 1 / g.values[i + 1]) / 2 for i in range(n - 1)]
-        rhs = middle(g) / (top(g) * bottom(g))
-        cases += 1
-        if list(lhs.values) != oracle or list(rhs.values) != oracle:
-            failures.append(f"trial {t}: G={_inline(g)}")
-    return cases, failures
+def _check_mean_inverse(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    g = random_zero_free_sequence(n, rng)
+    lhs = middle(g.inverse())
+    oracle = [(1 / g.values[i] + 1 / g.values[i + 1]) / 2 for i in range(n - 1)]
+    rhs = middle(g) / (top(g) * bottom(g))
+    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+        yield f"G={_inline(g)}"
 
 
-def _check_antiderivative_roundtrip(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        c = random_rational(rng)
-        integral = calculus.antiderivative(s, c)
-        oracle = [c] + [c + p for p in _o_partial_sums(s.values)]
-        cases += 1
-        if list(integral.values) != oracle:
-            failures.append(f"trial {t}: cumulative-sum oracle, S={_inline(s)} c={c}")
-        if calculus.derivative(integral) != s:
-            failures.append(f"trial {t}: D(J S) != S for S={_inline(s)} c={c}")
-        if calculus.antiderivative(calculus.derivative(s), s.at(1)) != s:
-            failures.append(f"trial {t}: J(D S) != S for S={_inline(s)}")
-    return cases, failures
+def _check_antiderivative_roundtrip(spec: CheckSpec, rng: random.Random):
+    s = random_rational_sequence(_length(spec, rng), rng)
+    c = random_rational(rng)
+    integral = calculus.antiderivative(s, c)
+    oracle = [c] + [c + p for p in _o_partial_sums(s.values)]
+    if list(integral.values) != oracle:
+        yield f"cumulative-sum oracle, S={_inline(s)} c={c}"
+    if calculus.derivative(integral) != s:
+        yield f"D(J S) != S for S={_inline(s)} c={c}"
+    if calculus.antiderivative(calculus.derivative(s), s.at(1)) != s:
+        yield f"J(D S) != S for S={_inline(s)}"
 
 
-def _check_partial_sums(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        c = random_rational(rng)
-        shifted = bottom(calculus.antiderivative(s, c))
-        oracle = [p + c for p in _o_partial_sums(s.values)]
-        cases += 1
-        if list(shifted.values) != oracle:
-            failures.append(f"trial {t}: S={_inline(s)} c={c}")
-    return cases, failures
+def _check_partial_sums(spec: CheckSpec, rng: random.Random):
+    s = random_rational_sequence(_length(spec, rng), rng)
+    c = random_rational(rng)
+    shifted = bottom(calculus.antiderivative(s, c))
+    if list(shifted.values) != [p + c for p in _o_partial_sums(s.values)]:
+        yield f"S={_inline(s)} c={c}"
 
 
-def _check_hod_binomial(spec: CheckSpec):
-    failures, cases = [], 0
-    for m in range(9):
-        expected = OperatorPoly({(k, m - k): (-1) ** k * comb(m, k) for k in range(m + 1)})
-        cases += 1
-        if DIFFERENCE**m != expected:
-            failures.append(f"coefficients of D^{m} differ from the binomial expansion")
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        m = rng.randint(0, min(8, n))
-        applied = (DIFFERENCE**m).apply(s)
-        oracle = _o_diff_m(list(s.values), m)
-        cases += 1
-        if list(applied.values) != oracle or calculus.derivative(s, m) != applied:
-            failures.append(f"trial {t}: D^{m} on S={_inline(s)}")
-    return cases, failures
+def _binomial_row(m):
+    expected = OperatorPoly({(k, m - k): (-1) ** k * comb(m, k) for k in range(m + 1)})
+    if DIFFERENCE**m != expected:
+        yield f"coefficients of D^{m} differ from the binomial expansion"
 
 
-def _check_int_by_parts(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        g = random_rational_sequence(n, rng)
-        c0 = random_rational(rng)
-        c1 = s.at(1) * g.at(1) - c0
-        lhs = calculus.antiderivative(calculus.derivative(s) * middle(g), c0)
-        rhs = s * g - calculus.antiderivative(middle(s) * calculus.derivative(g), c1)
-        sv, gv = s.values, g.values
-        raw_terms = [
-            (sv[j + 1] - sv[j]) * (gv[j] + gv[j + 1]) / 2 for j in range(n - 1)
-        ]
-        oracle = [c0] + [c0 + p for p in _o_partial_sums(raw_terms)]
-        cases += 1
-        if list(lhs.values) != oracle:
-            failures.append(f"trial {t}: raw oracle, S={_inline(s)} G={_inline(g)}")
-        elif calculus.derivative(lhs) != calculus.derivative(rhs):
-            failures.append(f"trial {t}: derivatives differ, S={_inline(s)} G={_inline(g)}")
-        elif lhs.at(1) != rhs.at(1) or lhs != rhs:
-            failures.append(f"trial {t}: sides differ, S={_inline(s)} G={_inline(g)}")
-    return cases, failures
+def _check_hod_binomial(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    m = rng.randint(0, min(8, n))
+    applied = (DIFFERENCE**m).apply(s)
+    oracle = _o_diff_m(list(s.values), m)
+    if list(applied.values) != oracle or calculus.derivative(s, m) != applied:
+        yield f"D^{m} on S={_inline(s)}"
 
 
-def _check_geometric_rule(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        start = random_nonzero_rational(rng)
-        q = random_nonzero_rational(rng)
-        s = geometric_sequence(start, q, n)
-        lhs = calculus.derivative(s)
-        oracle = _o_diff(list(s.values))
-        rhs = top(s) * (q - 1)
-        cases += 1
-        if list(lhs.values) != oracle or list(rhs.values) != oracle:
-            failures.append(f"trial {t}: start={start} q={q} n={n}")
-    return cases, failures
+def _check_int_by_parts(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    g = random_rational_sequence(n, rng)
+    c0 = random_rational(rng)
+    c1 = s.at(1) * g.at(1) - c0
+    lhs = calculus.antiderivative(calculus.derivative(s) * middle(g), c0)
+    rhs = s * g - calculus.antiderivative(middle(s) * calculus.derivative(g), c1)
+    sv, gv = s.values, g.values
+    raw_terms = [
+        (sv[j + 1] - sv[j]) * (gv[j] + gv[j + 1]) / 2 for j in range(n - 1)
+    ]
+    oracle = [c0] + [c0 + p for p in _o_partial_sums(raw_terms)]
+    if list(lhs.values) != oracle:
+        yield f"raw oracle, S={_inline(s)} G={_inline(g)}"
+    elif calculus.derivative(lhs) != calculus.derivative(rhs):
+        yield f"derivatives differ, S={_inline(s)} G={_inline(g)}"
+    elif lhs.at(1) != rhs.at(1) or lhs != rhs:
+        yield f"sides differ, S={_inline(s)} G={_inline(g)}"
 
 
-def _check_arithmetic_rule(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        start = random_rational(rng)
-        d = random_rational(rng)
-        s = arithmetic_sequence(start, d, n)
-        ds = calculus.derivative(s)
-        cases += 1
-        if ds != FiniteSeq.constant(d, n - 1):
-            failures.append(f"trial {t}: D S not constant d={d}")
-            continue
-        for i in range(1, n):
-            integral = calculus.definite_integral(ds, 1, i)
-            if integral != i * d or s.at(i + 1) != s.at(1) + i * d:
-                failures.append(f"trial {t}: S(i+1) != S(1) + i*d at i={i}, d={d}")
-                break
-    return cases, failures
+def _check_geometric_rule(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    start = random_nonzero_rational(rng)
+    q = random_nonzero_rational(rng)
+    s = geometric_sequence(start, q, n)
+    lhs = calculus.derivative(s)
+    oracle = _o_diff(list(s.values))
+    rhs = top(s) * (q - 1)
+    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+        yield f"start={start} q={q} n={n}"
 
 
-def _check_geometric_sum(spec: CheckSpec):
-    failures, cases = [], 0
-
-    def run_instance(label, start, q, n):
-        s = geometric_sequence(start, q, n)
-        lhs = calculus.definite_integral(top(s), 1, n - 1)
-        oracle = _o_sum(list(s.values), 1, n - 1)
-        closed = s.at(1) * (1 - q ** (n - 1)) / (1 - q)
-        telescoped = (s.at(n) - s.at(1)) / (q - 1)
-        if not lhs == oracle == closed == telescoped:
-            failures.append(f"{label}: start={start} q={q} n={n}")
-
-    for q in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2)):
-        for n in range(3, 9):
-            cases += 1
-            run_instance("ladder", Fraction(1), q, n)
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng, floor=3)
-        start = random_nonzero_rational(rng)
-        q = random_nonzero_rational(rng)
-        while q == 1:
-            q = random_nonzero_rational(rng)
-        cases += 1
-        run_instance(f"trial {t}", start, q, n)
-    return cases, failures
-
-
-def _check_ftc(spec: CheckSpec):
-    failures, cases = [], 0
-
-    def run_instance(label, s, a, b, constants):
-        nonlocal cases
-        cases += 1
-        vals = list(s.values)
-        oracle = _o_sum(vals, a, b)
-        integral = calculus.definite_integral(s, a, b)
-        if integral != oracle:
-            failures.append(f"{label}: sum oracle mismatch S={_inline(s)} a={a} b={b}")
+def _check_arithmetic_rule(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    start = random_rational(rng)
+    d = random_rational(rng)
+    s = arithmetic_sequence(start, d, n)
+    ds = calculus.derivative(s)
+    if ds != FiniteSeq.constant(d, n - 1):
+        yield f"D S not constant d={d}"
+        return
+    for i in range(1, n):
+        integral = calculus.definite_integral(ds, 1, i)
+        if integral != i * d or s.at(i + 1) != s.at(1) + i * d:
+            yield f"S(i+1) != S(1) + i*d at i={i}, d={d}"
             return
-        for c in constants:
-            anti = calculus.antiderivative(s, c)
-            if anti.at(b + 1) - anti.at(a) != oracle:
-                failures.append(f"{label}: I(b+1)-I(a) mismatch S={_inline(s)} a={a} b={b} c={c}")
-                return
-
-    for s in _exhaustive_integer_sequences():
-        for a in range(1, 5):
-            for b in range(a, 5):
-                run_instance("exhaustive", s, a, b, (Fraction(0), Fraction(5, 3)))
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        a = rng.randint(1, n)
-        b = rng.randint(a, n)
-        run_instance(f"trial {t}", s, a, b, (random_rational(rng),))
-    return cases, failures
 
 
-def _convexity_predicates(s: FiniteSeq):
-    n = len(s)
-    dets = [collinearity_determinant(s, i) for i in range(1, n - 1)]
+def _geometric_sum(start, q, n):
+    s = geometric_sequence(start, q, n)
+    lhs = calculus.definite_integral(top(s), 1, n - 1)
+    oracle = _o_sum(list(s.values), 1, n - 1)
+    closed = s.at(1) * (1 - q ** (n - 1)) / (1 - q)
+    telescoped = (s.at(n) - s.at(1)) / (q - 1)
+    if not lhs == oracle == closed == telescoped:
+        yield f"start={start} q={q} n={n}"
+
+
+def _check_geometric_sum(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng, floor=3)
+    start = random_nonzero_rational(rng)
+    q = random_nonzero_rational(rng)
+    while q == 1:
+        q = random_nonzero_rational(rng)
+    yield from _geometric_sum(start, q, n)
+
+
+def _ftc(s, a, b, constants):
+    vals = list(s.values)
+    oracle = _o_sum(vals, a, b)
+    integral = calculus.definite_integral(s, a, b)
+    if integral != oracle:
+        yield f"sum oracle mismatch S={_inline(s)} a={a} b={b}"
+        return
+    for c in constants:
+        anti = calculus.antiderivative(s, c)
+        if anti.at(b + 1) - anti.at(a) != oracle:
+            yield f"I(b+1)-I(a) mismatch S={_inline(s)} a={a} b={b} c={c}"
+            return
+
+
+def _check_ftc(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    a = rng.randint(1, n)
+    b = rng.randint(a, n)
+    yield from _ftc(s, a, b, (random_rational(rng),))
+
+
+def _convexity_equivalence(s):
+    windows = range(1, len(s) - 1)
+    dets = [collinearity_determinant(s, i) for i in windows]
     oracle_dets = [
-        _o_det(
-            [
-                [Fraction(i + r), s.at(i + r), Fraction(1)]
-                for r in range(3)
-            ]
-        )
-        for i in range(1, n - 1)
+        _o_det([[Fraction(i + r), s.at(i + r), Fraction(1)] for r in range(3)]) for i in windows
     ]
     report = classify_convexity(s)
+    if dets != oracle_dets:
+        yield f"determinant oracle mismatch S={_inline(s)}"
+        return
     no_collinear = all(d != 0 for d in dets)
-    all_positive = all(d > 0 for d in dets)
-    all_negative = all(d < 0 for d in dets)
-    return report, dets, oracle_dets, no_collinear, all_positive, all_negative
+    all_pos = all(d > 0 for d in dets)
+    all_neg = all(d < 0 for d in dets)
+    convex_equiv = report.strictly_convex == (no_collinear and all_pos) == all_pos
+    concave_equiv = report.strictly_concave == (no_collinear and all_neg) == all_neg
+    if not (convex_equiv and concave_equiv):
+        yield f"equivalence broken S={_inline(s)}"
 
 
-def _check_convexity_equivalence(spec: CheckSpec):
-    failures, cases = [], 0
+def _check_convexity_equivalence(spec: CheckSpec, rng: random.Random):
+    yield from _convexity_equivalence(random_rational_sequence(_length(spec, rng, floor=3), rng))
 
-    def run_instance(label, s):
-        nonlocal cases
-        cases += 1
-        report, dets, oracle_dets, no_collinear, all_pos, all_neg = _convexity_predicates(s)
-        if dets != oracle_dets:
-            failures.append(f"{label}: determinant oracle mismatch S={_inline(s)}")
+
+def _det_equals_d2(s):
+    second = calculus.derivative(s, 2)
+    oracle = _o_diff_m(list(s.values), 2)
+    for i in range(1, len(s) - 1):
+        det = collinearity_determinant(s, i)
+        if det != second.at(i) or det != oracle[i - 1]:
+            yield f"i={i} S={_inline(s)}"
             return
-        convex_equiv = report.strictly_convex == (no_collinear and all_pos) == all_pos
-        concave_equiv = report.strictly_concave == (no_collinear and all_neg) == all_neg
-        if not (convex_equiv and concave_equiv):
-            failures.append(f"{label}: equivalence broken S={_inline(s)}")
-
-    for s in _exhaustive_integer_sequences():
-        run_instance("exhaustive", s)
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng, floor=3)
-        run_instance(f"trial {t}", random_rational_sequence(n, rng))
-    return cases, failures
+    neg = FiniteSeq([-v for v in s.values])
+    for i in range(1, len(s) - 1):
+        if collinearity_determinant(neg, i) != -collinearity_determinant(s, i):
+            yield f"negation duality at i={i} S={_inline(s)}"
+            return
 
 
-def _check_det_equals_d2(spec: CheckSpec):
-    failures, cases = [], 0
-
-    def run_instance(label, s):
-        nonlocal cases
-        cases += 1
-        second = calculus.derivative(s, 2)
-        oracle = _o_diff_m(list(s.values), 2)
-        for i in range(1, len(s) - 1):
-            det = collinearity_determinant(s, i)
-            if det != second.at(i) or det != oracle[i - 1]:
-                failures.append(f"{label}: i={i} S={_inline(s)}")
-                return
-        neg = FiniteSeq([-v for v in s.values])
-        for i in range(1, len(s) - 1):
-            if collinearity_determinant(neg, i) != -collinearity_determinant(s, i):
-                failures.append(f"{label}: negation duality at i={i} S={_inline(s)}")
-                return
-
-    for s in _exhaustive_integer_sequences():
-        run_instance("exhaustive", s)
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng, floor=3)
-        run_instance(f"trial {t}", random_rational_sequence(n, rng))
-    return cases, failures
+def _check_det_equals_d2(spec: CheckSpec, rng: random.Random):
+    yield from _det_equals_d2(random_rational_sequence(_length(spec, rng, floor=3), rng))
 
 
-def _check_lagrange_leading(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        m = rng.randint(0, min(6, n - 1))
-        n0 = rng.randint(1, n - m)
-        poly = lagrange_poly(s, n0, m)
-        leading = factorial(m) * poly.coefficient(m)
-        oracle = _o_diff_m(list(s.values), m)[n0 - 1]
-        xs = list(range(n0, n0 + m + 1))
-        divided = _o_leading_coefficient(xs, [s.values[j - 1] for j in xs])
-        deg = effective_degree(s, n0, m)
-        cases += 1
-        if poly.coefficient(m) != divided:
-            failures.append(f"trial {t}: divided difference m={m} n0={n0} S={_inline(s)}")
-        elif leading != oracle or lagrange_mth_derivative(s, n0, m) != oracle:
-            failures.append(f"trial {t}: m={m} n0={n0} S={_inline(s)}")
-        elif (deg == m) != (oracle != 0):
-            failures.append(f"trial {t}: degree law m={m} n0={n0} S={_inline(s)}")
-    return cases, failures
+def _check_lagrange_leading(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    m = rng.randint(0, min(6, n - 1))
+    n0 = rng.randint(1, n - m)
+    poly = lagrange_poly(s, n0, m)
+    leading = factorial(m) * poly.coefficient(m)
+    oracle = _o_diff_m(list(s.values), m)[n0 - 1]
+    xs = list(range(n0, n0 + m + 1))
+    divided = _o_leading_coefficient(xs, [s.values[j - 1] for j in xs])
+    deg = effective_degree(s, n0, m)
+    if poly.coefficient(m) != divided:
+        yield f"divided difference m={m} n0={n0} S={_inline(s)}"
+    elif leading != oracle or lagrange_mth_derivative(s, n0, m) != oracle:
+        yield f"m={m} n0={n0} S={_inline(s)}"
+    elif (deg == m) != (oracle != 0):
+        yield f"degree law m={m} n0={n0} S={_inline(s)}"
 
 
-def _check_lagrange_mth(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        m = rng.randint(0, min(6, n - 1))
-        n0 = rng.randint(1, n - m)
-        poly = lagrange_poly(s, n0, m)
-        xs = list(range(n0, n0 + m + 1))
-        ys = [s.at(j) for j in xs]
-        cases += 1
-        if any(poly.evaluate(j) != s.at(j) for j in xs):
-            failures.append(f"trial {t}: node mismatch m={m} n0={n0} S={_inline(s)}")
-            continue
-        probe = random_rational(rng)
-        if poly.evaluate(probe) != _o_lagrange_value(xs, ys, probe):
-            failures.append(f"trial {t}: basis-form mismatch at x={probe} S={_inline(s)}")
-            continue
-        oracle = _o_diff_m(list(s.values), m)[n0 - 1]
-        if lagrange_mth_derivative(s, n0, m) != oracle:
-            failures.append(f"trial {t}: m-th derivative m={m} n0={n0} S={_inline(s)}")
-    return cases, failures
+def _check_lagrange_mth(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    m = rng.randint(0, min(6, n - 1))
+    n0 = rng.randint(1, n - m)
+    poly = lagrange_poly(s, n0, m)
+    xs = list(range(n0, n0 + m + 1))
+    ys = [s.at(j) for j in xs]
+    if any(poly.evaluate(j) != s.at(j) for j in xs):
+        yield f"node mismatch m={m} n0={n0} S={_inline(s)}"
+        return
+    probe = random_rational(rng)
+    if poly.evaluate(probe) != _o_lagrange_value(xs, ys, probe):
+        yield f"basis-form mismatch at x={probe} S={_inline(s)}"
+        return
+    oracle = _o_diff_m(list(s.values), m)[n0 - 1]
+    if lagrange_mth_derivative(s, n0, m) != oracle:
+        yield f"m-th derivative m={m} n0={n0} S={_inline(s)}"
 
 
-def _check_det_normalization(spec: CheckSpec):
-    failures, cases = [], 0
+# Frozen instance pinning the normalization: cubes, order 3.
+_CUBES = FiniteSeq([1, 8, 27, 64])
 
-    # Frozen instance pinning the normalization: cubes, order 3.
-    cubes = FiniteSeq([1, 8, 27, 64])
-    det_ms, det_v = interpolation_determinants(cubes, 1, 3)
-    corrected = dm_via_determinant(cubes, 1, 3)
-    cases += 1
+
+def _cubes_corrected():
+    det_ms, det_v = interpolation_determinants(_CUBES, 1, 3)
+    corrected = dm_via_determinant(_CUBES, 1, 3)
     if not (corrected == 6 and det_ms == 12 and abs(det_v) == 12 and det_ms != corrected):
-        failures.append(
-            f"cubes instance: corrected={corrected} bare={det_ms} detV={det_v}"
-        )
-    cases += 1
+        yield f"corrected={corrected} bare={det_ms} detV={det_v}"
+
+
+def _cubes_node_determinant():
+    det_v = interpolation_determinants(_CUBES, 1, 3)[1]
     oracle_det_v = _o_det([[Fraction((1 + r) ** (3 - k)) for k in range(4)] for r in range(4)])
     if abs(det_v) / factorial(3) != 2 or oracle_det_v != det_v:
-        failures.append(f"cubes instance: node determinant {det_v} not the expected +12")
+        yield f"node determinant {det_v} not the expected +12"
 
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng, floor=3)
-        s = random_rational_sequence(n, rng)
-        i = rng.randint(1, n - 2)
-        second = _o_diff_m(list(s.values), 2)[i - 1]
-        cases += 1
-        # The triangle determinant (columns x, S, 1) is exact at order 2.
-        if collinearity_determinant(s, i) != second:
-            failures.append(f"trial {t}: order-2 A-determinant, S={_inline(s)} i={i}")
-            continue
-        m = rng.randint(1, min(4, n - 1))
-        i2 = rng.randint(1, n - m)
-        oracle = _o_diff_m(list(s.values), m)[i2 - 1]
-        if dm_via_determinant(s, i2, m) != oracle:
-            failures.append(f"trial {t}: corrected route m={m} i={i2} S={_inline(s)}")
-            continue
-        # Node determinant law: |det V| is 1!*2!*...*m!, so the bare
-        # data-column determinant can only match D^m S up to m = 2.
-        det_ms, det_v = interpolation_determinants(s, i2, m)
-        superfact = 1
-        for k in range(1, m + 1):
-            superfact *= factorial(k)
-        if abs(det_v) != superfact:
-            failures.append(f"trial {t}: node determinant law m={m}")
-            continue
-        if m >= 3 and oracle != 0 and det_ms == oracle:
-            failures.append(f"trial {t}: bare determinant unexpectedly exact at m={m}")
-    return cases, failures
+
+def _check_det_normalization(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng, floor=3)
+    s = random_rational_sequence(n, rng)
+    i = rng.randint(1, n - 2)
+    second = _o_diff_m(list(s.values), 2)[i - 1]
+    # The triangle determinant (columns x, S, 1) is exact at order 2.
+    if collinearity_determinant(s, i) != second:
+        yield f"order-2 A-determinant, S={_inline(s)} i={i}"
+        return
+    m = rng.randint(1, min(4, n - 1))
+    i2 = rng.randint(1, n - m)
+    oracle = _o_diff_m(list(s.values), m)[i2 - 1]
+    if dm_via_determinant(s, i2, m) != oracle:
+        yield f"corrected route m={m} i={i2} S={_inline(s)}"
+        return
+    # Node determinant law: |det V| is 1!*2!*...*m!, so the bare
+    # data-column determinant can only match D^m S up to m = 2.
+    det_ms, det_v = interpolation_determinants(s, i2, m)
+    superfact = 1
+    for k in range(1, m + 1):
+        superfact *= factorial(k)
+    if abs(det_v) != superfact:
+        yield f"node determinant law m={m}"
+    elif m >= 3 and oracle != 0 and det_ms == oracle:
+        yield f"bare determinant unexpectedly exact at m={m}"
 
 
 def _random_poly(rng: random.Random, max_terms: int = 4, max_power: int = 3) -> OperatorPoly:
@@ -612,95 +487,84 @@ def _random_homogeneous_poly(rng: random.Random, max_degree: int = 3) -> Operato
             return poly
 
 
-def _check_symbolic_laws(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        p = _random_poly(rng)
-        q = _random_poly(rng)
-        r = _random_poly(rng)
-        cases += 1
-        laws = (
-            ("add commutes", p + q == q + p),
-            ("mul commutes", p * q == q * p),
-            ("add associates", p + (q + r) == (p + q) + r),
-            ("mul associates", p * (q * r) == (p * q) * r),
-            ("distributes", p * (q + r) == p * q + p * r),
-        )
-        broken = [label for label, ok in laws if not ok]
-        if broken:
-            failures.append(f"trial {t}: {', '.join(broken)}")
-            continue
+def _check_symbolic_laws(spec: CheckSpec, rng: random.Random):
+    p = _random_poly(rng)
+    q = _random_poly(rng)
+    r = _random_poly(rng)
+    laws = (
+        ("add commutes", p + q == q + p),
+        ("mul commutes", p * q == q * p),
+        ("add associates", p + (q + r) == (p + q) + r),
+        ("mul associates", p * (q * r) == (p * q) * r),
+        ("distributes", p * (q + r) == p * q + p * r),
+    )
+    broken = [label for label, ok in laws if not ok]
+    if broken:
+        yield ", ".join(broken)
+        return
 
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        g = random_rational_sequence(n, rng)
-        lam = random_rational(rng)
-        if p.apply(s * lam + g) != p.apply(s) * lam + p.apply(g):
-            failures.append(f"trial {t}: linearity, S={_inline(s)} G={_inline(g)} lam={lam}")
-            continue
-        hp = _random_homogeneous_poly(rng)
-        hq = _random_homogeneous_poly(rng)
-        if (hp * hq).apply(s) != hp.apply(hq.apply(s)):
-            failures.append(f"trial {t}: homogeneous composition, S={_inline(s)}")
-            continue
-        if not p.is_zero() and p.apply(FiniteSeq()) != FiniteSeq():
-            failures.append(f"trial {t}: empty-sequence convention")
-    return cases, failures
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    g = random_rational_sequence(n, rng)
+    lam = random_rational(rng)
+    if p.apply(s * lam + g) != p.apply(s) * lam + p.apply(g):
+        yield f"linearity, S={_inline(s)} G={_inline(g)} lam={lam}"
+        return
+    hp = _random_homogeneous_poly(rng)
+    hq = _random_homogeneous_poly(rng)
+    if (hp * hq).apply(s) != hp.apply(hq.apply(s)):
+        yield f"homogeneous composition, S={_inline(s)}"
+    elif not p.is_zero() and p.apply(FiniteSeq()) != FiniteSeq():
+        yield "empty-sequence convention"
 
 
-def _check_fd_bridge(spec: CheckSpec):
-    failures, cases = [], 0
-    for t in range(spec.trials):
-        rng = _rng(spec, t)
-        n = _length(spec, rng)
-        s = random_rational_sequence(n, rng)
-        h = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        x0 = random_rational(rng)
-        g = grid.GridFunction(x0, h, s)
-        cases += 1
+def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
+    n = _length(spec, rng)
+    s = random_rational_sequence(n, rng)
+    h = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    x0 = random_rational(rng)
+    g = grid.GridFunction(x0, h, s)
 
-        diff = grid.difference(g)
-        shifted = grid.displacement(g, 1).samples
-        held = grid.displacement(g, 0).samples.prefix(n - 1)
-        if diff.samples != shifted - held:
-            failures.append(f"trial {t}: difference vs displacement, S={_inline(s)}")
-            continue
-        mean = grid.mean_filter(g)
-        if mean.samples != (shifted + held) * Fraction(1, 2):
-            failures.append(f"trial {t}: mean vs displacement, S={_inline(s)}")
-            continue
-        if grid.discrete_derivative(g).samples != diff.samples * (1 / h):
-            failures.append(f"trial {t}: derivative scaling h={h}, S={_inline(s)}")
-            continue
-        oracle = [(s.values[i + 1] - s.values[i]) / h for i in range(n - 1)]
-        if list(grid.discrete_derivative(g).samples.values) != oracle:
-            failures.append(f"trial {t}: derivative oracle h={h}, S={_inline(s)}")
-            continue
+    diff = grid.difference(g)
+    shifted = grid.displacement(g, 1).samples
+    held = grid.displacement(g, 0).samples.prefix(n - 1)
+    if diff.samples != shifted - held:
+        yield f"difference vs displacement, S={_inline(s)}"
+        return
+    mean = grid.mean_filter(g)
+    if mean.samples != (shifted + held) * Fraction(1, 2):
+        yield f"mean vs displacement, S={_inline(s)}"
+        return
+    if grid.discrete_derivative(g).samples != diff.samples * (1 / h):
+        yield f"derivative scaling h={h}, S={_inline(s)}"
+        return
+    oracle = [(s.values[i + 1] - s.values[i]) / h for i in range(n - 1)]
+    if list(grid.discrete_derivative(g).samples.values) != oracle:
+        yield f"derivative oracle h={h}, S={_inline(s)}"
+        return
 
-        unit = grid.GridFunction(0, 1, s)
-        if grid.difference(unit).samples != DIFFERENCE.apply(s):
-            failures.append(f"trial {t}: h=1 difference bridge, S={_inline(s)}")
-            continue
-        if grid.mean_filter(unit).samples != MIDDLE.apply(s):
-            failures.append(f"trial {t}: h=1 mean bridge, S={_inline(s)}")
-            continue
-        if TOP.apply(s) != s.prefix(n - 1) or BOTTOM.apply(s) != grid.displacement(unit, 1).samples:
-            failures.append(f"trial {t}: top/bottom prefix law, S={_inline(s)}")
-            continue
+    unit = grid.GridFunction(0, 1, s)
+    if grid.difference(unit).samples != DIFFERENCE.apply(s):
+        yield f"h=1 difference bridge, S={_inline(s)}"
+        return
+    if grid.mean_filter(unit).samples != MIDDLE.apply(s):
+        yield f"h=1 mean bridge, S={_inline(s)}"
+        return
+    if TOP.apply(s) != s.prefix(n - 1) or BOTTOM.apply(s) != grid.displacement(unit, 1).samples:
+        yield f"top/bottom prefix law, S={_inline(s)}"
+        return
 
-        a = rng.randint(0, 3)
-        b = rng.randint(0, 3)
-        sign = rng.choice([1, -1])
-        a, b = sign * a, sign * b
-        # Same-sign shifts are the cases where both composition orders stay
-        # defined; negative shifts additionally need enough samples to drop.
-        if sign > 0 or abs(a) + abs(b) <= n:
-            stepped = grid.displacement(grid.displacement(g, a), b)
-            direct = grid.displacement(g, a + b)
-            if stepped != direct:
-                failures.append(f"trial {t}: displacement group law a={a} b={b}")
-    return cases, failures
+    a = rng.randint(0, 3)
+    b = rng.randint(0, 3)
+    sign = rng.choice([1, -1])
+    a, b = sign * a, sign * b
+    # Same-sign shifts are the cases where both composition orders stay
+    # defined; negative shifts additionally need enough samples to drop.
+    if sign > 0 or abs(a) + abs(b) <= n:
+        stepped = grid.displacement(grid.displacement(g, a), b)
+        direct = grid.displacement(g, a + b)
+        if stepped != direct:
+            yield f"displacement group law a={a} b={b}"
 
 
 CATALOG = {
@@ -725,6 +589,33 @@ CATALOG = {
     "fd_bridge": _check_fd_bridge,
 }
 
+# Every integer sequence of length 4 with entries -2..2.
+_SWEEP = tuple(product(range(-2, 3), repeat=4))
+
+# The instances a check runs before its trials, as (label, failure texts).
+_FIXED = {
+    "hod_binomial": lambda: (("", _binomial_row(m)) for m in range(9)),
+    "geometric_sum": lambda: (
+        ("ladder: ", _geometric_sum(Fraction(1), q, n))
+        for q in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2))
+        for n in range(3, 9)
+    ),
+    "ftc": lambda: (
+        ("exhaustive: ", _ftc(s, a, b, (Fraction(0), Fraction(5, 3))))
+        for s in map(FiniteSeq, _SWEEP)
+        for a in range(1, 5)
+        for b in range(a, 5)
+    ),
+    "convexity_equivalence": lambda: (
+        ("exhaustive: ", _convexity_equivalence(s)) for s in map(FiniteSeq, _SWEEP)
+    ),
+    "det_equals_d2": lambda: (("exhaustive: ", _det_equals_d2(s)) for s in map(FiniteSeq, _SWEEP)),
+    "det_normalization": lambda: (
+        ("cubes instance: ", _cubes_corrected()),
+        ("cubes instance: ", _cubes_node_determinant()),
+    ),
+}
+
 
 def check_names() -> tuple[str, ...]:
     return tuple(CATALOG)
@@ -732,11 +623,18 @@ def check_names() -> tuple[str, ...]:
 
 def run_check(spec: CheckSpec) -> CheckReport:
     try:
-        fn = CATALOG[spec.name]
+        body = CATALOG[spec.name]
     except KeyError:
         raise UnknownCheck(spec.name, check_names()) from None
-    cases, failures = fn(spec)
-    return CheckReport.build(spec.name, cases, failures)
+    trials = (
+        (f"trial {t}: ", body(spec, random.Random(f"{spec.name}:{spec.seed}:{t}")))
+        for t in range(spec.trials)
+    )
+    failures, cases = [], 0
+    for label, texts in chain(_FIXED.get(spec.name, tuple)(), trials):
+        cases += 1
+        failures.extend(label + text for text in texts)
+    return CheckReport(spec.name, cases, tuple(failures), passed=not failures)
 
 
 def run_all(trials: int = 200, seed: int = 0, min_length: int = 2, max_length: int = 12):

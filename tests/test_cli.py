@@ -154,11 +154,11 @@ def test_argparse_usage_exit_2(capsys):
 def test_failed_check_exits_1(capsys, monkeypatch):
     from seqcalc import verify as verify_module
 
-    def always_failing(spec):
-        return 1, ["trial 0: synthetic counterexample"]
+    def always_failing(spec, rng):
+        yield "synthetic counterexample"
 
     monkeypatch.setitem(verify_module.CATALOG, "product_rule", always_failing)
-    code, out = run_cli(capsys, "verify", "--check", "product_rule")
+    code, out = run_cli(capsys, "verify", "--check", "product_rule", "--trials", "1")
     assert code == 1
     payload = json.loads(out)
     assert payload["all_passed"] is False
