@@ -11,7 +11,8 @@ A check is its body: a generator ``body(spec, rng)`` that draws one instance
 a text for each failure it finds.  ``run_check`` is the one driver: it runs
 the check's fixed instances in ``_FIXED``, then ``spec.trials`` seeded
 trials, counts each instance as a case and prefixes each failure with the
-instance's label (``exhaustive: ``, ``trial t: `` and so on).
+instance's label (``exhaustive: ``, ``trial t: `` and so on).  A
+``SeqCalcError`` raised while a case runs is one failure of that case.
 
 Reports are deterministic: trial t draws from a generator seeded by
 (name, seed, t), so results do not depend on execution order.
@@ -27,7 +28,7 @@ from math import comb, factorial
 
 from . import calculus, grid
 from .analysis import classify_convexity, collinearity_determinant
-from .errors import BadParameter, UnknownCheck, quoted
+from .errors import BadParameter, SeqCalcError, UnknownCheck, quoted
 from .generators import (
     arithmetic_sequence,
     geometric_sequence,
@@ -633,7 +634,10 @@ def run_check(spec: CheckSpec) -> CheckReport:
     failures, cases = [], 0
     for label, texts in chain(_FIXED.get(spec.name, tuple)(), trials):
         cases += 1
-        failures.extend(label + text for text in texts)
+        try:
+            failures.extend(label + text for text in texts)
+        except SeqCalcError as exc:  # a kernel that breaks a library rule fails the case
+            failures.append(f"{label}{type(exc).__name__}: {exc}")
     return CheckReport(spec.name, cases, tuple(failures), passed=not failures)
 
 

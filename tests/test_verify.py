@@ -1,6 +1,8 @@
 """Verifier catalog: reproducibility, generators, and per-check sanity."""
 
 import hashlib
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -147,6 +149,23 @@ def test_failing_report_digest(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_REPORT_SHA256
+
+
+def test_a_raised_library_error_fails_the_trial(capsys, monkeypatch):
+    original = FiniteSeq.__mul__
+
+    def broken(self, other):
+        return _off_by_one_in_the_first_entry(original(self, other))
+
+    # a shifted product can turn a divisor's entry to zero: the division raises ZeroEntry
+    monkeypatch.setattr(FiniteSeq, "__mul__", broken)
+    code = main(["verify", "--check", "all", "--trials", "30", "--seed", "3", "--max-len", "14"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    payload = json.loads(captured.out)
+    assert payload["all_passed"] is False
+    failures = [text for report in payload["reports"] for text in report["failures"]]
+    assert any(re.fullmatch(r"trial \d+: ZeroEntry: zero entry at index \d+", t) for t in failures)
 
 
 def test_oracles_catch_a_broken_collinearity_determinant(monkeypatch):
