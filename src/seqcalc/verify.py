@@ -44,7 +44,7 @@ from .lagrange import (
     lagrange_mth_derivative,
     lagrange_poly,
 )
-from .operators import BOTTOM, DIFFERENCE, MIDDLE, TOP, OperatorPoly, bottom, middle, top
+from .operators import BOTTOM, DIFFERENCE, TOP, OperatorPoly, bottom, middle, top
 from .sequences import FiniteSeq
 
 
@@ -545,10 +545,12 @@ def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
         return
 
     unit = grid.GridFunction(0, 1, s)
-    if grid.difference(unit).samples != DIFFERENCE.apply(s):
+    if list(grid.difference(unit).samples.values) != _o_diff(s.values):
         yield f"h=1 difference bridge, S={_inline(s)}"
         return
-    if grid.mean_filter(unit).samples != MIDDLE.apply(s):
+    sv = s.values
+    two_point_means = [(sv[i] + sv[i + 1]) / 2 for i in range(n - 1)]
+    if list(grid.mean_filter(unit).samples.values) != two_point_means:
         yield f"h=1 mean bridge, S={_inline(s)}"
         return
     if TOP.apply(s) != s.prefix(n - 1) or BOTTOM.apply(s) != grid.displacement(unit, 1).samples:

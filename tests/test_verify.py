@@ -13,6 +13,7 @@ from seqcalc import (
     OperatorPoly,
     Polynomial,
     check_names,
+    grid,
     run_all,
     run_check,
     verify,
@@ -191,6 +192,25 @@ def test_divided_difference_line_catches_a_skewed_top_coefficient(monkeypatch):
     report = run_check(CheckSpec("lagrange_leading", trials=10, seed=7, min_length=2, max_length=6))
     assert report.passed is False
     assert "divided difference" in report.failures[0]
+
+
+@pytest.mark.parametrize(
+    "kernel,line",
+    [("difference", "h=1 difference bridge"), ("mean_filter", "h=1 mean bridge")],
+)
+def test_fd_bridge_checks_the_unit_grid_against_raw_oracles(monkeypatch, kernel, line):
+    original = getattr(grid, kernel)
+
+    def skewed_on_the_unit_grid(g):
+        out = original(g)
+        if (g.origin, g.step) != (0, 1):
+            return out
+        return grid.GridFunction(0, 1, _off_by_one_in_the_first_entry(out.samples))
+
+    monkeypatch.setattr(grid, kernel, skewed_on_the_unit_grid)
+    report = run_check(CheckSpec("fd_bridge", trials=10, seed=7, min_length=2, max_length=6))
+    assert report.passed is False
+    assert any(line in failure for failure in report.failures)
 
 
 @pytest.mark.parametrize(
