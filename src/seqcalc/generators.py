@@ -17,9 +17,11 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
+_NONZERO_NUMERATORS = (*range(-9, 0), *range(1, 10))
+
+
 def random_nonzero_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice([-9, -8, -7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
-                    rng.randint(1, 9))
+    return Fraction(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 9))
 
 
 def random_rational_sequence(length: int, rng: random.Random) -> FiniteSeq:
@@ -28,12 +30,11 @@ def random_rational_sequence(length: int, rng: random.Random) -> FiniteSeq:
 
 
 def random_zero_free_sequence(length: int, rng: random.Random) -> FiniteSeq:
-    # Resample whole sequences until no entry is zero; terminates almost
-    # surely since each entry is zero with probability < 1.
-    while True:
-        seq = random_rational_sequence(length, rng)
-        if all(x != 0 for x in seq.scaled()[0]):
-            return seq
+    # random_nonzero_rational's draws in its order: each entry is drawn from
+    # the nonzero values, as resampling until no entry is zero would give
+    return FiniteSeq.from_ratios(
+        [(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 9)) for _ in range(length)]
+    )
 
 
 def arithmetic_sequence(start: RationalLike, d: RationalLike, length: int) -> FiniteSeq:

@@ -249,6 +249,7 @@ def check_payload(report: CheckReport) -> dict:
         "name": report.name,
         "trials_run": report.trials_run,
         "failures": list(report.failures),
+        "failure_count": report.failure_count,
         "passed": report.passed,
     }
 

@@ -12,7 +12,8 @@ a text for each failure it finds.  ``run_check`` is the one driver: it runs
 the check's fixed instances in ``_FIXED``, then ``spec.trials`` seeded
 trials, counts each instance as a case and prefixes each failure with the
 instance's label (``exhaustive: ``, ``trial t: `` and so on).  A
-``SeqCalcError`` raised while a case runs is one failure of that case.
+``SeqCalcError`` raised while a case runs is one failure of that case.  A
+report keeps the first ``MAX_FAILURES`` failure texts and counts them all.
 
 Reports are deterministic: trial t draws from a generator seeded by
 (name, seed, t), so results do not depend on execution order.
@@ -52,11 +53,12 @@ MAX_LENGTH = 100
 """Largest sequence length a check may draw (``--min-len``, ``--max-len``).
 
 Each trial builds its sequences at a length drawn up to ``max_length``, so
-this bounds the work of one trial.  A zero-free sequence is drawn by
-resampling the whole sequence until no entry is zero, about (19/18)**n
-draws: at this bound one trial of every check takes a fraction of a second,
-and at n = 200 one zero-free draw takes seconds.
+this bounds the work of one trial: at this bound one trial of every check
+takes a fraction of a second.
 """
+
+MAX_FAILURES = 10
+"""Most failure texts a check report keeps; ``failure_count`` counts them all."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,7 @@ class CheckReport:
     name: str
     trials_run: int
     failures: tuple[str, ...]
+    failure_count: int
     passed: bool
 
 
@@ -633,14 +636,17 @@ def run_check(spec: CheckSpec) -> CheckReport:
         (f"trial {t}: ", body(spec, random.Random(f"{spec.name}:{spec.seed}:{t}")))
         for t in range(spec.trials)
     )
-    failures, cases = [], 0
+    failures, count, cases = [], 0, 0
     for label, texts in chain(_FIXED.get(spec.name, tuple)(), trials):
         cases += 1
+        found = []
         try:
-            failures.extend(label + text for text in texts)
+            found.extend(label + text for text in texts)
         except SeqCalcError as exc:  # a kernel that breaks a library rule fails the case
-            failures.append(f"{label}{type(exc).__name__}: {exc}")
-    return CheckReport(spec.name, cases, tuple(failures), passed=not failures)
+            found.append(f"{label}{type(exc).__name__}: {exc}")
+        count += len(found)
+        failures += found[: MAX_FAILURES - len(failures)]
+    return CheckReport(spec.name, cases, tuple(failures), count, passed=not count)
 
 
 def run_all(trials: int = 200, seed: int = 0, min_length: int = 2, max_length: int = 12):

@@ -98,8 +98,8 @@ CASES = [
     (("lagrange", "--seq", "CSV", "--n0", "250", "--m", "30", "--det"), "89c9287eae6de8a85a62d8f6d63b6cea9d5f35e7e186ed949767788858d6c10e"),
     (("lagrange", "--seq", "PRIMES", "--n0", "1", "--m", "12", "--coeffs"), "9fb024752cadc1d1298e876efb7434a811e9c6171d741d513e58f6794ca0e0eb"),
     (("lagrange", "--seq", "PRIMES", "--n0", "1", "--m", "12", "--det"), "96a1b46a388bad3edd48bfbfa0e439c2241bdb11cbd0b680306faad5caa86126"),
-    (("verify", "--check", "all", "--trials", "20"), "2ccedbbb196be59da6aeab5a9f287c1784dcef6be29850f450570e1a59180910"),
-    (("verify", "--check", "fd_bridge", "--trials", "60", "--seed", "9", "--max-len", "20"), "41599571a0b96c1166d1f75f8efc42c40ef3e7eeb64efbdcf6d0128d52ea92e7"),
+    (("verify", "--check", "all", "--trials", "20"), "3a1c5e97117ccfb1daf59c63a6535a16c016185147387fb843da9d5f3ee46011"),
+    (("verify", "--check", "fd_bridge", "--trials", "60", "--seed", "9", "--max-len", "20"), "c5585d0dcfce6420aa4e7fdb96a0f750da519f46d1f5d8146d91bb367642f2e1"),
 ]
 
 

@@ -26,7 +26,7 @@ from seqcalc.generators import (
     random_rational_sequence,
     random_zero_free_sequence,
 )
-from seqcalc.seqio import check_payload, verification_payload
+from seqcalc.seqio import check_payload, render_json, verification_payload
 
 import random
 
@@ -97,7 +97,7 @@ def test_run_all_order_and_payload():
     assert payload["all_passed"] is True
     assert [r["name"] for r in payload["reports"]] == list(EXPECTED_CATALOG)
     single = check_payload(reports[0])
-    assert set(single) == {"name", "trials_run", "failures", "passed"}
+    assert set(single) == {"name", "trials_run", "failures", "failure_count", "passed"}
 
 
 def test_generator_families():
@@ -135,8 +135,8 @@ def test_oracles_catch_a_broken_product_kernel(monkeypatch):
 
 # stdout of `verify --check all --trials 30 --seed 3 --max-len 14` while
 # OperatorPoly.apply shifts its first entry by 1: pins the draw order of
-# every check and the text of every failure a broken kernel produces.
-FAILING_REPORT_SHA256 = "cfc5b69805d3ddb3920b26f5f296051e08981792884740750eb4d7301bcb91f5"
+# every check, the failure texts a broken kernel produces and their counts.
+FAILING_REPORT_SHA256 = "63cb8729cc2be76bfd9f51fadc208e97d5a3f5c7c60edf291cdabc782cf9dbbd"
 
 
 def test_failing_report_digest(capsys, monkeypatch):
@@ -150,6 +150,29 @@ def test_failing_report_digest(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_REPORT_SHA256
+    reports = json.loads(out)["reports"]
+    assert sum(r["failure_count"] for r in reports) == 493
+    assert all(len(r["failures"]) == min(r["failure_count"], verify.MAX_FAILURES) for r in reports)
+
+
+# sha256 of passing `verify` stdout from before reports carried `failure_count`
+EARLIER_PASSING_STDOUT = [
+    (("--check", "all", "--trials", "20"),
+     "2ccedbbb196be59da6aeab5a9f287c1784dcef6be29850f450570e1a59180910"),
+    (("--check", "fd_bridge", "--trials", "60", "--seed", "9", "--max-len", "20"),
+     "41599571a0b96c1166d1f75f8efc42c40ef3e7eeb64efbdcf6d0128d52ea92e7"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", EARLIER_PASSING_STDOUT)
+def test_passing_payload_extends_the_earlier_one(capsys, argv, expected):
+    assert main(["verify", *argv]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for report in payload["reports"]:
+        assert report.pop("failure_count") == 0
+    # what is left is the earlier payload, byte for byte: same keys, same values
+    stdout = render_json(payload) + "\n"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == expected
 
 
 def test_a_raised_library_error_fails_the_trial(capsys, monkeypatch):
@@ -160,7 +183,7 @@ def test_a_raised_library_error_fails_the_trial(capsys, monkeypatch):
 
     # a shifted product can turn a divisor's entry to zero: the division raises ZeroEntry
     monkeypatch.setattr(FiniteSeq, "__mul__", broken)
-    code = main(["verify", "--check", "all", "--trials", "30", "--seed", "3", "--max-len", "14"])
+    code = main(["verify", "--check", "all", "--trials", "50"])
     captured = capsys.readouterr()
     assert (code, captured.err) == (1, "")
     payload = json.loads(captured.out)
