@@ -30,8 +30,8 @@ def random_rational_sequence(length: int, rng: random.Random) -> FiniteSeq:
 
 
 def random_zero_free_sequence(length: int, rng: random.Random) -> FiniteSeq:
-    # random_nonzero_rational's draws in its order: each entry is drawn from
-    # the nonzero values, as resampling until no entry is zero would give
+    # random_nonzero_rational's draws in its order; drawing each entry from the
+    # nonzero values gives the distribution of resampling until none is zero
     return FiniteSeq.from_ratios(
         [(rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 9)) for _ in range(length)]
     )

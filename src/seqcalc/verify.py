@@ -627,6 +627,15 @@ def check_names() -> tuple[str, ...]:
     return tuple(CATALOG)
 
 
+def _labelled(label: str, texts):
+    """The failure texts of one case with its label; a raised library error is one more."""
+    try:
+        for text in texts:
+            yield label + text
+    except SeqCalcError as exc:  # a kernel that breaks a library rule fails the case
+        yield f"{label}{type(exc).__name__}: {exc}"
+
+
 def run_check(spec: CheckSpec) -> CheckReport:
     try:
         body = CATALOG[spec.name]
@@ -639,13 +648,10 @@ def run_check(spec: CheckSpec) -> CheckReport:
     failures, count, cases = [], 0, 0
     for label, texts in chain(_FIXED.get(spec.name, tuple)(), trials):
         cases += 1
-        found = []
-        try:
-            found.extend(label + text for text in texts)
-        except SeqCalcError as exc:  # a kernel that breaks a library rule fails the case
-            found.append(f"{label}{type(exc).__name__}: {exc}")
-        count += len(found)
-        failures += found[: MAX_FAILURES - len(failures)]
+        for failure in _labelled(label, texts):
+            count += 1
+            if count <= MAX_FAILURES:
+                failures.append(failure)
     return CheckReport(spec.name, cases, tuple(failures), count, passed=not count)
 
 
