@@ -628,7 +628,7 @@ def check_names() -> tuple[str, ...]:
 
 
 def _labelled(label: str, texts):
-    """The failure texts of one case with its label; a raised library error is one more."""
+    """Each failure text of one case, prefixed with the case's label."""
     try:
         for text in texts:
             yield label + text
