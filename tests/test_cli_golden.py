@@ -6,7 +6,8 @@ a digest recorded from an earlier implementation.  Inputs are seeded: a
 300-entry sequence that mixes small p/q with 50-300-digit integers (written
 as csv, json and bfile) and a 40-entry window sequence for interpolation.
 A changed digest means changed bytes; the command line is in the case id.
-Further cases cover non-homogeneous operator powers, zeroth powers, a
+Further cases cover non-homogeneous operator powers, zeroth powers, powers
+of one-, two- and four-term bases and of the zero operator, a
 determinant window at n0 = 250 over 300-digit entries, and 13 entries k/p
 over distinct primes p, whose common denominator passes ``DEN_BITS``.
 """
@@ -98,6 +99,11 @@ CASES = [
     (("lagrange", "--seq", "CSV", "--n0", "250", "--m", "30", "--det"), "89c9287eae6de8a85a62d8f6d63b6cea9d5f35e7e186ed949767788858d6c10e"),
     (("lagrange", "--seq", "PRIMES", "--n0", "1", "--m", "12", "--coeffs"), "9fb024752cadc1d1298e876efb7434a811e9c6171d741d513e58f6794ca0e0eb"),
     (("lagrange", "--seq", "PRIMES", "--n0", "1", "--m", "12", "--det"), "96a1b46a388bad3edd48bfbfa0e439c2241bdb11cbd0b680306faad5caa86126"),
+    (("simplify", "--op", "(1 + I + E + I*E)^12"), "b3a4aabf8362fecf28d9dfd2a6183a7f55d5bd9c92b68dd3339c4835546a346f"),
+    (("simplify", "--op", "(2/3*I^2*E)^17"), "5298d2067d7071ec6f77f1034976d32e3d5f6b8f0f1845409e30c5ae4aa5e4c7"),
+    (("simplify", "--op", "(I*E - E*I)^3"), "d059840d83baf248d4a32ea71a6cfdc59e9c72ca625a2b9e1a1679022b11d6f8"),
+    (("simplify", "--op", "(I+E)^500"), "a2803b7766922bcea94c19360bea12bcf5dc81d63f895caa949243423a004e8c"),
+    (("apply", "--op", "(1/3 - I + 2/5*E^2)^9", "--seq", "CSV"), "a7351fe55fe8e9bc3509862a2bc2d503d8c41c8b81c50c6fbfd6ea86c5111f35"),
     (("verify", "--check", "all", "--trials", "20"), "3a1c5e97117ccfb1daf59c63a6535a16c016185147387fb843da9d5f3ee46011"),
     (("verify", "--check", "fd_bridge", "--trials", "60", "--seed", "9", "--max-len", "20"), "c5585d0dcfce6420aa4e7fdb96a0f750da519f46d1f5d8146d91bb367642f2e1"),
 ]
