@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 domain error (length mismatch, zero entry, out-of-range index, ...),
-4 internal error (any other exception, reported in one line).
+4 internal error (any other exception, reported in one line), 141 stdout
+closed by its reader (128 + SIGPIPE, as a shell reports it; nothing on stderr).
 All stdout is deterministic for identical invocations.
 
 The argparse tree is built on the first ``main`` call and reused by every
@@ -12,6 +13,7 @@ later call in the process; parsing a command line does not change it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -97,9 +99,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "simplify":
-        poly = parse_operator_poly(args.op)
-        print(poly.render())
-        print(render_json(seqio.operator_payload(poly)))
+        payload = seqio.operator_payload(parse_operator_poly(args.op))
+        print(payload["text"])
+        print(render_json(payload))
         return 0
 
     if args.command == "diff":
@@ -163,7 +165,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader quit early (``| head``): not a bug, so nothing on stderr;
+        # stdout goes to devnull so that the interpreter's last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print(f"seqcalc: {exc}", file=sys.stderr)
         return 2

@@ -23,18 +23,24 @@ index range 1..n-d.  The canonical zero operator maps S to the zero sequence
 of the same length (it acts as the scalar 0).
 
 ``apply`` is the library's one linear stencil.  Once per operator it sums
-the coefficients by bottom exponent b into a scale times coprime integers;
-each call adds one multiple of the slice S[b : b + n - d] of the sequence's
-working form (integers over a common denominator, see ``sequences``) per
-shift, a plain add or subtract for a unit weight, so D costs one subtraction
-per entry.  The scale's numerator multiplies the sums and its denominator
-joins the common denominator, so integer items stay integers.
+the coefficients, as integers over the lcm d of their denominators, by
+bottom exponent b and divides the sums by their gcd g: coprime integer
+weights times the scale g / d.  Each call adds one multiple of the slice
+S[b : b + n - d] of the sequence's working form (integers over a common
+denominator, see ``sequences``) per shift, a plain add or subtract for a
+unit weight, so D costs one subtraction per entry.  The scale's numerator
+multiplies the sums and its denominator joins the common denominator, so
+integer items stay integers.
 
 Ring multiplication and powers (and so every parsed product or power) work
 on integers over a common denominator: each factor, or a power's base, is
-scaled once by the lcm d of its coefficient denominators, the integer term
-lists are convolved (a power squares and multiplies them), and one
-``Fraction`` is built per output monomial, over d1 * d2 or d**N.
+scaled once by the lcm d of its coefficient denominators, and one
+``Fraction`` is built per output monomial, over d1 * d2 or d**N.  A product
+convolves the two integer term lists.  A power expands binomially over the
+base's first term u = c*I^a*E^b and the rest R: P^N = sum_k C(N, k) u^(N-k)
+R^k, with R^k convolved from R^(k-1) and c^(N-k) stepped down by exact
+division.  For a two-term base R is one monomial, so the power costs O(N)
+integer products where repeated squaring cost O(N^2).
 """
 
 from __future__ import annotations
@@ -151,26 +157,35 @@ class OperatorPoly:
         if exponent < 0:
             raise NegativePower(exponent)
         d, base = _over_common_denominator(self._terms)
-        result: list[tuple[Monomial, int]] = [((0, 0), 1)]
-        n = exponent
-        while n:
-            if n & 1:
-                result = _convolve(result, base)
-            n >>= 1
-            if n:
-                base = _convolve(base, base)
-        return _from_integers(result, d**exponent)
+        if not base:
+            return OperatorPoly.scalar(1) if exponent == 0 else OperatorPoly()
+        # P^n = sum_k C(n, k) u^(n-k) R^k over the first term u = c I^a E^b and the rest R
+        ((a, b), c), rest = base[0], base[1:]
+        sums: dict[Monomial, int] = {}
+        binom, c_power, rest_power = 1, c**exponent, [((0, 0), 1)]
+        for k in range(exponent + 1):
+            j = exponent - k
+            factor = binom * c_power
+            for (ra, rb), r in rest_power:
+                key = (a * j + ra, b * j + rb)
+                sums[key] = sums.get(key, 0) + factor * r
+            if k == exponent or not rest:
+                break
+            binom = binom * j // (k + 1)
+            c_power //= c
+            rest_power = _convolve(rest_power, rest)
+        return _from_integers([(key, v) for key, v in sums.items() if v], d**exponent)
 
     def _weights(self) -> tuple[int, Fraction, list[tuple[int, int]]]:
         """(truncation, scale, [(shift b, integer weight)]), a +1 weight first."""
-        merged: dict[int, Fraction] = {}
-        for (_, b), coeff in self._terms.items():
-            merged[b] = merged.get(b, 0) + coeff
+        d, terms = _over_common_denominator(self._terms)
+        merged: dict[int, int] = {}
+        for (_, b), c in terms:
+            merged[b] = merged.get(b, 0) + c
         nonzero = [(b, w) for b, w in merged.items() if w]
-        scale = Fraction(gcd(*(w.numerator for _, w in nonzero)))
-        scale /= lcm(*(w.denominator for _, w in nonzero))
-        weights = sorted(((b, int(w / scale)) for b, w in nonzero), key=lambda bw: bw[1] != 1)
-        return max(self.max_degree(), 0), scale, weights
+        g = gcd(*(w for _, w in nonzero))
+        weights = sorted(((b, w // g) for b, w in nonzero), key=lambda bw: bw[1] != 1)
+        return max(self.max_degree(), 0), Fraction(g, d), weights
 
     def apply(self, seq: FiniteSeq) -> FiniteSeq:
         """Act on a finite sequence with the truncation convention."""

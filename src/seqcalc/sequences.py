@@ -110,13 +110,14 @@ def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
     """Signed sum of nonzero (coefficient, monomial) terms; "" is the monomial 1."""
     pieces = []
     for coeff, mono in terms:
+        negative = coeff.numerator < 0
         body = format_rational(abs(coeff))
         if mono:
-            body = mono if abs(coeff) == 1 else f"{body}*{mono}"
+            body = mono if body == "1" else f"{body}*{mono}"
         if pieces:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+            pieces.append(f" - {body}" if negative else f" + {body}")
         else:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if negative else body)
     return "".join(pieces) or "0"
 
 

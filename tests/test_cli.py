@@ -272,6 +272,18 @@ def test_cli_import_leaves_the_verifier_unloaded():
     assert result.stdout == "seqcalc.verify\n"
 
 
+def test_closed_stdout_exits_141_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "seqcalc", "simplify", "--op", "(I+E)^3000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()  # like `| head -c 100`: megabytes are still to come
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 CALL_SEQUENCES = [
     [("diff", "--seq", "inline:1,4,9,16,25", "--order", "3"), ("diff", "--seq", "inline:1,4,9,16,25")],
     [("diff", "--seq", "inline:1,2", "--order", "x"), ("diff", "--seq", "inline:1,2")],

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcalc import (
@@ -23,7 +23,15 @@ from seqcalc import (
 )
 from seqcalc.errors import BadParameter, NegativePower
 
-from strategies import finite_seqs, homogeneous_polys, operator_polys, rationals, same_length_pairs
+from strategies import (
+    finite_seqs,
+    homogeneous_polys,
+    monomials,
+    nonzero_rationals,
+    operator_polys,
+    rationals,
+    same_length_pairs,
+)
 
 
 def test_canonical_generators():
@@ -159,6 +167,24 @@ def test_power_is_repeated_product(p, n):
     assert all(type(c) is Fraction and c != 0 for c in power.terms.values())
 
 
+@settings(deadline=None)
+@given(
+    nonzero_rationals,
+    nonzero_rationals,
+    st.lists(monomials, min_size=2, max_size=2, unique=True),
+    st.integers(min_value=0, max_value=300),
+)
+def test_two_term_power_matches_binomial_oracle(a, b, pair, n):
+    (p, q), (r, s) = pair
+    power = OperatorPoly({(p, q): a, (r, s): b}) ** n
+    # distinct monomials: the k-th binomial term has its own monomial
+    expected = {
+        (p * (n - k) + r * k, q * (n - k) + s * k): comb(n, k) * a ** (n - k) * b**k
+        for k in range(n + 1)
+    }
+    assert power.terms == expected
+
+
 def raw_apply_oracle(p, s):
     """Sum of c * S(i + b) over the terms, on the range 1..n-d; n zeros for 0."""
     vals = s.values
@@ -171,9 +197,11 @@ def raw_apply_oracle(p, s):
     ]
 
 
-@given(operator_polys, finite_seqs(max_size=12))
-def test_apply_matches_raw_index_oracle(p, s):
-    assert list(p.apply(s).values) == raw_apply_oracle(p, s)
+@given(operator_polys, st.integers(min_value=0, max_value=6), finite_seqs(max_size=40))
+def test_apply_matches_raw_index_oracle(p, n, s):
+    # p**n: large, cancelling coefficients for the integer weights
+    for q in (p, p**n):
+        assert list(q.apply(s).values) == raw_apply_oracle(q, s)
 
 
 def test_apply_shared_and_cancelling_shifts():
