@@ -9,32 +9,23 @@ at that index and twice the signed triangle area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .calculus import derivative
 from .errors import OutOfRange, TooShort
 from .sequences import FiniteSeq
 
+MonotonicityReport = namedtuple(
+    "MonotonicityReport",
+    "strictly_increasing strictly_decreasing increasing decreasing constant",
+)
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    strictly_increasing: bool
-    strictly_decreasing: bool
-    increasing: bool
-    decreasing: bool
-    constant: bool
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    convex: bool
-    concave: bool
-    strictly_convex: bool
-    strictly_concave: bool
-    continuously_convex: bool
-    continuously_concave: bool
-    second_derivative: FiniteSeq
+ConvexityReport = namedtuple(
+    "ConvexityReport",
+    "convex concave strictly_convex strictly_concave continuously_convex continuously_concave"
+    " second_derivative",
+)
 
 
 def classify_monotonicity(seq: FiniteSeq) -> MonotonicityReport:

@@ -14,7 +14,11 @@ from math import lcm
 
 from .errors import InvertedBounds, OutOfRange
 from .operators import DIFFERENCE
-from .sequences import FiniteSeq, RationalLike, as_rational
+from .sequences import FiniteSeq, as_rational
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .sequences import RationalLike
 
 
 def derivative(seq: FiniteSeq, order: int = 1) -> FiniteSeq:

@@ -10,7 +10,11 @@ import random
 from fractions import Fraction
 
 from .errors import BadParameter
-from .sequences import FiniteSeq, RationalLike, as_rational
+from .sequences import FiniteSeq, as_rational
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .sequences import RationalLike
 
 
 def random_rational(rng: random.Random) -> Fraction:

@@ -14,27 +14,40 @@ stays explicit.  Negative k drops samples from the tail and needs |k| <= n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LengthMismatch, OutOfRange
 from .operators import DIFFERENCE, MIDDLE
-from .sequences import FiniteSeq, RationalLike, as_rational
+from .sequences import FiniteSeq, as_rational
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .sequences import RationalLike
 
 
-@dataclass(frozen=True)
 class GridFunction:
-    origin: Fraction
-    step: Fraction
-    samples: FiniteSeq
+    """Samples of f at origin, origin + step, ...; equal when all three parts are."""
+
+    __slots__ = ("origin", "step", "samples")
 
     def __init__(self, origin: RationalLike, step: RationalLike, samples: FiniteSeq):
         h = as_rational(step)
         if h <= 0:
             raise OutOfRange(f"grid step must be positive, got {h}")
-        object.__setattr__(self, "origin", as_rational(origin))
-        object.__setattr__(self, "step", h)
-        object.__setattr__(self, "samples", samples)
+        self.origin: Fraction = as_rational(origin)
+        self.step: Fraction = h
+        self.samples: FiniteSeq = samples
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridFunction):
+            return NotImplemented
+        return (self.origin, self.step, self.samples) == (other.origin, other.step, other.samples)
+
+    def __hash__(self) -> int:
+        return hash((self.origin, self.step, self.samples))
+
+    def __repr__(self) -> str:
+        return f"GridFunction(origin={self.origin!r}, step={self.step!r}, samples={self.samples!r})"
 
     def __len__(self) -> int:
         return len(self.samples)

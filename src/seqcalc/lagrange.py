@@ -24,31 +24,42 @@ built per coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Sequence
 
 from .errors import OutOfRange
 from .operators import DIFFERENCE
-from .sequences import FiniteSeq, RationalLike, as_rational, format_terms
+from .sequences import FiniteSeq, as_rational, format_rational, format_terms
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from .sequences import RationalLike
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Dense rational coefficients, index k holding the x^k coefficient.
 
     Trailing zeros are trimmed; the zero polynomial has no coefficients and
-    degree -1.
+    degree -1.  Two polynomials are equal when their coefficients are.
     """
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[RationalLike] = ()):
         coeffs = [as_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
 
     @property
     def degree(self) -> int:
@@ -69,7 +80,11 @@ class Polynomial:
     def render(self) -> str:
         """Ascending powers, zero terms skipped: "1 - 2*x + x^2"."""
         powers = ("", "x") + tuple(f"x^{k}" for k in range(2, len(self.coefficients)))
-        return format_terms((c, x) for c, x in zip(self.coefficients, powers) if c != 0)
+        return format_terms(
+            (c.numerator < 0, format_rational(abs(c)), x)
+            for c, x in zip(self.coefficients, powers)
+            if c != 0
+        )
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.render()}>"

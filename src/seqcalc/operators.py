@@ -45,12 +45,18 @@ integer products where repeated squaring cost O(N^2).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Union
 
 from .errors import BadParameter, NegativePower
-from .sequences import FiniteSeq, RationalLike, as_rational, format_terms
+from .sequences import FiniteSeq, as_rational, format_rational, format_terms
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import Union
+
+    from .sequences import RationalLike
 
 Monomial = tuple[int, int]  # (top exponent, bottom exponent)
 
@@ -210,14 +216,22 @@ class OperatorPoly:
             acc = [x * scale.numerator for x in acc]
         return FiniteSeq.from_scaled(acc, den * scale.denominator)
 
+    def ordered_terms(self) -> list[tuple[int, int, bool, str]]:
+        """(top power, bottom power, negative, |coefficient| as text) per term.
+
+        The terms come by total degree, then bottom exponent: the order that
+        ``render`` writes.  Each coefficient becomes text here, once.
+        """
+        ordered = sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
+        return [(a, b, c.numerator < 0, format_rational(abs(c))) for (a, b), c in ordered]
+
     def render(self) -> str:
         """Canonical text: terms by total degree then bottom exponent.
 
         Examples: "1/2*I + 1/2*E", "-I + E", "I^2 - 2*I*E + E^2", "0".
         Re-parseable by the expression parser.
         """
-        ordered = sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
-        return format_terms((coeff, _monomial(a, b)) for (a, b), coeff in ordered)
+        return render_terms(self.ordered_terms())
 
     def __repr__(self) -> str:
         return f"<OperatorPoly {self.render()}>"
@@ -258,6 +272,11 @@ def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
     if isinstance(value, (int, str, Fraction)):
         return OperatorPoly.scalar(value)
     return NotImplemented
+
+
+def render_terms(ordered: list[tuple[int, int, bool, str]]) -> str:
+    """The canonical text of an operator from its ``ordered_terms()``."""
+    return format_terms((negative, body, _monomial(a, b)) for a, b, negative, body in ordered)
 
 
 def _monomial(a: int, b: int) -> str:

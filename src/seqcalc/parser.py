@@ -19,19 +19,13 @@ polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 from .operators import GENERATORS, OperatorPoly
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER LETTER PLUS MINUS STAR SLASH CARET LPAREN RPAREN END
-    text: str
-    offset: int
-
+_Token = tuple[str, str, int]
+"""(kind, text, offset); kind is NUMBER LETTER PLUS MINUS STAR SLASH CARET LPAREN RPAREN END."""
 
 _SIMPLE = {
     "+": "PLUS",
@@ -53,21 +47,21 @@ def _tokenize(text: str) -> list[_Token]:
             pos += 1
             continue
         if ch in _SIMPLE:
-            tokens.append(_Token(_SIMPLE[ch], ch, pos))
+            tokens.append((_SIMPLE[ch], ch, pos))
             pos += 1
             continue
         if ch.isdecimal():
             start = pos
             while pos < len(text) and text[pos].isdecimal():
                 pos += 1
-            tokens.append(_Token("NUMBER", text[start:pos], start))
+            tokens.append(("NUMBER", text[start:pos], start))
             continue
         if ch in "IEMD":
-            tokens.append(_Token("LETTER", ch, pos))
+            tokens.append(("LETTER", ch, pos))
             pos += 1
             continue
         raise ParseError(pos, ("operator", "generator", "number"), repr(ch))
-    tokens.append(_Token("END", "", len(text)))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
@@ -79,8 +73,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        """The next token's kind."""
+        return self.tokens[self.pos][0]
 
     def advance(self) -> _Token:
         token = self.tokens[self.pos]
@@ -88,34 +83,34 @@ class _Parser:
         return token
 
     def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(token.offset, expected, token.text or "end of input")
+        found, text, offset = self.tokens[self.pos]
+        if found != kind:
+            raise ParseError(offset, expected, text or "end of input")
         return self.advance()
 
     def parse(self) -> OperatorPoly:
         poly = self.expr()
-        tail = self.peek()
-        if tail.kind != "END":
-            raise ParseError(tail.offset, ("operator", "end of input"), tail.text)
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "END":
+            raise ParseError(offset, ("operator", "end of input"), text)
         return poly
 
     def expr(self) -> OperatorPoly:
-        if self.peek().kind == "MINUS":
+        if self.kind() == "MINUS":
             self.advance()
             poly = -self.term()
         else:
             poly = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
+        while self.kind() in ("PLUS", "MINUS"):
+            op = self.advance()[0]
             right = self.term()
-            poly = poly + right if op.kind == "PLUS" else poly - right
+            poly = poly + right if op == "PLUS" else poly - right
         return poly
 
     def term(self) -> OperatorPoly:
         poly = self.factor()
         while True:
-            kind = self.peek().kind
+            kind = self.kind()
             if kind == "STAR":
                 self.advance()
             elif kind not in _ATOM_START:
@@ -123,45 +118,45 @@ class _Parser:
             poly = poly * self.factor()
 
     def factor(self) -> OperatorPoly:
-        if self.peek().kind == "MINUS":
+        if self.kind() == "MINUS":
             self.advance()
             return -self.factor()
         poly = self.atom()
-        if self.peek().kind == "CARET":
+        if self.kind() == "CARET":
             self.advance()
-            exponent = self.expect("NUMBER", ("nonnegative integer exponent",))
-            return poly ** _integer(exponent)
+            _, text, offset = self.expect("NUMBER", ("nonnegative integer exponent",))
+            return poly ** _integer(text, offset)
         return poly
 
     def atom(self) -> OperatorPoly:
-        token = self.peek()
-        if token.kind == "NUMBER":
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "NUMBER":
             self.advance()
-            numerator, denominator = _integer(token), 1
-            if self.peek().kind == "SLASH":
+            numerator, denominator = _integer(text, offset), 1
+            if self.kind() == "SLASH":
                 self.advance()
-                denom = self.expect("NUMBER", ("denominator",))
-                denominator = _integer(denom)
+                _, denom_text, denom_offset = self.expect("NUMBER", ("denominator",))
+                denominator = _integer(denom_text, denom_offset)
                 if denominator == 0:
-                    raise ParseError(denom.offset, ("nonzero denominator",), denom.text)
+                    raise ParseError(denom_offset, ("nonzero denominator",), denom_text)
             return OperatorPoly.scalar(Fraction(numerator, denominator))
-        if token.kind == "LETTER":
+        if kind == "LETTER":
             self.advance()
-            return GENERATORS[token.text]
-        if token.kind == "LPAREN":
+            return GENERATORS[text]
+        if kind == "LPAREN":
             self.advance()
             poly = self.expr()
             self.expect("RPAREN", ("')'",))
             return poly
-        raise ParseError(token.offset, ("generator", "number", "'('"), token.text or "end of input")
+        raise ParseError(offset, ("generator", "number", "'('"), text or "end of input")
 
 
-def _integer(token: _Token) -> int:
-    """int() of a NUMBER token, whose only failure is Python's int/str digit limit."""
+def _integer(text: str, offset: int) -> int:
+    """int() of a NUMBER token's text, whose only failure is Python's int/str digit limit."""
     try:
-        return int(token.text)
+        return int(text)
     except ValueError:
-        raise ParseError(token.offset, ("fewer digits",), f"{len(token.text)} digits") from None
+        raise ParseError(offset, ("fewer digits",), f"{len(text)} digits") from None
 
 
 def parse_operator_poly(text: str) -> OperatorPoly:

@@ -18,16 +18,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .analysis import ConvexityReport, MonotonicityReport
 from .errors import FormatError, NonContiguousIndex, quoted
-from .lagrange import Polynomial
-from .operators import OperatorPoly
+from .operators import render_terms
 from .sequences import FiniteSeq, format_rational, format_sequence
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from .analysis import ConvexityReport, MonotonicityReport
+    from .lagrange import Polynomial
+    from .operators import OperatorPoly
     from .verify import CheckReport
 
 SCHEMA = "seqcalc/1"
@@ -149,11 +149,14 @@ def load_sequence(spec_text: str) -> FiniteSeq:
     if tag == "inline":
         return parse_sequence_text(rest, "inline")
     try:
-        text = Path(rest).read_text(encoding="utf-8")
+        with open(rest, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {quoted(rest)}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise FormatError(f"cannot read {quoted(rest)}: not UTF-8 text") from None
+    except ValueError as exc:  # a NUL byte in the path, which the OS cannot take
+        raise FormatError(f"cannot read {quoted(rest)}: {exc}") from None
     return parse_sequence_text(text, tag)
 
 
@@ -189,14 +192,14 @@ def rational_payload(value: Fraction) -> dict:
 
 
 def operator_payload(poly: OperatorPoly) -> dict:
-    ordered = sorted(poly.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
+    ordered = poly.ordered_terms()
     return {
         "schema": SCHEMA,
         "kind": "operator",
-        "text": poly.render(),
+        "text": render_terms(ordered),
         "terms": [
-            {"top_power": a, "bottom_power": b, "coeff": format_rational(c)}
-            for (a, b), c in ordered
+            {"top_power": a, "bottom_power": b, "coeff": f"-{body}" if negative else body}
+            for a, b, negative, body in ordered
         ],
     }
 

@@ -37,11 +37,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
 
-RationalLike = Union[Fraction, int, str]
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Sequence
+    from typing import Union
+
+    RationalLike = Union[Fraction, int, str]
 
 DEN_BITS = 64
 """Largest bit length of a common denominator chosen for integer items.
@@ -106,12 +110,13 @@ def format_sequence(seq: FiniteSeq) -> list[str]:
         raise FormatError(_TOO_MANY_DIGITS) from None
 
 
-def format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
-    """Signed sum of nonzero (coefficient, monomial) terms; "" is the monomial 1."""
+def format_terms(terms: Iterable[tuple[bool, str, str]]) -> str:
+    """Signed sum of nonzero terms, each (negative, |coefficient| as text, monomial).
+
+    "" is the monomial 1, and a magnitude "1" is left out before a monomial.
+    """
     pieces = []
-    for coeff, mono in terms:
-        negative = coeff.numerator < 0
-        body = format_rational(abs(coeff))
+    for negative, body, mono in terms:
         if mono:
             body = mono if body == "1" else f"{body}*{mono}"
         if pieces:

@@ -22,7 +22,7 @@ Reports are deterministic: trial t draws from a generator seeded by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, factorial
@@ -61,35 +61,30 @@ MAX_FAILURES = 10
 """Most failure texts a check report keeps; ``failure_count`` counts them all."""
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    name: str
-    trials: int = 200
-    seed: int = 0
-    min_length: int = 2
-    max_length: int = 12
+class CheckSpec(
+    namedtuple("CheckSpec", "name trials seed min_length max_length", defaults=(200, 0, 2, 12))
+):
+    """One check's run: its name, trial count, seed and sequence length bounds."""
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise BadParameter(f"trials must be >= 1, got {self.trials}")
-        if self.min_length < 2:
-            raise BadParameter(f"min length must be >= 2, got {self.min_length}")
-        for label, length in (("min", self.min_length), ("max", self.max_length)):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.trials < 1:
+            raise BadParameter(f"trials must be >= 1, got {spec.trials}")
+        if spec.min_length < 2:
+            raise BadParameter(f"min length must be >= 2, got {spec.min_length}")
+        for label, length in (("min", spec.min_length), ("max", spec.max_length)):
             if length > MAX_LENGTH:
                 raise BadParameter(f"{label} length must be <= {MAX_LENGTH}, got {quoted(length)}")
-        if self.max_length < self.min_length:
+        if spec.max_length < spec.min_length:
             raise BadParameter(
-                f"max length {self.max_length} below min length {self.min_length}"
+                f"max length {spec.max_length} below min length {spec.min_length}"
             )
+        return spec
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    trials_run: int
-    failures: tuple[str, ...]
-    failure_count: int
-    passed: bool
+CheckReport = namedtuple("CheckReport", "name trials_run failures failure_count passed")
 
 
 def _length(spec: CheckSpec, rng: random.Random, floor: int = 2) -> int:

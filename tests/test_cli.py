@@ -245,6 +245,25 @@ def test_non_utf8_file_is_a_format_error(capsys, tmp_path, fmt):
     assert "Traceback" not in err
 
 
+READ_ERRORS = {
+    "missing file": ("csv:missing.csv", "cannot read 'missing.csv': No such file or directory"),
+    "directory": ("csv:folder", "cannot read 'folder': Is a directory"),
+    "not UTF-8": ("csv:latin1.csv", "cannot read 'latin1.csv': not UTF-8 text"),
+    "NUL in path": ("csv:a\x00b", "cannot read 'a\\x00b': embedded null byte"),
+    "empty path": ("csv:", "cannot read '': No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", READ_ERRORS)
+def test_unreadable_sequence_file_is_a_format_error(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "latin1.csv").write_bytes("1\n\xe9\n".encode("latin-1"))
+    spec, message = READ_ERRORS[case]
+    assert main(["diff", "--seq", spec]) == 2
+    assert capsys.readouterr().err == f"seqcalc: {message}\n"
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
     from seqcalc import cli
 
@@ -270,6 +289,26 @@ def test_cli_import_leaves_the_verifier_unloaded():
     result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "seqcalc.verify\n"
+
+
+def test_imports_stay_at_the_stdlib_floor():
+    """No site hooks (-I -S), so a module counts only if seqcalc itself imports it."""
+    heavy = ("dataclasses", "inspect", "typing", "pathlib")
+    lazy = ("random", "seqcalc.verify", "seqcalc.generators")
+    src = Path(__file__).resolve().parents[1] / "src"
+    program = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import seqcalc.cli\n"
+        f"print([m for m in {heavy + lazy!r} if m in sys.modules])\n"
+        "import seqcalc.verify\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", program], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n[]\n"
 
 
 def test_closed_stdout_exits_141_quietly():
