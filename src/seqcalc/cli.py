@@ -23,13 +23,13 @@ from .calculus import antiderivative, definite_integral, derivative
 from .errors import DomainError, UsageError, quoted
 from .lagrange import dm_via_determinant, lagrange_poly
 from .parser import parse_operator_poly
-from .seqio import parse_rational, render_json
+from .seqio import parse_integer, parse_rational, render_json
 
 
 def _integer(text: str) -> int:
     """argparse type for integer options; a bad value is quoted in short."""
     try:
-        return int(text)
+        return parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
 

@@ -48,8 +48,7 @@ class ZeroEntry(DomainError):
 
 
 class OutOfRange(DomainError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """An index, bound, window or order outside the range an operation allows."""
 
 
 class InvertedBounds(DomainError):
@@ -73,8 +72,7 @@ class NegativePower(DomainError):
 
 
 class BadParameter(DomainError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """An argument an operation cannot take, such as a zero divisor or a too-large exponent."""
 
 
 class ParseError(UsageError):

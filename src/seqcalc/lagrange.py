@@ -13,23 +13,21 @@ with S(i+r).  det(V) is a column-reversed Vandermonde determinant, so it is
 never zero but equals m! in absolute value only for m <= 2; the bare
 det(M_S) therefore does not equal D^m S for m >= 3 (the verifier pins this).
 Determinants are evaluated by fraction-free (Bareiss) elimination on
-integers: each row is scaled once by the lcm of its denominators, so the
-inner loop divides Python ints exactly and one Fraction is built at the end.
-Both determinants come from one elimination over the nodes 0..m.
+integers, and both come from one elimination over the nodes 0..m.
 
-The interpolant and the differences run on the sequence's working form:
-Newton's form is expanded in integers over den * m!, and one Fraction is
-built per coefficient.
+Newton's form is expanded on the window's working form in integers over
+den * m!, which ``Polynomial`` keeps in lowest terms; evaluation at p/q sums
+c_k * p^k * q^(m-k) in integers and builds one Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd
 
 from .errors import OutOfRange
 from .operators import DIFFERENCE
-from .sequences import FiniteSeq, as_rational, format_rational, format_terms
+from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -39,52 +37,62 @@ if TYPE_CHECKING:
 
 
 class Polynomial:
-    """Dense rational coefficients, index k holding the x^k coefficient.
+    """Dense rational coefficients, the k-th of them multiplying x^k.
 
-    Trailing zeros are trimmed; the zero polynomial has no coefficients and
-    degree -1.  Two polynomials are equal when their coefficients are.
+    Stored as (integer coefficients, den) in lowest terms, trailing zeros
+    trimmed: the zero polynomial has no coefficients, den = 1 and degree -1.
+    So two polynomials are equal exactly when their forms are.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("_coeffs", "_den")
 
-    def __init__(self, coefficients: Sequence[RationalLike] = ()):
-        coeffs = [as_rational(c) for c in coefficients]
+    def __init__(self, coefficients: Sequence[RationalLike] = (), den: int = 1):
+        """The polynomial sum(coefficients[k] / den * x^k), den > 0."""
+        coeffs, d = over_lcm(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+        g = gcd(den * d, *coeffs)
+        self._coeffs, self._den = tuple(c // g for c in coeffs), den * d // g
+
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """(coefficients, den): the x^k coefficient is coefficients[k] / den."""
+        return self._coeffs, self._den
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on each call."""
+        return tuple(Fraction(c, self._den) for c in self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return self._den == other._den and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self._coeffs, self._den))
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self._coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return Fraction(0)
+        return Fraction(self._coeffs[k] if 0 <= k < len(self._coeffs) else 0, self._den)
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        xq = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * xq + c
-        return acc
+        xq = x if type(x) is int else as_rational(x)
+        p, q = xq.numerator, xq.denominator
+        # Horner's rule on sum c_k p^k q^(m-k), which is the value times den * q^m
+        acc, q_power = 0, 1
+        for c in reversed(self._coeffs):
+            acc = acc * p + c * q_power
+            q_power *= q
+        return Fraction(acc * q, self._den * q_power)
 
     def render(self) -> str:
         """Ascending powers, zero terms skipped: "1 - 2*x + x^2"."""
-        powers = ("", "x") + tuple(f"x^{k}" for k in range(2, len(self.coefficients)))
-        return format_terms(
-            (c.numerator < 0, format_rational(abs(c)), x)
-            for c, x in zip(self.coefficients, powers)
-            if c != 0
-        )
+        texts = format_items(self._coeffs, self._den)
+        powers = ("", "x") + tuple(f"x^{k}" for k in range(2, len(texts)))
+        return format_terms((text, x) for text, x in zip(texts, powers) if text != "0")
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.render()}>"
@@ -111,11 +119,9 @@ def bareiss_determinant(
     m: list[list[int]] = []
     scale = 1
     for row in matrix:
-        # an int already has .numerator and .denominator (= 1): no Fraction
-        entries = [v if type(v) is int else as_rational(v) for v in row]
-        d = lcm(*(v.denominator for v in entries))
+        ints, d = over_lcm(row)
+        m.append(ints)
         scale *= d
-        m.append([v.numerator * (d // v.denominator) for v in entries])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -163,8 +169,7 @@ def lagrange_poly(seq: FiniteSeq, n0: int, m: int) -> Polynomial:
         coeffs = [low - high * node for low, high in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += heads[k] * weight
         weight *= k
-    total = den * factorial(m)
-    return Polynomial([Fraction(c, total) for c in coeffs])
+    return Polynomial(coeffs, den * factorial(m))
 
 
 def lagrange_mth_derivative(seq: FiniteSeq, n0: int, m: int) -> Fraction:

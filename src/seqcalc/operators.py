@@ -11,10 +11,8 @@ operators are ring elements:
     middle     M = (I+E)/2
     difference D = E - I
 
-Ring arithmetic keeps the sparse term map canonical (no zero coefficients),
-so two expressions denote the same operator exactly when their term maps are
-equal.  Note the identity and the top generator are *symbolically* distinct
-even though their applications agree after truncation.
+The identity and the top generator are *symbolically* distinct even though
+their applications agree after truncation.
 
 Applying a polynomial with maximum total degree d to a sequence of length n
 yields a sequence of length max(n - d, 0): each monomial T^a B^b contributes
@@ -22,25 +20,22 @@ S(i + b), and lower-degree monomials are evaluated on the same truncated
 index range 1..n-d.  The canonical zero operator maps S to the zero sequence
 of the same length (it acts as the scalar 0).
 
-``apply`` is the library's one linear stencil.  Once per operator it sums
-the coefficients, as integers over the lcm d of their denominators, by
-bottom exponent b and divides the sums by their gcd g: coprime integer
-weights times the scale g / d.  Each call adds one multiple of the slice
-S[b : b + n - d] of the sequence's working form (integers over a common
-denominator, see ``sequences``) per shift, a plain add or subtract for a
-unit weight, so D costs one subtraction per entry.  The scale's numerator
-multiplies the sums and its denominator joins the common denominator, so
-integer items stay integers.
+An operator is stored in lowest terms as ``(terms, den)``: a nonzero integer
+per monomial over one positive den, with gcd(den, *terms) = 1 and den = 1 for
+zero.  So equal operators have equal forms, which ``==`` and ``hash`` compare.
+Sums align den to an lcm, and a product convolves the terms over d1 * d2.  A
+power expands over the base's first term u = c*I^a*E^b and the rest R:
+P^N = sum_k C(N, k) u^(N-k) R^k over d**N, with R^k convolved from R^(k-1)
+and c^(N-k) stepped down by exact division, so a two-term power costs O(N)
+integer products.  Exponents are bounded by ``MAX_EXPONENT``.
 
-Ring multiplication and powers (and so every parsed product or power) work
-on integers over a common denominator: each factor, or a power's base, is
-scaled once by the lcm d of its coefficient denominators, and one
-``Fraction`` is built per output monomial, over d1 * d2 or d**N.  A product
-convolves the two integer term lists.  A power expands binomially over the
-base's first term u = c*I^a*E^b and the rest R: P^N = sum_k C(N, k) u^(N-k)
-R^k, with R^k convolved from R^(k-1) and c^(N-k) stepped down by exact
-division.  For a two-term base R is one monomial, so the power costs O(N)
-integer products where repeated squaring cost O(N^2).
+``apply`` is the library's one linear stencil.  Once per operator it sums
+the integer terms by bottom exponent b and divides the sums by their gcd g:
+coprime integer weights times the scale g / den.  Each call adds one multiple
+of the slice S[b : b + n - d] of the sequence's working form (see
+``sequences``) per shift, a plain add or subtract for a unit weight, so D
+costs one subtraction per entry.  The scale's numerator multiplies the sums
+and its denominator joins the sequence's, so integer items stay integers.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BadParameter, NegativePower
-from .sequences import FiniteSeq, as_rational, format_rational, format_terms
+from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -60,29 +55,32 @@ if TYPE_CHECKING:
 
 Monomial = tuple[int, int]  # (top exponent, bottom exponent)
 
+MAX_EXPONENT = 4096  # work and text grow with the exponent squared: (I+E)^4000 is 10.7 MB
+
 
 class OperatorPoly:
     """Canonical sparse polynomial over the top/bottom generators."""
 
-    __slots__ = ("_terms", "_stencil")
+    __slots__ = ("_terms", "_den", "_stencil")
 
-    def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
-        clean: dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (a, b), coeff in items:
+    def __init__(self, terms: Mapping[Monomial, RationalLike] = (), den: int = 1):
+        """sum(c / den * monomial) over (monomial, c) pairs, den > 0; monomials may repeat."""
+        pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
+        nums, d = over_lcm(c for _, c in pairs)
+        merged: dict[Monomial, int] = {}
+        for ((a, b), _), c in zip(pairs, nums):
             if a < 0 or b < 0:
                 raise NegativePower(min(a, b))
-            c = as_rational(coeff)
-            if c != 0:
-                clean[(a, b)] = clean.get((a, b), Fraction(0)) + c
-                if clean[(a, b)] == 0:
-                    del clean[(a, b)]
-        self._terms = clean
-        self._stencil = None
+            merged[a, b] = merged.get((a, b), 0) + c
+        g = gcd(den * d, *merged.values())
+        self._terms = {key: c // g for key, c in merged.items() if c}
+        self._den, self._stencil = den * d // g, None
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+        """Each monomial's coefficient as a Fraction, built on each call."""
+        den = self._den
+        return {key: Fraction(c, den) for key, c in self._terms.items()}
 
     @staticmethod
     def zero() -> OperatorPoly:
@@ -90,7 +88,7 @@ class OperatorPoly:
 
     @staticmethod
     def scalar(value: RationalLike) -> OperatorPoly:
-        return OperatorPoly({(0, 0): as_rational(value)})
+        return OperatorPoly({(0, 0): value})
 
     @staticmethod
     def generator(top_power: int = 0, bottom_power: int = 0) -> OperatorPoly:
@@ -113,24 +111,26 @@ class OperatorPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __add__(self, other: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return OperatorPoly(merged)
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        merged = {key: c * f1 for key, c in self._terms.items()}
+        for key, c in other._terms.items():
+            merged[key] = merged.get(key, 0) + c * f2
+        return OperatorPoly(merged, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> OperatorPoly:
-        return OperatorPoly({k: -c for k, c in self._terms.items()})
+        return OperatorPoly({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
         other = _coerce(other)
@@ -145,9 +145,7 @@ class OperatorPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d1, left = _over_common_denominator(self._terms)
-        d2, right = _over_common_denominator(other._terms)
-        return _from_integers(_convolve(left, right), d1 * d2)
+        return OperatorPoly(_convolve(self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -155,24 +153,26 @@ class OperatorPoly:
         s = as_rational(scalar)
         if s == 0:
             raise BadParameter("division of an operator by the scalar zero")
-        return OperatorPoly({k: c / s for k, c in self._terms.items()})
+        return self * (1 / s)
 
     def __pow__(self, exponent: int) -> OperatorPoly:
         if not isinstance(exponent, int):
             raise TypeError("operator exponents must be integers")
         if exponent < 0:
             raise NegativePower(exponent)
-        d, base = _over_common_denominator(self._terms)
-        if not base:
+        if exponent > MAX_EXPONENT:
+            raise BadParameter(f"operator exponents must be <= {MAX_EXPONENT}, got {exponent}")
+        if not self._terms:
             return OperatorPoly.scalar(1) if exponent == 0 else OperatorPoly()
         # P^n = sum_k C(n, k) u^(n-k) R^k over the first term u = c I^a E^b and the rest R
-        ((a, b), c), rest = base[0], base[1:]
+        ((a, b), c), *rest = self._terms.items()
+        rest = dict(rest)
         sums: dict[Monomial, int] = {}
-        binom, c_power, rest_power = 1, c**exponent, [((0, 0), 1)]
+        binom, c_power, rest_power = 1, c**exponent, {(0, 0): 1}
         for k in range(exponent + 1):
             j = exponent - k
             factor = binom * c_power
-            for (ra, rb), r in rest_power:
+            for (ra, rb), r in rest_power.items():
                 key = (a * j + ra, b * j + rb)
                 sums[key] = sums.get(key, 0) + factor * r
             if k == exponent or not rest:
@@ -180,18 +180,17 @@ class OperatorPoly:
             binom = binom * j // (k + 1)
             c_power //= c
             rest_power = _convolve(rest_power, rest)
-        return _from_integers([(key, v) for key, v in sums.items() if v], d**exponent)
+        return OperatorPoly(sums, self._den**exponent)
 
     def _weights(self) -> tuple[int, Fraction, list[tuple[int, int]]]:
         """(truncation, scale, [(shift b, integer weight)]), a +1 weight first."""
-        d, terms = _over_common_denominator(self._terms)
         merged: dict[int, int] = {}
-        for (_, b), c in terms:
+        for (_, b), c in self._terms.items():
             merged[b] = merged.get(b, 0) + c
         nonzero = [(b, w) for b, w in merged.items() if w]
         g = gcd(*(w for _, w in nonzero))
         weights = sorted(((b, w // g) for b, w in nonzero), key=lambda bw: bw[1] != 1)
-        return max(self.max_degree(), 0), Fraction(g, d), weights
+        return max(self.max_degree(), 0), Fraction(g, self._den), weights
 
     def apply(self, seq: FiniteSeq) -> FiniteSeq:
         """Act on a finite sequence with the truncation convention."""
@@ -216,14 +215,15 @@ class OperatorPoly:
             acc = [x * scale.numerator for x in acc]
         return FiniteSeq.from_scaled(acc, den * scale.denominator)
 
-    def ordered_terms(self) -> list[tuple[int, int, bool, str]]:
-        """(top power, bottom power, negative, |coefficient| as text) per term.
+    def ordered_terms(self) -> list[tuple[int, int, str]]:
+        """(top power, bottom power, coefficient as text) per term.
 
         The terms come by total degree, then bottom exponent: the order that
         ``render`` writes.  Each coefficient becomes text here, once.
         """
         ordered = sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
-        return [(a, b, c.numerator < 0, format_rational(abs(c))) for (a, b), c in ordered]
+        texts = format_items([c for _, c in ordered], self._den)
+        return [(a, b, text) for ((a, b), _), text in zip(ordered, texts)]
 
     def render(self) -> str:
         """Canonical text: terms by total degree then bottom exponent.
@@ -237,33 +237,14 @@ class OperatorPoly:
         return f"<OperatorPoly {self.render()}>"
 
 
-def _over_common_denominator(
-    terms: dict[Monomial, Fraction],
-) -> tuple[int, list[tuple[Monomial, int]]]:
-    """(d, [(monomial, d * coeff)]) with d the lcm of the coefficient denominators."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
-
-
-def _convolve(
-    left: list[tuple[Monomial, int]], right: list[tuple[Monomial, int]]
-) -> list[tuple[Monomial, int]]:
-    """The nonzero integer coefficients of the product of two integer term lists."""
+def _convolve(left: dict[Monomial, int], right: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The integer coefficients of the product of two integer term maps."""
     sums: dict[Monomial, int] = {}
-    for (a1, b1), n1 in left:
-        for (a2, b2), n2 in right:
+    for (a1, b1), n1 in left.items():
+        for (a2, b2), n2 in right.items():
             key = (a1 + a2, b1 + b2)
             sums[key] = sums.get(key, 0) + n1 * n2
-    return [(key, c) for key, c in sums.items() if c]
-
-
-def _from_integers(terms: list[tuple[Monomial, int]], den: int) -> OperatorPoly:
-    """The operator sum(c / den * monomial) over distinct monomials with c != 0."""
-    # the terms are already merged by monomial: skip __init__'s Fraction pass
-    poly = object.__new__(OperatorPoly)
-    poly._terms = {key: Fraction(c, den) for key, c in terms}
-    poly._stencil = None
-    return poly
+    return sums
 
 
 def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
@@ -274,9 +255,9 @@ def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
     return NotImplemented
 
 
-def render_terms(ordered: list[tuple[int, int, bool, str]]) -> str:
+def render_terms(ordered: list[tuple[int, int, str]]) -> str:
     """The canonical text of an operator from its ``ordered_terms()``."""
-    return format_terms((negative, body, _monomial(a, b)) for a, b, negative, body in ordered)
+    return format_terms((text, _monomial(a, b)) for a, b, text in ordered)
 
 
 def _monomial(a: int, b: int) -> str:

@@ -19,8 +19,6 @@ polynomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParseError
 from .operators import GENERATORS, OperatorPoly
 
@@ -37,6 +35,8 @@ _SIMPLE = {
     ")": "RPAREN",
 }
 
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdecimal() also takes "٣"
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
@@ -50,9 +50,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append((_SIMPLE[ch], ch, pos))
             pos += 1
             continue
-        if ch.isdecimal():
+        if ch in _DIGITS:
             start = pos
-            while pos < len(text) and text[pos].isdecimal():
+            while pos < len(text) and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("NUMBER", text[start:pos], start))
             continue
@@ -139,7 +139,7 @@ class _Parser:
                 denominator = _integer(denom_text, denom_offset)
                 if denominator == 0:
                     raise ParseError(denom_offset, ("nonzero denominator",), denom_text)
-            return OperatorPoly.scalar(Fraction(numerator, denominator))
+            return OperatorPoly({(0, 0): numerator}, denominator)
         if kind == "LETTER":
             self.advance()
             return GENERATORS[text]

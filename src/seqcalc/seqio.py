@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import FormatError, NonContiguousIndex, quoted
 from .operators import render_terms
-from .sequences import FiniteSeq, format_rational, format_sequence
+from .sequences import FiniteSeq, format_items, format_rational, format_sequence
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -32,7 +32,14 @@ if TYPE_CHECKING:
 
 SCHEMA = "seqcalc/1"
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)  # without it \d takes "١"
+
+
+def parse_integer(text: str) -> int:
+    """int() of ASCII text only: int() alone also reads "٣" as 3 and "2_0" as 20."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _ratio(text: str, line: int | None = None) -> tuple[int, int]:
@@ -111,7 +118,7 @@ def parse_bfile(text: str) -> FiniteSeq:
         if len(fields) != 2:
             raise FormatError(f"expected 'index value', got {quoted(line)}", number)
         try:
-            index = int(fields[0])
+            index = parse_integer(fields[0])
         except ValueError:
             raise FormatError(f"bad index {quoted(fields[0])}", number) from None
         if expected is not None and index != expected:
@@ -197,10 +204,7 @@ def operator_payload(poly: OperatorPoly) -> dict:
         "schema": SCHEMA,
         "kind": "operator",
         "text": render_terms(ordered),
-        "terms": [
-            {"top_power": a, "bottom_power": b, "coeff": f"-{body}" if negative else body}
-            for a, b, negative, body in ordered
-        ],
+        "terms": [{"top_power": a, "bottom_power": b, "coeff": text} for a, b, text in ordered],
     }
 
 
@@ -210,7 +214,7 @@ def polynomial_payload(poly: Polynomial) -> dict:
         "kind": "polynomial",
         "text": poly.render(),
         "degree": poly.degree,
-        "coefficients": [format_rational(c) for c in poly.coefficients],
+        "coefficients": format_items(*poly.scaled()),
     }
 
 

@@ -81,25 +81,22 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-_TOO_MANY_DIGITS = "a number in the result has too many digits to write as text"
+def over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """(ints, d) with value i equal to ints[i] / d, d the lcm of the denominators."""
+    # an int already has .numerator and .denominator (= 1): no Fraction
+    rationals = [v if type(v) is int else as_rational(v) for v in values]
+    d = lcm(*(v.denominator for v in rationals))
+    return [v.numerator * (d // v.denominator) for v in rationals], d
 
 
-def format_rational(value: Fraction) -> str:
-    """The one place a rational becomes text; Python's int/str digit limit raises FormatError."""
-    try:
-        return str(value)
-    except ValueError:
-        raise FormatError(_TOO_MANY_DIGITS) from None
+def format_items(items: Iterable, den: int) -> list[str]:
+    """The text of each items[i] / den, ints or (with den = 1) Fractions.
 
-
-def format_sequence(seq: FiniteSeq) -> list[str]:
-    """Every entry's text as format_rational writes it, from the working form.
-
-    Each entry costs one gcd with the common denominator; no Fraction is built.
+    The one place a rational becomes text: each entry costs one gcd with den,
+    no Fraction is built, and Python's int/str digit limit raises FormatError.
     """
-    items, den = seq.scaled()
     try:
-        if den == 1:  # also the case for Fraction items
+        if den == 1:
             return [str(x) for x in items]
         texts = []
         for x in items:
@@ -107,16 +104,27 @@ def format_sequence(seq: FiniteSeq) -> list[str]:
             texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
         return texts
     except ValueError:
-        raise FormatError(_TOO_MANY_DIGITS) from None
+        raise FormatError("a number in the result has too many digits to write as text") from None
 
 
-def format_terms(terms: Iterable[tuple[bool, str, str]]) -> str:
-    """Signed sum of nonzero terms, each (negative, |coefficient| as text, monomial).
+def format_rational(value: Fraction) -> str:
+    """One rational's text, as ``format_items`` writes it."""
+    return format_items([value.numerator], value.denominator)[0]
 
-    "" is the monomial 1, and a magnitude "1" is left out before a monomial.
+
+def format_sequence(seq: FiniteSeq) -> list[str]:
+    """Every entry's text, written from the working form."""
+    return format_items(*seq.scaled())
+
+
+def format_terms(terms: Iterable[tuple[str, str]]) -> str:
+    """Signed sum of nonzero terms, each (coefficient as text, monomial).
+
+    "" is the monomial 1, and a coefficient 1 or -1 is left out before a monomial.
     """
     pieces = []
-    for negative, body, mono in terms:
+    for text, mono in terms:
+        negative, body = text[0] == "-", text.lstrip("-")
         if mono:
             body = mono if body == "1" else f"{body}*{mono}"
         if pieces:

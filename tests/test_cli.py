@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from seqcalc.cli import main
+from seqcalc.operators import MAX_EXPONENT
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +201,46 @@ def test_long_bad_input_is_quoted_in_short(capsys, tmp_path, case):
     assert len(err.encode()) < 512
     assert "Traceback" not in err
     assert " characters)" in err  # the total length is quoted
+
+
+# Numbers are ASCII digits: \d, str.isdecimal() and int() alone also take "٢" and "2_0".
+NON_ASCII_NUMBERS = {
+    "inline entry": (
+        lambda tmp: ("diff", "--seq", "inline:١,٣/٢,7"),
+        "not a rational literal: '١'",
+    ),
+    "operator number": (
+        lambda tmp: ("simplify", "--op", "٣*I"),
+        "at offset 0: expected operator or generator or number, found '٣'",
+    ),
+    "bfile index with an underscore": (
+        lambda tmp: ("diff", "--seq", "bfile:" + _write(tmp, "2_0 1\n21 2\n")),
+        "line 1: bad index '2_0'",
+    ),
+    "bfile index in Arabic-Indic digits": (
+        lambda tmp: ("diff", "--seq", "bfile:" + _write(tmp, "٢ 1\n3 2\n")),
+        "line 1: bad index '٢'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_ASCII_NUMBERS)
+def test_numbers_are_ascii_digits_only(capsys, tmp_path, case):
+    argv, message = NON_ASCII_NUMBERS[case]
+    assert main(list(argv(tmp_path))) == 2
+    assert capsys.readouterr().err == f"seqcalc: {message}\n"
+
+
+@pytest.mark.parametrize("token", ["٢", "1_0"])
+def test_integer_options_are_ascii_digits_only(capsys, token):
+    assert main(["diff", "--seq", "inline:1,2,3", "--order", token]) == 2
+    assert capsys.readouterr().err.endswith(f"argument --order: invalid int value: {token!r}\n")
+
+
+def test_operator_exponent_over_the_bound_is_bad_parameter(capsys):
+    assert main(["simplify", "--op", "(I+E)^99999999999"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"seqcalc: operator exponents must be <= {MAX_EXPONENT}, got 99999999999\n"
 
 
 def test_deeply_nested_json_is_a_format_error(capsys, tmp_path):

@@ -45,6 +45,17 @@ def basis_form_oracle(xs, ys, x):
     return total
 
 
+# denominators 2**70 + k: the lcm of two distinct ones is past DEN_BITS
+wide_rationals = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(2**70, 2**70 + 99))
+
+
+def horner_oracle(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestPolynomial:
     def test_trailing_zeros_trimmed(self):
         assert Polynomial([1, 2, 0, 0]).coefficients == (Fraction(1), Fraction(2))
@@ -56,6 +67,13 @@ class TestPolynomial:
         p = Polynomial([1, -2, 1])  # (x-1)^2
         assert p.evaluate(1) == 0
         assert p.evaluate("3/2") == Fraction(1, 4)
+
+    @given(
+        st.lists(st.one_of(rationals, wide_rationals), max_size=8),
+        st.one_of(rationals, wide_rationals),
+    )
+    def test_evaluate_matches_fraction_horner_oracle(self, coeffs, x):
+        assert Polynomial(coeffs).evaluate(x) == horner_oracle(coeffs, x)
 
     @pytest.mark.parametrize(
         "coeffs,text",

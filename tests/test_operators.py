@@ -22,6 +22,7 @@ from seqcalc import (
     top,
 )
 from seqcalc.errors import BadParameter, NegativePower
+from seqcalc.operators import MAX_EXPONENT
 
 from strategies import (
     finite_seqs,
@@ -84,6 +85,50 @@ def test_negative_power_rejected():
         DIFFERENCE ** (-1)
     with pytest.raises(NegativePower):
         OperatorPoly({(-1, 0): 1})
+
+
+def test_exponent_bound():
+    assert OperatorPoly.scalar(2) ** MAX_EXPONENT == OperatorPoly.scalar(2**MAX_EXPONENT)
+    message = f"must be <= {MAX_EXPONENT}, got {MAX_EXPONENT + 1}"
+    for base in (TOP, OperatorPoly.zero(), OperatorPoly.scalar(2)):
+        with pytest.raises(BadParameter, match=message):
+            base ** (MAX_EXPONENT + 1)
+
+
+@st.composite
+def operator_routes(draw):
+    """Two operators, each built by one route; often the same operator."""
+    terms = draw(st.dictionaries(monomials, rationals, max_size=4))
+    base, other = OperatorPoly(terms), draw(operator_polys)
+    k, n = draw(st.integers(2, 9)), draw(st.integers(0, 3))
+    routes = [
+        base,
+        other,
+        # unreduced "p/q" text
+        OperatorPoly({key: f"{c.numerator * k}/{c.denominator * k}" for key, c in terms.items()}),
+        # repeated keys
+        OperatorPoly([(key, c / k) for key, c in terms.items()] * k),
+        # sums that cancel, products and powers
+        base + other - other,
+        base * other - other * base + base,
+        base * base**n - base ** (n + 1) + base,
+        # a product with a scalar, then division by it
+        base * k / k,
+        (base / -k) * OperatorPoly.scalar(Fraction(-k)),
+    ]
+    return draw(st.sampled_from(routes)), draw(st.sampled_from(routes))
+
+
+@given(operator_routes())
+def test_equal_operators_have_equal_forms(pair):
+    a, b = pair
+    assert (a == b) == (a.terms == b.terms)
+    if a == b:
+        assert hash(a) == hash(b)
+        assert a.render() == b.render()
+    assert a - a == OperatorPoly() == a * 0
+    assert hash(a - a) == hash(OperatorPoly())
+    assert OperatorPoly(a.terms) == a
 
 
 @pytest.mark.parametrize("m", range(9))
