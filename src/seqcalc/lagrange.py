@@ -90,12 +90,16 @@ class Polynomial:
 
     def render(self) -> str:
         """Ascending powers, zero terms skipped: "1 - 2*x + x^2"."""
-        texts = format_items(self._coeffs, self._den)
-        powers = ("", "x") + tuple(f"x^{k}" for k in range(2, len(texts)))
-        return format_terms((text, x) for text, x in zip(texts, powers) if text != "0")
+        return render_coefficients(format_items(self._coeffs, self._den))
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.render()}>"
+
+
+def render_coefficients(texts: list[str]) -> str:
+    """The text of a polynomial from its coefficients' texts, the x^k one at k."""
+    powers = ("", "x") + tuple(f"x^{k}" for k in range(2, len(texts)))
+    return format_terms((text, x) for text, x in zip(texts, powers) if text != "0")
 
 
 def bareiss_determinant(

@@ -27,7 +27,8 @@ Sums align den to an lcm, and a product convolves the terms over d1 * d2.  A
 power expands over the base's first term u = c*I^a*E^b and the rest R:
 P^N = sum_k C(N, k) u^(N-k) R^k over d**N, with R^k convolved from R^(k-1)
 and c^(N-k) stepped down by exact division, so a two-term power costs O(N)
-integer products.  Exponents are bounded by ``MAX_EXPONENT``.
+integer products.  Exponents are bounded by ``MAX_EXPONENT``, and the term
+products of one ``*`` or ``**`` by ``MAX_TERM_PRODUCTS``.
 
 ``apply`` is the library's one linear stencil.  Once per operator it sums
 the integer terms by bottom exponent b and divides the sums by their gcd g:
@@ -56,6 +57,10 @@ if TYPE_CHECKING:
 Monomial = tuple[int, int]  # (top exponent, bottom exponent)
 
 MAX_EXPONENT = 4096  # work and text grow with the exponent squared: (I+E)^4000 is 10.7 MB
+
+# products of two terms that one * or ** may form, counted before each step: (I+E)^4096 forms
+# 8194, but ((I+E)^60)^60 convolves a 60-term rest 60 times, about 6.6 million products
+MAX_TERM_PRODUCTS = 2**17
 
 
 class OperatorPoly:
@@ -145,6 +150,7 @@ class OperatorPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        _check_work(len(self._terms) * len(other._terms), "product")
         return OperatorPoly(_convolve(self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
@@ -168,8 +174,11 @@ class OperatorPoly:
         ((a, b), c), *rest = self._terms.items()
         rest = dict(rest)
         sums: dict[Monomial, int] = {}
-        binom, c_power, rest_power = 1, c**exponent, {(0, 0): 1}
+        binom, c_power, rest_power, work = 1, c**exponent, {(0, 0): 1}, 0
         for k in range(exponent + 1):
+            # this step: one product per term of R^k, and R^(k+1) = R^k * R
+            work += len(rest_power) * (1 + len(rest))
+            _check_work(work, "power")
             j = exponent - k
             factor = binom * c_power
             for (ra, rb), r in rest_power.items():
@@ -245,6 +254,11 @@ def _convolve(left: dict[Monomial, int], right: dict[Monomial, int]) -> dict[Mon
             key = (a1 + a2, b1 + b2)
             sums[key] = sums.get(key, 0) + n1 * n2
     return sums
+
+
+def _check_work(products: int, kind: str) -> None:
+    if products > MAX_TERM_PRODUCTS:
+        raise BadParameter(f"an operator {kind} may form at most {MAX_TERM_PRODUCTS} products of terms")
 
 
 def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:

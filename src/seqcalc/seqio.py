@@ -20,13 +20,13 @@ import re
 from fractions import Fraction
 
 from .errors import FormatError, NonContiguousIndex, quoted
+from .lagrange import Polynomial, render_coefficients
 from .operators import render_terms
 from .sequences import FiniteSeq, format_items, format_rational, format_sequence
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .analysis import ConvexityReport, MonotonicityReport
-    from .lagrange import Polynomial
     from .operators import OperatorPoly
     from .verify import CheckReport
 
@@ -209,35 +209,22 @@ def operator_payload(poly: OperatorPoly) -> dict:
 
 
 def polynomial_payload(poly: Polynomial) -> dict:
+    texts = format_items(*poly.scaled())
     return {
         "schema": SCHEMA,
         "kind": "polynomial",
-        "text": poly.render(),
+        "text": render_coefficients(texts),
         "degree": poly.degree,
-        "coefficients": format_items(*poly.scaled()),
+        "coefficients": texts,
     }
 
 
 def monotonicity_payload(report: MonotonicityReport) -> dict:
-    return {
-        "strictly_increasing": report.strictly_increasing,
-        "strictly_decreasing": report.strictly_decreasing,
-        "increasing": report.increasing,
-        "decreasing": report.decreasing,
-        "constant": report.constant,
-    }
+    return report._asdict()
 
 
 def convexity_payload(report: ConvexityReport) -> dict:
-    return {
-        "convex": report.convex,
-        "concave": report.concave,
-        "strictly_convex": report.strictly_convex,
-        "strictly_concave": report.strictly_concave,
-        "continuously_convex": report.continuously_convex,
-        "continuously_concave": report.continuously_concave,
-        "second_derivative": format_sequence(report.second_derivative),
-    }
+    return {**report._asdict(), "second_derivative": format_sequence(report.second_derivative)}
 
 
 def classification_payload(
@@ -252,13 +239,7 @@ def classification_payload(
 
 
 def check_payload(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "trials_run": report.trials_run,
-        "failures": list(report.failures),
-        "failure_count": report.failure_count,
-        "passed": report.passed,
-    }
+    return report._asdict()  # failures, a tuple, is written as a json array
 
 
 def verification_payload(reports: list[CheckReport]) -> dict:

@@ -14,17 +14,18 @@ A sequence's working form is integers over one common denominator:
 and ``den`` a positive int.  The items are plain ints while the lcm of the
 entry denominators fits in ``DEN_BITS`` bits; past that bound they are the
 entries' own Fractions over ``den = 1``, and the same kernel loops run on
-them.  Parsers, kernels, slices and elementwise arithmetic build the working
-form directly, and ``values``, the public tuple of reduced Fractions, is built
-from it only when asked for.  Sums and differences align two sequences to
-lcm(d1, d2), products multiply over d1 * d2, and equality compares
-x * d2 == y * d1; where an aligned or product denominator would pass
-``DEN_BITS``, the arithmetic runs on ``values`` instead.  A sequence built
-from Fractions keeps them and derives its working form when a kernel first
-asks.
+them.  Every sequence holds its working form from the moment it is built:
+the constructor and the parsers (via ``from_ratios``) choose ``den``, and
+kernels, slices and elementwise arithmetic build the form directly.
+``values``, the public tuple of reduced Fractions, is a view built from it
+when first asked for; a sequence built from Fractions keeps them as that
+view.  Sums and differences align two sequences to lcm(d1, d2), products
+multiply over d1 * d2, and equality compares x * d2 == y * d1; where an
+aligned or product denominator would pass ``DEN_BITS``, the arithmetic runs
+on ``values`` instead.
 
-``DEN_BITS`` governs only the denominators chosen here: when parsing (via
-``from_ratios``), in ``scaled()`` and in ``_combine``.  ``OperatorPoly.apply``
+``DEN_BITS`` governs only the denominators chosen here: when a sequence is
+built from entries or ratios, and in ``_combine``.  ``OperatorPoly.apply``
 and ``calculus.antiderivative`` fold a scalar's denominator into ``den`` and
 keep int items even past the bound: every application of ``M`` doubles
 ``den``, and one application of ``(3/4*I - 5/7*E)^60`` multiplies it by 28**60.
@@ -52,22 +53,29 @@ DEN_BITS = 64
 
 One lcm for a whole sequence grows with its number of distinct denominators:
 on 2000 entries 1/p with distinct primes p it has thousands of digits, and
-every entry would carry them.  Past this bound the items stay Fractions.
-The bound applies where a denominator is chosen: ``from_ratios`` (so the
-parsers), ``scaled()`` and ``_combine``.  A kernel that folds a scalar's
-denominator into ``den`` (``OperatorPoly.apply``, the antiderivative) does
-not check it, so a kernel's result may carry int items over a larger ``den``.
+every entry would carry them.  Past this bound the items are the entries'
+Fractions.  A kernel that folds a scalar's denominator into ``den``
+(``OperatorPoly.apply``, the antiderivative, ``constant``) does not check it,
+so its result may carry int items over a larger ``den``.
 """
 
 
-def _common_denominator(dens: Iterable[int]) -> int | None:
-    """lcm of the denominators, or None once it passes DEN_BITS bits."""
+def _working_form(
+    ratios: Iterable[tuple[int, int]], dens: set[int], view: tuple | None
+) -> tuple[Sequence, int, tuple | None]:
+    """(items, den, view) of the entries p / q over the (p, q) in ratios, q > 0.
+
+    The items are ints over the lcm of dens while it fits in DEN_BITS bits, else
+    the entries' Fractions over den = 1, which are their own view.  ``view`` is
+    the entries as reduced Fractions where the caller has them, else None.
+    """
     den = 1
-    for q in dens:
-        den = lcm(den, q)
+    for d in dens:
+        den = lcm(den, d)
         if den.bit_length() > DEN_BITS:
-            return None
-    return den
+            items = view if view is not None else tuple(Fraction(p, q) for p, q in ratios)
+            return items, 1, items
+    return [p * (den // q) for p, q in ratios], den, view
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -145,9 +153,11 @@ class FiniteSeq:
     __slots__ = ("_values", "_items", "_den")
 
     def __init__(self, values: Iterable[RationalLike] = ()):
-        self._values = tuple(as_rational(v) for v in values)
-        self._items = None
-        self._den = 1
+        # an int stays an int: like a Fraction it has .numerator and .denominator
+        entries = [v if type(v) is int else as_rational(v) for v in values]
+        nums, dens = [v.numerator for v in entries], [v.denominator for v in entries]
+        view = None if int in map(type, entries) else tuple(entries)  # all Fractions: keep them
+        self._items, self._den, self._values = _working_form(zip(nums, dens), set(dens), view)
 
     @staticmethod
     def from_scaled(items: Sequence, den: int) -> FiniteSeq:
@@ -162,12 +172,9 @@ class FiniteSeq:
     @staticmethod
     def from_ratios(ratios: Sequence[tuple[int, int]]) -> FiniteSeq:
         """The sequence of p / q over (p, q) pairs with q > 0, not necessarily reduced."""
-        den = _common_denominator({q for _, q in ratios})
-        if den is None:
-            seq = FiniteSeq.from_scaled(tuple(Fraction(p, q) for p, q in ratios), 1)
-            seq._values = seq._items
-            return seq
-        return FiniteSeq.from_scaled([p * (den // q) for p, q in ratios], den)
+        seq = object.__new__(FiniteSeq)
+        seq._items, seq._den, seq._values = _working_form(ratios, {q for _, q in ratios}, None)
+        return seq
 
     def scaled(self) -> tuple[Sequence, int]:
         """The working form (items, den): entry i is items[i] / den, with den > 0.
@@ -175,18 +182,11 @@ class FiniteSeq:
         The items are ints when the lcm of the denominators fits in DEN_BITS
         bits, else the entries' Fractions over den = 1.
         """
-        if self._items is None:
-            vals = self._values
-            den = _common_denominator({v.denominator for v in vals})
-            if den is None:
-                self._items = vals
-            else:
-                self._items, self._den = [v.numerator * (den // v.denominator) for v in vals], den
         return self._items, self._den
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        """The entries as reduced Fractions, built on first use and kept."""
+        """The entries as reduced Fractions, built from the working form on first use and kept."""
         if self._values is None:
             den = self._den
             self._values = tuple(Fraction(x, den) for x in self._items)
@@ -198,10 +198,11 @@ class FiniteSeq:
 
     @staticmethod
     def constant(value: RationalLike, length: int) -> FiniteSeq:
-        return FiniteSeq([as_rational(value)] * length)
+        v = as_rational(value)
+        return FiniteSeq.from_scaled([v.numerator] * length, v.denominator)
 
     def __len__(self) -> int:
-        return len(self._items if self._values is None else self._values)
+        return len(self._items)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
@@ -212,8 +213,6 @@ class FiniteSeq:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSeq):
             return NotImplemented
-        if self._values is not None and other._values is not None:
-            return self._values == other._values
         if len(self) != len(other):
             return False
         (x, d1), (y, d2) = self.scaled(), other.scaled()
@@ -226,17 +225,13 @@ class FiniteSeq:
         """1-based access: at(1) is the first term."""
         if not 1 <= i <= len(self):
             raise OutOfRange(f"index {i} outside 1..{len(self)}")
-        if self._values is None:
-            return Fraction(self._items[i - 1], self._den)
-        return self._values[i - 1]
+        return Fraction(self._items[i - 1], self._den)
 
     def prefix(self, k: int) -> FiniteSeq:
         """First k terms; prefix(n - 1) is the top of a length-n sequence."""
         if not 0 <= k <= len(self):
             raise OutOfRange(f"prefix length {k} outside 0..{len(self)}")
-        if self._values is None:
-            return FiniteSeq.from_scaled(self._items[:k], self._den)
-        return FiniteSeq(self._values[:k])
+        return FiniteSeq.from_scaled(self._items[:k], self._den)
 
     def _int_form(self) -> tuple[Sequence[int], int] | None:
         """The working form while its items are ints; None past DEN_BITS."""

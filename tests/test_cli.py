@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from seqcalc.cli import main
-from seqcalc.operators import MAX_EXPONENT
+from seqcalc.operators import MAX_EXPONENT, MAX_TERM_PRODUCTS
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +241,20 @@ def test_operator_exponent_over_the_bound_is_bad_parameter(capsys):
     assert main(["simplify", "--op", "(I+E)^99999999999"]) == 3
     err = capsys.readouterr().err
     assert err == f"seqcalc: operator exponents must be <= {MAX_EXPONENT}, got 99999999999\n"
+
+
+def test_operator_work_over_the_bound_is_bad_parameter(capsys):
+    # each case raises before its work grows: ((I+E)^100)^100 ran for minutes unbounded
+    cases = [
+        ("(1+I+E)^400", "power"),
+        ("(I+E)^400 * (I+E)^400", "product"),
+        ("((I+E)^100)^100", "power"),
+        ("(1+I+E)^4096", "power"),
+    ]
+    for op, kind in cases:
+        assert main(["simplify", "--op", op]) == 3
+        err = capsys.readouterr().err
+        assert err == f"seqcalc: an operator {kind} may form at most {MAX_TERM_PRODUCTS} products of terms\n"
 
 
 def test_deeply_nested_json_is_a_format_error(capsys, tmp_path):

@@ -22,7 +22,7 @@ from seqcalc import (
     top,
 )
 from seqcalc.errors import BadParameter, NegativePower
-from seqcalc.operators import MAX_EXPONENT
+from seqcalc.operators import MAX_EXPONENT, MAX_TERM_PRODUCTS
 
 from strategies import (
     finite_seqs,
@@ -93,6 +93,20 @@ def test_exponent_bound():
     for base in (TOP, OperatorPoly.zero(), OperatorPoly.scalar(2)):
         with pytest.raises(BadParameter, match=message):
             base ** (MAX_EXPONENT + 1)
+
+
+def test_term_product_bound():
+    three, wide = IDENTITY + TOP + BOTTOM, (TOP + BOTTOM) ** 400
+    # (1+I+E)^N forms about 1.5 N^2 products, so ^250 is within the bound and ^400 is not
+    assert len((three**250).terms) == 251 * 252 // 2
+    assert ((TOP + BOTTOM) ** 3) ** 3 == (TOP + BOTTOM) ** 9
+    bound = f"at most {MAX_TERM_PRODUCTS} products of terms"
+    with pytest.raises(BadParameter, match=f"an operator power may form {bound}"):
+        three**400
+    with pytest.raises(BadParameter, match=f"an operator power may form {bound}"):
+        wide**2  # the 400-term rest times itself
+    with pytest.raises(BadParameter, match=f"an operator product may form {bound}"):
+        wide * wide  # 401 * 401 terms
 
 
 @st.composite

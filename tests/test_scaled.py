@@ -192,13 +192,32 @@ def test_length_access_and_prefix_leave_the_fraction_tuple_unbuilt():
     assert [s.at(len(s)) for s in shorter] == [vals[-2], vals[-1], vals[-1], vals[-4]]
 
 
+def test_constructors_build_the_working_form():
+    ints = FiniteSeq(range(5))
+    items, den = ints.scaled()
+    assert den == 1 and [type(x) for x in items] == [int] * 5 and ints._values is None
+    assert ints.values == tuple(map(Fraction, range(5)))
+
+    vals = [Fraction(1, 2), Fraction(-3), Fraction(5, 6)]
+    for seq in (FiniteSeq(vals), FiniteSeq(["1/2", "-3", "5/6"])):
+        assert seq.scaled() == ([3, -18, 5], 6) and seq._values == tuple(vals)
+    past = [Fraction(1, p) for p in BIG_PRIMES]
+    for seq in (FiniteSeq(past), FiniteSeq([1, *past])):
+        items, den = seq.scaled()
+        assert den == 1 and items is seq.values and list(items[-5:]) == past
+
+
 entries = tokens.map(lambda pair: pair[1])
 
 
 def stored(vals, form):
-    """A sequence of vals built from Fractions, from reduced ratios, or from unreduced ones."""
+    """A sequence of vals built from Fractions, ints where they can be, strings, or ratios."""
     if form == "fractions":
         return FiniteSeq(vals)
+    if form == "ints":
+        return FiniteSeq([v.numerator if v.denominator == 1 else v for v in vals])
+    if form == "strings":
+        return FiniteSeq([str(v) for v in vals])
     k = 1 if form == "ratios" else 6
     return FiniteSeq.from_ratios([(v.numerator * k, v.denominator * k) for v in vals])
 
@@ -221,7 +240,7 @@ def first_zero(vals):
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(0, 8),
-    forms=st.tuples(*[st.sampled_from(["fractions", "ratios", "unreduced"])] * 3),
+    forms=st.tuples(*[st.sampled_from(["fractions", "ints", "strings", "ratios", "unreduced"])] * 3),
     scalar=st.one_of(entries, st.integers(-5, 5)),
     chain=st.integers(1, 4),
     data=st.data(),
