@@ -6,6 +6,17 @@ single small sequence, an exhaustive integer sweep with values -2..2 and
 length 4).  Each check carries its own brute-force oracle, written at the
 raw index level so it shares no code with the implementation under test.
 
+The oracles run on integers.  ``_o_ints`` puts an instance's entries over
+their common denominator once, with ``math`` and int arithmetic only, and the
+oracle loops add and multiply those ints.  A result is compared by
+cross-multiplication: a sequence on its working form (``scaled()``, see
+``_same``), a scalar r as ``r.numerator * den == num * r.denominator``.
+Only the quotient, inverse and mean-inverse oracles and fd_bridge's step
+``1/h`` divide in Fractions.  Elsewhere no Fraction is built to be compared:
+the verifier builds one only as a kernel's input (a constant, a ratio, a
+step) or to write a failure text.  The sweep's sequences are built once per
+process, on first use; every run still checks every case.
+
 A check is its body: a generator ``body(spec, rng)`` that draws one instance
 (its length, through ``_length``, where its draw order needs it) and yields
 a text for each failure it finds.  ``run_check`` is the one driver: it runs
@@ -24,8 +35,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import calculus, grid
 from .analysis import classify_convexity, collinearity_determinant
@@ -57,6 +69,15 @@ this bounds the work of one trial: at this bound one trial of every check
 takes a fraction of a second.
 """
 
+MAX_TRIALS = 10_000
+"""Largest trial count a check may run (``--trials``).
+
+One trial of every check takes about 16 ms at ``MAX_LENGTH`` and 2 ms at the
+default lengths 2..12 (2-vCPU VM, Python 3.11), so ``verify --check all`` at
+this bound is at most about three minutes of work, and one check about a
+nineteenth of that.
+"""
+
 MAX_FAILURES = 10
 """Most failure texts a check report keeps; ``failure_count`` counts them all."""
 
@@ -72,6 +93,8 @@ class CheckSpec(
         spec = super().__new__(cls, *args, **kwargs)
         if spec.trials < 1:
             raise BadParameter(f"trials must be >= 1, got {spec.trials}")
+        if spec.trials > MAX_TRIALS:
+            raise BadParameter(f"trials must be <= {MAX_TRIALS}, got {quoted(spec.trials)}")
         if spec.min_length < 2:
             raise BadParameter(f"min length must be >= 2, got {spec.min_length}")
         for label, length in (("min", spec.min_length), ("max", spec.max_length)):
@@ -98,7 +121,13 @@ def _inline(seq: FiniteSeq) -> str:
 
 
 # ---------------------------------------------------------------------------
-# raw-index oracles (no shared code with the modules under test)
+# raw-index oracles (no shared code with the modules under test), on ints
+
+def _o_ints(vals):
+    """(nums, den) with vals[i] == nums[i] / den, den the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
 
 def _o_diff(vals):
     return [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
@@ -112,7 +141,7 @@ def _o_diff_m(vals, m):
 
 
 def _o_partial_sums(vals):
-    out, acc = [], Fraction(0)
+    out, acc = [], 0
     for v in vals:
         acc += v
         out.append(acc)
@@ -120,7 +149,7 @@ def _o_partial_sums(vals):
 
 
 def _o_sum(vals, a, b):
-    acc = Fraction(0)
+    acc = 0
     for j in range(a, b + 1):
         acc += vals[j - 1]
     return acc
@@ -131,35 +160,65 @@ def _o_det(matrix):
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    total = Fraction(0)
+    total = 0
     for r in range(n):
         minor = [row[1:] for k, row in enumerate(matrix) if k != r]
         total += (-1) ** r * matrix[r][0] * _o_det(minor)
     return total
 
 
-def _o_lagrange_value(xs, ys, x):
-    """Barycentric-free basis form of the interpolant, evaluated at x."""
-    total = Fraction(0)
-    for j, yj in enumerate(ys):
-        term = yj
-        for k, xk in enumerate(xs):
-            if k != j:
-                term *= Fraction(x - xk, xs[j] - xk)
-        total += term
-    return total
-
-
-def _o_leading_coefficient(xs, ys):
-    """Top divided difference: sum of y_j / prod_{k != j} (x_j - x_k) over integer nodes."""
-    total = Fraction(0)
-    for j, yj in enumerate(ys):
+def _o_node_weights(xs):
+    """(c, w) with c[j] / w == 1 / prod_{k != j} (x_j - x_k) over integer nodes."""
+    weights = []
+    for j, xj in enumerate(xs):
         weight = 1
         for k, xk in enumerate(xs):
             if k != j:
-                weight *= xs[j] - xk
-        total += yj / weight
-    return total
+                weight *= xj - xk
+        weights.append(weight)
+    common = lcm(*weights)
+    return [common // weight for weight in weights], common
+
+
+def _o_lagrange_value(xs, ys, p, q):
+    """Barycentric-free basis form of the interpolant at x = p / q, as (num, den)."""
+    cs, common = _o_node_weights(xs)
+    total = 0
+    for j, (yj, cj) in enumerate(zip(ys, cs)):
+        term = yj * cj
+        for k, xk in enumerate(xs):
+            if k != j:
+                term *= p - q * xk
+        total += term
+    return total, common * q ** (len(xs) - 1)
+
+
+def _o_leading_coefficient(xs, ys):
+    """Top divided difference, sum of y_j / prod_{k != j} (x_j - x_k), as (num, den)."""
+    cs, common = _o_node_weights(xs)
+    return sum(yj * cj for yj, cj in zip(ys, cs)), common
+
+
+# ---------------------------------------------------------------------------
+# a kernel's result against an oracle's (num, den), by cross-multiplication
+
+def _same(seq: FiniteSeq, nums, den) -> bool:
+    """Whether seq's entries are nums[i] / den, compared on seq's working form."""
+    items, d = seq.scaled()
+    return len(items) == len(nums) and all(x * den == y * d for x, y in zip(items, nums))
+
+
+def _entry(seq: FiniteSeq, i: int):
+    """(item, den) of seq's i-th entry on its working form; out of range, seq.at raises."""
+    items, den = seq.scaled()
+    if not 1 <= i <= len(items):
+        seq.at(i)
+    return items[i - 1], den
+
+
+def _equals(r: Fraction, num, den) -> bool:
+    """Whether the scalar r is num / den, den > 0."""
+    return r.numerator * den == num * r.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +228,8 @@ def _check_product_rule(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
     s = random_rational_sequence(n, rng)
     g = random_rational_sequence(n, rng)
-    oracle = _o_diff([a * b for a, b in zip(s.values, g.values)])
+    (sn, sd), (gn, gd) = _o_ints(s.values), _o_ints(g.values)
+    oracle = _o_diff([a * b for a, b in zip(sn, gn)])
     for label, candidate in (
         ("D(SG)", calculus.derivative(s * g)),
         ("symmetric", calculus.derivative(s) * middle(g) + middle(s) * calculus.derivative(g)),
@@ -177,7 +237,7 @@ def _check_product_rule(spec: CheckSpec, rng: random.Random):
         ("bottom-weighted", calculus.derivative(s) * bottom(g) + top(s) * calculus.derivative(g)),
         ("top-weighted", calculus.derivative(s) * top(g) + bottom(s) * calculus.derivative(g)),
     ):
-        if list(candidate.values) != oracle:
+        if not _same(candidate, oracle, sd * gd):
             yield f"{label} mismatch for S={_inline(s)} G={_inline(g)}"
 
 
@@ -186,20 +246,20 @@ def _check_quotient_rule(spec: CheckSpec, rng: random.Random):
     s = random_rational_sequence(n, rng)
     g = random_zero_free_sequence(n, rng)
     lhs = calculus.derivative(s / g)
-    oracle = _o_diff([a / b for a, b in zip(s.values, g.values)])
+    oracle, den = _o_ints(_o_diff([a / b for a, b in zip(s.values, g.values)]))
     rhs = (calculus.derivative(s) * middle(g) - calculus.derivative(g) * middle(s)) / (
         top(g) * bottom(g)
     )
-    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+    if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
         yield f"S={_inline(s)} G={_inline(g)}"
 
 
 def _check_inverse_rule(spec: CheckSpec, rng: random.Random):
     g = random_zero_free_sequence(_length(spec, rng), rng)
     lhs = calculus.derivative(g.inverse())
-    oracle = _o_diff([1 / v for v in g.values])
+    oracle, den = _o_ints(_o_diff([1 / v for v in g.values]))
     rhs = -(calculus.derivative(g) / (top(g) * bottom(g)))
-    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+    if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
         yield f"G={_inline(g)}"
 
 
@@ -207,9 +267,9 @@ def _check_mean_inverse(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
     g = random_zero_free_sequence(n, rng)
     lhs = middle(g.inverse())
-    oracle = [(1 / g.values[i] + 1 / g.values[i + 1]) / 2 for i in range(n - 1)]
+    oracle, den = _o_ints([(1 / g.values[i] + 1 / g.values[i + 1]) / 2 for i in range(n - 1)])
     rhs = middle(g) / (top(g) * bottom(g))
-    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+    if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
         yield f"G={_inline(g)}"
 
 
@@ -217,8 +277,9 @@ def _check_antiderivative_roundtrip(spec: CheckSpec, rng: random.Random):
     s = random_rational_sequence(_length(spec, rng), rng)
     c = random_rational(rng)
     integral = calculus.antiderivative(s, c)
-    oracle = [c] + [c + p for p in _o_partial_sums(s.values)]
-    if list(integral.values) != oracle:
+    # c, c + S(1), c + S(1) + S(2), ...: the partial sums of (c, S(1), ..., S(n))
+    nums, den = _o_ints([c, *s.values])
+    if not _same(integral, _o_partial_sums(nums), den):
         yield f"cumulative-sum oracle, S={_inline(s)} c={c}"
     if calculus.derivative(integral) != s:
         yield f"D(J S) != S for S={_inline(s)} c={c}"
@@ -230,7 +291,8 @@ def _check_partial_sums(spec: CheckSpec, rng: random.Random):
     s = random_rational_sequence(_length(spec, rng), rng)
     c = random_rational(rng)
     shifted = bottom(calculus.antiderivative(s, c))
-    if list(shifted.values) != [p + c for p in _o_partial_sums(s.values)]:
+    nums, den = _o_ints([c, *s.values])
+    if not _same(shifted, _o_partial_sums(nums)[1:], den):
         yield f"S={_inline(s)} c={c}"
 
 
@@ -245,8 +307,8 @@ def _check_hod_binomial(spec: CheckSpec, rng: random.Random):
     s = random_rational_sequence(n, rng)
     m = rng.randint(0, min(8, n))
     applied = (DIFFERENCE**m).apply(s)
-    oracle = _o_diff_m(list(s.values), m)
-    if list(applied.values) != oracle or calculus.derivative(s, m) != applied:
+    nums, den = _o_ints(s.values)
+    if not _same(applied, _o_diff_m(nums, m), den) or calculus.derivative(s, m) != applied:
         yield f"D^{m} on S={_inline(s)}"
 
 
@@ -258,12 +320,14 @@ def _check_int_by_parts(spec: CheckSpec, rng: random.Random):
     c1 = s.at(1) * g.at(1) - c0
     lhs = calculus.antiderivative(calculus.derivative(s) * middle(g), c0)
     rhs = s * g - calculus.antiderivative(middle(s) * calculus.derivative(g), c1)
-    sv, gv = s.values, g.values
+    (sn, sd), (gn, gd) = _o_ints(s.values), _o_ints(g.values)
+    # (S(j+1) - S(j)) * (G(j) + G(j+1)) / 2 and c0, all over 2 * sd * gd * c0's den
+    terms_den = 2 * sd * gd
     raw_terms = [
-        (sv[j + 1] - sv[j]) * (gv[j] + gv[j + 1]) / 2 for j in range(n - 1)
+        (sn[j + 1] - sn[j]) * (gn[j] + gn[j + 1]) * c0.denominator for j in range(n - 1)
     ]
-    oracle = [c0] + [c0 + p for p in _o_partial_sums(raw_terms)]
-    if list(lhs.values) != oracle:
+    oracle = _o_partial_sums([c0.numerator * terms_den, *raw_terms])
+    if not _same(lhs, oracle, terms_den * c0.denominator):
         yield f"raw oracle, S={_inline(s)} G={_inline(g)}"
     elif calculus.derivative(lhs) != calculus.derivative(rhs):
         yield f"derivatives differ, S={_inline(s)} G={_inline(g)}"
@@ -277,9 +341,10 @@ def _check_geometric_rule(spec: CheckSpec, rng: random.Random):
     q = random_nonzero_rational(rng)
     s = geometric_sequence(start, q, n)
     lhs = calculus.derivative(s)
-    oracle = _o_diff(list(s.values))
+    nums, den = _o_ints(s.values)
+    oracle = _o_diff(nums)
     rhs = top(s) * (q - 1)
-    if list(lhs.values) != oracle or list(rhs.values) != oracle:
+    if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
         yield f"start={start} q={q} n={n}"
 
 
@@ -292,9 +357,10 @@ def _check_arithmetic_rule(spec: CheckSpec, rng: random.Random):
     if ds != FiniteSeq.constant(d, n - 1):
         yield f"D S not constant d={d}"
         return
+    (first, step), den = _o_ints([s.at(1), d])
     for i in range(1, n):
         integral = calculus.definite_integral(ds, 1, i)
-        if integral != i * d or s.at(i + 1) != s.at(1) + i * d:
+        if not (_equals(integral, i * step, den) and _equals(s.at(i + 1), first + i * step, den)):
             yield f"S(i+1) != S(1) + i*d at i={i}, d={d}"
             return
 
@@ -302,10 +368,15 @@ def _check_arithmetic_rule(spec: CheckSpec, rng: random.Random):
 def _geometric_sum(start, q, n):
     s = geometric_sequence(start, q, n)
     lhs = calculus.definite_integral(top(s), 1, n - 1)
-    oracle = _o_sum(list(s.values), 1, n - 1)
-    closed = s.at(1) * (1 - q ** (n - 1)) / (1 - q)
-    telescoped = (s.at(n) - s.at(1)) / (q - 1)
-    if not lhs == oracle == closed == telescoped:
+    nums, den = _o_ints(s.values)
+    total = _o_sum(nums, 1, n - 1)
+    # with q = p / r and k = n - 1, over den: the closed form S(1) (1 - q^k) / (1 - q)
+    # is nums[0] (r^k - p^k) / (r^(k-1) (r - p)), and the telescoped
+    # (S(n) - S(1)) / (q - 1) is r (nums[-1] - nums[0]) / (p - r)
+    p, r, k = q.numerator, q.denominator, n - 1
+    closed = nums[0] * (r**k - p**k) == total * r ** (k - 1) * (r - p)
+    telescoped = r * (nums[-1] - nums[0]) == total * (p - r)
+    if not (_equals(lhs, total, den) and closed and telescoped):
         yield f"start={start} q={q} n={n}"
 
 
@@ -318,16 +389,16 @@ def _check_geometric_sum(spec: CheckSpec, rng: random.Random):
     yield from _geometric_sum(start, q, n)
 
 
-def _ftc(s, a, b, constants):
-    vals = list(s.values)
-    oracle = _o_sum(vals, a, b)
-    integral = calculus.definite_integral(s, a, b)
-    if integral != oracle:
+def _ftc(s, nums, den, a, b, constants):
+    """The fundamental theorem on S = nums / den between a and b."""
+    total = _o_sum(nums, a, b)
+    if not _equals(calculus.definite_integral(s, a, b), total, den):
         yield f"sum oracle mismatch S={_inline(s)} a={a} b={b}"
         return
     for c in constants:
         anti = calculus.antiderivative(s, c)
-        if anti.at(b + 1) - anti.at(a) != oracle:
+        (upper, d), (lower, _) = _entry(anti, b + 1), _entry(anti, a)
+        if (upper - lower) * den != total * d:
             yield f"I(b+1)-I(a) mismatch S={_inline(s)} a={a} b={b} c={c}"
             return
 
@@ -337,22 +408,23 @@ def _check_ftc(spec: CheckSpec, rng: random.Random):
     s = random_rational_sequence(n, rng)
     a = rng.randint(1, n)
     b = rng.randint(a, n)
-    yield from _ftc(s, a, b, (random_rational(rng),))
+    yield from _ftc(s, *_o_ints(s.values), a, b, (random_rational(rng),))
 
 
-def _convexity_equivalence(s):
+def _convexity_equivalence(s, nums, den):
+    """Convexity of S = nums / den against the signs of its collinearity determinants."""
     windows = range(1, len(s) - 1)
     dets = [collinearity_determinant(s, i) for i in windows]
-    oracle_dets = [
-        _o_det([[Fraction(i + r), s.at(i + r), Fraction(1)] for r in range(3)]) for i in windows
-    ]
+    # rows (x, S(x), 1) scaled to (x den, nums, den): each determinant times den^3
+    oracle = [_o_det([[(i + r) * den, nums[i + r - 1], den] for r in range(3)]) for i in windows]
     report = classify_convexity(s)
-    if dets != oracle_dets:
+    cube = den**3
+    if not all(_equals(det, o, cube) for det, o in zip(dets, oracle)):
         yield f"determinant oracle mismatch S={_inline(s)}"
         return
-    no_collinear = all(d != 0 for d in dets)
-    all_pos = all(d > 0 for d in dets)
-    all_neg = all(d < 0 for d in dets)
+    no_collinear = all(o != 0 for o in oracle)
+    all_pos = all(o > 0 for o in oracle)
+    all_neg = all(o < 0 for o in oracle)
     convex_equiv = report.strictly_convex == (no_collinear and all_pos) == all_pos
     concave_equiv = report.strictly_concave == (no_collinear and all_neg) == all_neg
     if not (convex_equiv and concave_equiv):
@@ -360,26 +432,31 @@ def _convexity_equivalence(s):
 
 
 def _check_convexity_equivalence(spec: CheckSpec, rng: random.Random):
-    yield from _convexity_equivalence(random_rational_sequence(_length(spec, rng, floor=3), rng))
+    s = random_rational_sequence(_length(spec, rng, floor=3), rng)
+    yield from _convexity_equivalence(s, *_o_ints(s.values))
 
 
-def _det_equals_d2(s):
+def _det_equals_d2(s, nums, den):
+    """Collinearity determinants of S = nums / den against its second difference."""
     second = calculus.derivative(s, 2)
-    oracle = _o_diff_m(list(s.values), 2)
+    oracle = _o_diff_m(nums, 2)
+    dets = []
     for i in range(1, len(s) - 1):
         det = collinearity_determinant(s, i)
-        if det != second.at(i) or det != oracle[i - 1]:
+        if not (_equals(det, *_entry(second, i)) and _equals(det, oracle[i - 1], den)):
             yield f"i={i} S={_inline(s)}"
             return
-    neg = FiniteSeq([-v for v in s.values])
-    for i in range(1, len(s) - 1):
-        if collinearity_determinant(neg, i) != -collinearity_determinant(s, i):
+        dets.append(det)
+    neg = FiniteSeq.from_ratios([(-x, den) for x in nums])
+    for i, det in enumerate(dets, start=1):
+        if not _equals(collinearity_determinant(neg, i), -det.numerator, det.denominator):
             yield f"negation duality at i={i} S={_inline(s)}"
             return
 
 
 def _check_det_equals_d2(spec: CheckSpec, rng: random.Random):
-    yield from _det_equals_d2(random_rational_sequence(_length(spec, rng, floor=3), rng))
+    s = random_rational_sequence(_length(spec, rng, floor=3), rng)
+    yield from _det_equals_d2(s, *_o_ints(s.values))
 
 
 def _check_lagrange_leading(spec: CheckSpec, rng: random.Random):
@@ -388,14 +465,18 @@ def _check_lagrange_leading(spec: CheckSpec, rng: random.Random):
     m = rng.randint(0, min(6, n - 1))
     n0 = rng.randint(1, n - m)
     poly = lagrange_poly(s, n0, m)
-    leading = factorial(m) * poly.coefficient(m)
-    oracle = _o_diff_m(list(s.values), m)[n0 - 1]
-    xs = list(range(n0, n0 + m + 1))
-    divided = _o_leading_coefficient(xs, [s.values[j - 1] for j in xs])
+    nums, den = _o_ints(s.values)
+    window = nums[n0 - 1 : n0 + m]
+    oracle = _o_diff_m(window, m)[0]
+    divided, weight = _o_leading_coefficient(range(n0, n0 + m + 1), window)
     deg = effective_degree(s, n0, m)
-    if poly.coefficient(m) != divided:
+    top_coefficient = poly.coefficient(m)
+    if not _equals(top_coefficient, divided, weight * den):
         yield f"divided difference m={m} n0={n0} S={_inline(s)}"
-    elif leading != oracle or lagrange_mth_derivative(s, n0, m) != oracle:
+    elif not (
+        _equals(top_coefficient, oracle, factorial(m) * den)
+        and _equals(lagrange_mth_derivative(s, n0, m), oracle, den)
+    ):
         yield f"m={m} n0={n0} S={_inline(s)}"
     elif (deg == m) != (oracle != 0):
         yield f"degree law m={m} n0={n0} S={_inline(s)}"
@@ -407,17 +488,18 @@ def _check_lagrange_mth(spec: CheckSpec, rng: random.Random):
     m = rng.randint(0, min(6, n - 1))
     n0 = rng.randint(1, n - m)
     poly = lagrange_poly(s, n0, m)
-    xs = list(range(n0, n0 + m + 1))
-    ys = [s.at(j) for j in xs]
-    if any(poly.evaluate(j) != s.at(j) for j in xs):
+    nums, den = _o_ints(s.values)
+    xs = range(n0, n0 + m + 1)
+    window = nums[n0 - 1 : n0 + m]
+    if not all(_equals(poly.evaluate(j), y, den) for j, y in zip(xs, window)):
         yield f"node mismatch m={m} n0={n0} S={_inline(s)}"
         return
     probe = random_rational(rng)
-    if poly.evaluate(probe) != _o_lagrange_value(xs, ys, probe):
+    value, weight = _o_lagrange_value(xs, window, probe.numerator, probe.denominator)
+    if not _equals(poly.evaluate(probe), value, weight * den):
         yield f"basis-form mismatch at x={probe} S={_inline(s)}"
         return
-    oracle = _o_diff_m(list(s.values), m)[n0 - 1]
-    if lagrange_mth_derivative(s, n0, m) != oracle:
+    if not _equals(lagrange_mth_derivative(s, n0, m), _o_diff_m(window, m)[0], den):
         yield f"m-th derivative m={m} n0={n0} S={_inline(s)}"
 
 
@@ -434,8 +516,8 @@ def _cubes_corrected():
 
 def _cubes_node_determinant():
     det_v = interpolation_determinants(_CUBES, 1, 3)[1]
-    oracle_det_v = _o_det([[Fraction((1 + r) ** (3 - k)) for k in range(4)] for r in range(4)])
-    if abs(det_v) / factorial(3) != 2 or oracle_det_v != det_v:
+    oracle_det_v = _o_det([[(1 + r) ** (3 - k) for k in range(4)] for r in range(4)])
+    if abs(det_v) != 2 * factorial(3) or oracle_det_v != det_v:
         yield f"node determinant {det_v} not the expected +12"
 
 
@@ -443,15 +525,16 @@ def _check_det_normalization(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng, floor=3)
     s = random_rational_sequence(n, rng)
     i = rng.randint(1, n - 2)
-    second = _o_diff_m(list(s.values), 2)[i - 1]
+    nums, den = _o_ints(s.values)
+    second = _o_diff_m(nums[i - 1 : i + 2], 2)[0]
     # The triangle determinant (columns x, S, 1) is exact at order 2.
-    if collinearity_determinant(s, i) != second:
+    if not _equals(collinearity_determinant(s, i), second, den):
         yield f"order-2 A-determinant, S={_inline(s)} i={i}"
         return
     m = rng.randint(1, min(4, n - 1))
     i2 = rng.randint(1, n - m)
-    oracle = _o_diff_m(list(s.values), m)[i2 - 1]
-    if dm_via_determinant(s, i2, m) != oracle:
+    oracle = _o_diff_m(nums[i2 - 1 : i2 + m], m)[0]
+    if not _equals(dm_via_determinant(s, i2, m), oracle, den):
         yield f"corrected route m={m} i={i2} S={_inline(s)}"
         return
     # Node determinant law: |det V| is 1!*2!*...*m!, so the bare
@@ -462,7 +545,7 @@ def _check_det_normalization(spec: CheckSpec, rng: random.Random):
         superfact *= factorial(k)
     if abs(det_v) != superfact:
         yield f"node determinant law m={m}"
-    elif m >= 3 and oracle != 0 and det_ms == oracle:
+    elif m >= 3 and oracle != 0 and _equals(det_ms, oracle, den):
         yield f"bare determinant unexpectedly exact at m={m}"
 
 
@@ -537,18 +620,20 @@ def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
     if grid.discrete_derivative(g).samples != diff.samples * (1 / h):
         yield f"derivative scaling h={h}, S={_inline(s)}"
         return
-    oracle = [(s.values[i + 1] - s.values[i]) / h for i in range(n - 1)]
-    if list(grid.discrete_derivative(g).samples.values) != oracle:
+    nums, den = _o_ints(s.values)
+    diffs = _o_diff(nums)
+    # (S(i+1) - S(i)) / h with h = p / q is (nums[i+1] - nums[i]) q / (den p)
+    oracle = [x * h.denominator for x in diffs]
+    if not _same(grid.discrete_derivative(g).samples, oracle, den * h.numerator):
         yield f"derivative oracle h={h}, S={_inline(s)}"
         return
 
     unit = grid.GridFunction(0, 1, s)
-    if list(grid.difference(unit).samples.values) != _o_diff(s.values):
+    if not _same(grid.difference(unit).samples, diffs, den):
         yield f"h=1 difference bridge, S={_inline(s)}"
         return
-    sv = s.values
-    two_point_means = [(sv[i] + sv[i + 1]) / 2 for i in range(n - 1)]
-    if list(grid.mean_filter(unit).samples.values) != two_point_means:
+    two_point_means = [nums[i] + nums[i + 1] for i in range(n - 1)]
+    if not _same(grid.mean_filter(unit).samples, two_point_means, 2 * den):
         yield f"h=1 mean bridge, S={_inline(s)}"
         return
     if TOP.apply(s) != s.prefix(n - 1) or BOTTOM.apply(s) != grid.displacement(unit, 1).samples:
@@ -590,8 +675,18 @@ CATALOG = {
     "fd_bridge": _check_fd_bridge,
 }
 
-# Every integer sequence of length 4 with entries -2..2.
-_SWEEP = tuple(product(range(-2, 3), repeat=4))
+@cache
+def _sweep():
+    """Every integer sequence of length 4 with entries -2..2, with its oracle
+    form (the entries over den 1), built on first use.
+
+    Sequences are immutable, so one process builds them once; every check
+    still runs on them, and no outcome is kept.
+    """
+    return tuple((FiniteSeq(vals), vals, 1) for vals in product(range(-2, 3), repeat=4))
+
+
+_FTC_CONSTANTS = (Fraction(0), Fraction(5, 3))
 
 # The instances a check runs before its trials, as (label, failure texts).
 _FIXED = {
@@ -602,15 +697,15 @@ _FIXED = {
         for n in range(3, 9)
     ),
     "ftc": lambda: (
-        ("exhaustive: ", _ftc(s, a, b, (Fraction(0), Fraction(5, 3))))
-        for s in map(FiniteSeq, _SWEEP)
+        ("exhaustive: ", _ftc(*case, a, b, _FTC_CONSTANTS))
+        for case in _sweep()
         for a in range(1, 5)
         for b in range(a, 5)
     ),
     "convexity_equivalence": lambda: (
-        ("exhaustive: ", _convexity_equivalence(s)) for s in map(FiniteSeq, _SWEEP)
+        ("exhaustive: ", _convexity_equivalence(*case)) for case in _sweep()
     ),
-    "det_equals_d2": lambda: (("exhaustive: ", _det_equals_d2(s)) for s in map(FiniteSeq, _SWEEP)),
+    "det_equals_d2": lambda: (("exhaustive: ", _det_equals_d2(*case)) for case in _sweep()),
     "det_normalization": lambda: (
         ("cubes instance: ", _cubes_corrected()),
         ("cubes instance: ", _cubes_node_determinant()),

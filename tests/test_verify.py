@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from seqcalc import (
     FiniteSeq,
     OperatorPoly,
     Polynomial,
+    calculus,
     check_names,
     grid,
     run_all,
@@ -77,6 +79,9 @@ def test_spec_validation():
         CheckSpec("ftc", min_length=1)
     with pytest.raises(BadParameter):
         CheckSpec("ftc", min_length=5, max_length=4)
+    with pytest.raises(BadParameter):
+        CheckSpec("ftc", trials=verify.MAX_TRIALS + 1)
+    assert CheckSpec("ftc", trials=verify.MAX_TRIALS).trials == 10_000
 
 
 def test_reports_are_reproducible():
@@ -153,6 +158,85 @@ def test_failing_report_digest(capsys, monkeypatch):
     reports = json.loads(out)["reports"]
     assert sum(r["failure_count"] for r in reports) == 493
     assert all(len(r["failures"]) == min(r["failure_count"], verify.MAX_FAILURES) for r in reports)
+
+
+# stdout of `verify --check all --trials 30 --seed 3` while calculus.antiderivative
+# drops its constant: only the checks that read the constant fail, and the
+# fundamental theorem, which takes a difference of two antiderivative entries,
+# does not
+DROPPED_CONSTANT_SHA256 = "600faea90710c27b889380842b2e17ad9df8095d65e1689a0309a3e11cec2f42"
+
+
+def test_dropped_constant_report_digest(capsys, monkeypatch):
+    original = calculus.antiderivative
+    monkeypatch.setattr(calculus, "antiderivative", lambda seq, constant=0: original(seq))
+    code = main(["verify", "--check", "all", "--trials", "30", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == DROPPED_CONSTANT_SHA256
+    counts = {r["name"]: r["failure_count"] for r in json.loads(out)["reports"]}
+    assert {name: count for name, count in counts.items() if count} == {
+        "antiderivative_roundtrip": 57,
+        "partial_sums": 28,
+        "int_by_parts": 30,
+    }
+
+
+def _names_from_the_checked_modules():
+    """Names in seqcalc.verify bound to a module or object of another seqcalc module."""
+    names = set()
+    for name, value in vars(verify).items():
+        if isinstance(value, types.ModuleType):
+            origin = value.__name__
+        else:
+            origin = getattr(value, "__module__", None)
+        if isinstance(origin, str) and origin.startswith("seqcalc.") and origin != "seqcalc.verify":
+            names.add(name)
+    return names
+
+
+def _names_read_by(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):  # a nested function or comprehension
+            names |= _names_read_by(const)
+    return names
+
+
+def test_oracles_share_no_code_with_the_modules_they_check():
+    checked = _names_from_the_checked_modules()
+    assert {"calculus", "grid", "FiniteSeq", "DIFFERENCE", "collinearity_determinant"} <= checked
+    oracles = {name: fn for name, fn in vars(verify).items() if name.startswith("_o_")}
+    assert {"_o_diff", "_o_diff_m", "_o_partial_sums", "_o_sum", "_o_det"} <= set(oracles)
+    for name, fn in oracles.items():
+        assert not _names_read_by(fn.__code__) & checked, name
+
+
+def test_sweep_runs_every_case_on_every_call(monkeypatch):
+    spec = CheckSpec("ftc", 5)
+    first = run_check(spec)
+    assert first.passed and first.trials_run == 6255  # 625 sequences x 10 bounds + 5 trials
+    assert run_check(spec) == first
+    original = calculus.definite_integral
+    monkeypatch.setattr(
+        calculus, "definite_integral", lambda seq, a, b: original(seq, a, b) + 1
+    )
+    # a reused sweep instance keeps no outcome: every case runs and fails again
+    broken = run_check(spec)
+    assert not broken.passed
+    assert broken.failure_count == broken.trials_run == 6255
+
+
+def test_a_short_kernel_result_fails_the_case(monkeypatch):
+    original = calculus.antiderivative
+
+    def short(seq, constant=0):
+        return original(seq, constant).prefix(len(seq))  # drops the last partial sum
+
+    monkeypatch.setattr(calculus, "antiderivative", short)
+    report = run_check(CheckSpec("ftc", 5))
+    assert not report.passed
+    assert report.failures[0] == "exhaustive: OutOfRange: index 5 outside 1..4"
 
 
 # sha256 of passing `verify` stdout from before reports carried `failure_count`
@@ -256,3 +340,14 @@ def test_sequence_length_limit_is_a_domain_error(capsys, monkeypatch, option, li
 def test_sequence_length_limit_is_inclusive():
     spec = CheckSpec("ftc", 2, 0, verify.MAX_LENGTH, verify.MAX_LENGTH)
     assert run_check(spec).passed
+
+
+def test_trial_count_limit_is_a_domain_error(capsys, monkeypatch):
+    def must_not_run(spec):
+        raise AssertionError("a check ran past the trial limit")
+
+    # were the limit not checked, the command would exit 4 here, not run 10001 trials
+    monkeypatch.setattr(verify, "run_check", must_not_run)
+    for check in ("all", "ftc"):
+        assert main(["verify", "--check", check, "--trials", "10001"]) == 3
+        assert capsys.readouterr().err == "seqcalc: trials must be <= 10000, got 10001\n"
