@@ -8,6 +8,19 @@ Four source formats are understood:
     bfile   OEIS-style lines "index value" with contiguous ascending
             indices ("#" comments and blank lines ignored); re-based to 1
 
+Every format shares one token grammar, ``[+-]?[0-9]+(?:/[0-9]+)?`` in ASCII
+digits with a nonzero denominator, and every number within Python's int/str
+digit limit.  Whitespace around a token is anything ``str.strip()`` removes,
+and lines end at every ``str.splitlines()`` boundary (a bfile comment too).
+
+Reading has two parts.  The scanner checks each line (or inline piece, or
+json string) with one regex ``fullmatch``, then converts the whole text at
+once: ``split``, ``partition("/")`` and ``int`` over C-level maps, and one
+dict from denominator text to scale factor.  Only when that fails does an
+error walk go token by token, to raise the error, with its line number, that
+the first bad token earns; it produces no values.  ``render_json`` writes
+each list of entry texts with one join into the result itself.
+
 Every user-facing rational is rendered as "p/q" (plain "p" for integers),
 never as a decimal.  Reports share the versioned schema tag "seqcalc/1" and
 a stable field order, so identical inputs serialize to identical bytes.
@@ -18,11 +31,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import itemgetter, mul
 
 from .errors import FormatError, NonContiguousIndex, quoted
 from .lagrange import Polynomial, render_coefficients
 from .operators import render_terms
-from .sequences import FiniteSeq, format_items, format_rational, format_sequence
+from .sequences import DEN_BITS, FiniteSeq, Texts, format_items, format_rational, format_sequence
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -32,7 +48,14 @@ if TYPE_CHECKING:
 
 SCHEMA = "seqcalc/1"
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)  # without it \d takes "١"
+# One token grammar for every format: ASCII digits only (int() alone also takes
+# "٣" and "2_0").  Unicode \s is what str.strip() and str.split() remove, and it
+# holds every str.splitlines() boundary, so a line never spans two.
+_TOKEN = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_PIECE = re.compile(rf"\s*{_TOKEN}\s*")
+_CSV_LINE = re.compile(rf"\s*(?:{_TOKEN})?\s*")
+_BFILE_LINE = re.compile(rf"\s*(?:#.*|[+-]?[0-9]+\s+{_TOKEN})?\s*")
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")  # to the line's end
 
 
 def parse_integer(text: str) -> int:
@@ -42,50 +65,73 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def _ratio(text: str, line: int | None = None) -> tuple[int, int]:
-    """(numerator, denominator) of a rational literal as written, not reduced."""
-    token = text.strip()
-    match = _RATIONAL_RE.match(token)
-    if match is None:
+def _scan(parts: list[tuple]) -> FiniteSeq:
+    """The sequence of valid tokens' parts (numerator, "/" or "", denominator or "").
+
+    A dict maps each distinct denominator text to its scale factor, so every
+    entry costs C-level maps only.  ValueError: int()'s digit limit, or a 0 denominator.
+    """
+    nums, dens = list(map(int, map(itemgetter(0), parts))), list(map(itemgetter(2), parts))
+    qs = {d: int(d or 1) for d in dict.fromkeys(dens)}
+    if 0 in qs.values():
+        raise ValueError("zero denominator")
+    den = 1
+    for q in qs.values():
+        den = lcm(den, q)
+        if den.bit_length() > DEN_BITS:
+            return FiniteSeq.from_ratios(list(zip(nums, map(qs.__getitem__, dens))))
+    scale = {d: den // q for d, q in qs.items()}
+    return FiniteSeq.from_scaled(list(map(mul, nums, map(scale.__getitem__, dens))), den)
+
+
+def _check(piece: str, line: int | None = None) -> None:
+    """Raise the error of one rational literal, if it has one: the error walks' step."""
+    token = piece.strip()
+    if not _PIECE.fullmatch(token):
         raise FormatError(f"not a rational literal: {quoted(token)}", line)
-    num, den = match.groups()
+    num, _, den = token.partition("/")
     try:
-        p, q = int(num), int(den) if den else 1
+        int(num)
+        q = int(den or 1)
     except ValueError:
         raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
     if q == 0:
         raise FormatError(f"zero denominator in {quoted(token)}", line)
-    return p, q
+
+
+def _parse_pieces(pieces: list[str], line: int | None = None) -> FiniteSeq:
+    """Comma-separated rationals: inline text, a one-row csv, one --constant."""
+    try:
+        if all(map(_PIECE.fullmatch, pieces)):
+            return _scan(list(map(str.partition, map(str.strip, pieces), repeat("/"))))
+    except ValueError:
+        pass
+    for piece in pieces:
+        _check(piece, line)
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
-    return Fraction(*_ratio(text, line))
+    return _parse_pieces([text], line).values[0]
 
 
 def parse_inline(text: str) -> FiniteSeq:
     body = text.strip()
-    if not body:
-        return FiniteSeq()
-    return FiniteSeq.from_ratios([_ratio(piece) for piece in body.split(",")])
+    return _parse_pieces(body.split(",")) if body else FiniteSeq()
 
 
 def parse_csv(text: str) -> FiniteSeq:
-    rows = [
-        (number, line)
-        for number, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.strip())
-    ]
-    if not rows:
-        return FiniteSeq()
+    try:
+        if all(map(_CSV_LINE.fullmatch, text.splitlines())):
+            return _scan(list(map(str.partition, text.split(), repeat("/"))))
+    except ValueError:
+        pass
+    rows = [(n, line) for n, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
     if len(rows) == 1 and "," in rows[0][1]:
-        number, line = rows[0]
-        return FiniteSeq.from_ratios([_ratio(piece, number) for piece in line.split(",")])
-    ratios = []
+        return _parse_pieces(rows[0][1].split(","), rows[0][0])
     for number, line in rows:
         if "," in line:
             raise FormatError("unexpected comma in multi-row csv", number)
-        ratios.append(_ratio(line, number))
-    return FiniteSeq.from_ratios(ratios)
+        _check(line, number)
 
 
 def parse_json(text: str) -> FiniteSeq:
@@ -99,16 +145,30 @@ def parse_json(text: str) -> FiniteSeq:
         raise FormatError("json arrays are nested too deeply to parse") from None
     if not isinstance(data, list):
         raise FormatError("json sequence must be an array")
-    ratios = []
+    try:
+        if set(map(type, data)) <= {int, str} and all(
+            _PIECE.fullmatch(x) for x in data if type(x) is str
+        ):
+            return _scan([x.strip().partition("/") if type(x) is str else (x, "", "") for x in data])
+    except ValueError:
+        pass
     for item in data:
         if isinstance(item, bool) or not isinstance(item, (int, str)):
             raise FormatError(f"json entries must be integers or 'p/q' strings, got {quoted(item)}")
-        ratios.append((item, 1) if isinstance(item, int) else _ratio(item))
-    return FiniteSeq.from_ratios(ratios)
+        if isinstance(item, str):
+            _check(item)
 
 
 def parse_bfile(text: str) -> FiniteSeq:
-    ratios = []
+    try:
+        if all(map(_BFILE_LINE.fullmatch, text.splitlines())):
+            fields = _COMMENT.sub("", text).split()  # index, value, index, value, ...
+            first = int(fields[0]) if fields else 0
+            if list(map(int, fields[0::2])) == list(range(first, first + len(fields) // 2)):
+                del fields[0::2]
+                return _scan(list(map(str.partition, fields, repeat("/"))))
+    except ValueError:
+        pass
     expected = None
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -124,8 +184,7 @@ def parse_bfile(text: str) -> FiniteSeq:
         if expected is not None and index != expected:
             raise NonContiguousIndex(expected, index, number)
         expected = index + 1
-        ratios.append(_ratio(fields[1], number))
-    return FiniteSeq.from_ratios(ratios)
+        _check(fields[1], number)
 
 
 _PARSERS = {
@@ -251,5 +310,31 @@ def verification_payload(reports: list[CheckReport]) -> dict:
     }
 
 
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps with those separators
+
+
+def _write_json(value: object, pieces: list[str]) -> None:
+    """Add value's compact JSON text to pieces, whose '","'-join is the whole text.
+
+    A nonempty ``Texts`` list adds its entries as pieces of their own: they never
+    need escaping, and the text around them is glued onto its end entries.
+    """
+    if isinstance(value, dict):
+        pieces[-1] += "{"
+        for i, (key, item) in enumerate(value.items()):
+            pieces[-1] += f'{"," if i else ""}{_ENCODE(key)}:'
+            _write_json(item, pieces)
+        pieces[-1] += "}"
+    elif isinstance(value, Texts) and value:
+        pieces[-1] += f'["{value[0]}'
+        pieces.extend(value[1:])
+        pieces[-1] += '"]'
+    else:
+        pieces[-1] += _ENCODE(value)
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+    """json.dumps(payload, separators=(",", ":")), made by one join over the entry texts."""
+    pieces = [""]
+    _write_json(payload, pieces)
+    return '","'.join(pieces)

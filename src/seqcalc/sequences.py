@@ -97,7 +97,13 @@ def over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in rationals], d
 
 
-def format_items(items: Iterable, den: int) -> list[str]:
+class Texts(list):
+    """Entry texts that ``format_items`` wrote: ASCII digits, "-" and "/" only."""
+
+    __slots__ = ()
+
+
+def format_items(items: Iterable, den: int) -> Texts:
     """The text of each items[i] / den, ints or (with den = 1) Fractions.
 
     The one place a rational becomes text: each entry costs one gcd with den,
@@ -105,8 +111,8 @@ def format_items(items: Iterable, den: int) -> list[str]:
     """
     try:
         if den == 1:
-            return [str(x) for x in items]
-        texts = []
+            return Texts(map(str, items))
+        texts = Texts()
         for x in items:
             g = gcd(x, den)
             texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
@@ -120,7 +126,7 @@ def format_rational(value: Fraction) -> str:
     return format_items([value.numerator], value.denominator)[0]
 
 
-def format_sequence(seq: FiniteSeq) -> list[str]:
+def format_sequence(seq: FiniteSeq) -> Texts:
     """Every entry's text, written from the working form."""
     return format_items(*seq.scaled())
 

@@ -1,15 +1,23 @@
 """CLI surface: subcommands, JSON output, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqcalc.cli import main
 from seqcalc.operators import MAX_EXPONENT, MAX_TERM_PRODUCTS
+from seqcalc.seqio import FORMATS, render_sequence
+
+from strategies import finite_seqs
 
 
 def run_cli(capsys, *argv):
@@ -399,3 +407,50 @@ def test_calls_in_one_process_match_each_call_alone(capsys, monkeypatch, calls):
             [sys.executable, "-m", "seqcalc", *argv], env=env, capture_output=True, text=True
         )
         assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
+
+
+# Fuzzing: sequence text in every format and operator text, with pieces that
+# reach each error (non-ASCII digits, "_", a number past the digit limit,
+# unicode line breaks, json values of other types, large exponents).
+_SEQ_PIECES = list("0123456789+-/,# \n\r\t[]\"x_.") + ["\xa0", "\u2028", "٣", "true", "{}", "9" * 4400]
+_OP_PIECES = list("IEDM0123456789+-*/^() ") + ["^2", "99", "(I+E)", "9" * 4400]
+_SEQ_COMMANDS = [
+    ("diff",), ("diff", "--order", "3"), ("integrate", "--constant=-1/2"), ("classify",),
+    ("defint", "--from", "1", "--to", "2"), ("lagrange", "--n0", "1", "--m", "2", "--det"),
+]  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@st.composite
+def _seq_texts(draw, fmt):
+    """Pieces at random, or a sequence written in fmt with one piece put in at random."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_SEQ_PIECES), max_size=30)))
+    text = render_sequence(draw(finite_seqs(max_size=12)), fmt)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(["", *_SEQ_PIECES])) + text[at:]
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=3))  # the deadline bounds each example
+@given(
+    fmt_text=st.sampled_from(FORMATS).flatmap(lambda fmt: st.tuples(st.just(fmt), _seq_texts(fmt))),
+    command=st.sampled_from(_SEQ_COMMANDS),
+    op=st.one_of(st.none(), st.lists(st.sampled_from(_OP_PIECES), max_size=16).map("".join)),
+)
+def test_fuzzed_command_lines_exit_cleanly(fuzz_dir, fmt_text, command, op):
+    fmt, text = fmt_text
+    spec = f"inline:{text}"
+    if fmt != "inline":
+        (fuzz_dir / f"s.{fmt}").write_text(text, encoding="utf-8")
+        spec = f"{fmt}:{fuzz_dir / f's.{fmt}'}"
+    argv = [*command, "--seq", spec] if op is None else ["apply", f"--op={op}", "--seq", spec]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

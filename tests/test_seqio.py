@@ -1,28 +1,36 @@
 """Sequence ingestion formats and JSON report payloads."""
 
 import json
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqcalc import FiniteSeq, classify_convexity, classify_monotonicity
-from seqcalc.errors import QUOTE_CHARS, FormatError, NonContiguousIndex
+from seqcalc import FiniteSeq, OperatorPoly, Polynomial, classify_convexity, classify_monotonicity
+from seqcalc.errors import QUOTE_CHARS, FormatError, NonContiguousIndex, quoted
 from seqcalc.seqio import (
     FORMATS,
     classification_payload,
     format_rational,
     load_sequence,
+    operator_payload,
     parse_bfile,
     parse_csv,
     parse_inline,
     parse_json,
     parse_rational,
     parse_sequence_text,
+    polynomial_payload,
+    rational_payload,
     render_json,
     render_sequence,
     sequence_payload,
+    verification_payload,
 )
+from seqcalc.verify import CheckReport
 
 from strategies import finite_seqs
 
@@ -136,3 +144,214 @@ def test_unknown_format_quotes_a_short_excerpt():
         message = str(err.value)
         assert "f" * QUOTE_CHARS in message and "f" * (QUOTE_CHARS + 1) not in message
         assert "(3000 characters)" in message
+
+
+# ---------------------------------------------------------------------------
+# The scanner against a per-token reference parser
+
+_REF_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
+
+
+def _ref_ratio(text, line=None):
+    """(p, q) of one literal, one regex match per token: the reading the scanner replaced."""
+    token = text.strip()
+    match = _REF_RATIONAL.match(token)
+    if match is None:
+        raise FormatError(f"not a rational literal: {quoted(token)}", line)
+    num, den = match.groups()
+    try:
+        p, q = int(num), int(den) if den else 1
+    except ValueError:
+        raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
+    if q == 0:
+        raise FormatError(f"zero denominator in {quoted(token)}", line)
+    return p, q
+
+
+def _ref_inline(text):
+    body = text.strip()
+    return FiniteSeq.from_ratios([_ref_ratio(p) for p in body.split(",")]) if body else FiniteSeq()
+
+
+def _ref_csv(text):
+    rows = [(n, line) for n, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
+    if len(rows) == 1 and "," in rows[0][1]:
+        number, line = rows[0]
+        return FiniteSeq.from_ratios([_ref_ratio(piece, number) for piece in line.split(",")])
+    ratios = []
+    for number, line in rows:
+        if "," in line:
+            raise FormatError("unexpected comma in multi-row csv", number)
+        ratios.append(_ref_ratio(line, number))
+    return FiniteSeq.from_ratios(ratios)
+
+
+def _ref_json(text):
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid json: {exc.msg}", exc.lineno) from None
+    except ValueError:
+        raise FormatError("json integer has too many digits to parse") from None
+    if not isinstance(data, list):
+        raise FormatError("json sequence must be an array")
+    ratios = []
+    for item in data:
+        if isinstance(item, bool) or not isinstance(item, (int, str)):
+            raise FormatError(f"json entries must be integers or 'p/q' strings, got {quoted(item)}")
+        ratios.append((item, 1) if isinstance(item, int) else _ref_ratio(item))
+    return FiniteSeq.from_ratios(ratios)
+
+
+def _ref_bfile(text):
+    ratios, expected = [], None
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise FormatError(f"expected 'index value', got {quoted(line)}", number)
+        if not fields[0].isascii() or "_" in fields[0]:
+            raise FormatError(f"bad index {quoted(fields[0])}", number)
+        try:
+            index = int(fields[0])
+        except ValueError:
+            raise FormatError(f"bad index {quoted(fields[0])}", number) from None
+        if expected is not None and index != expected:
+            raise NonContiguousIndex(expected, index, number)
+        expected = index + 1
+        ratios.append(_ref_ratio(fields[1], number))
+    return FiniteSeq.from_ratios(ratios)
+
+
+REFERENCE = {"inline": _ref_inline, "csv": _ref_csv, "json": _ref_json, "bfile": _ref_bfile}
+
+
+def _outcome(parse, text):
+    """The working form parsed, or the error's (type, message, line)."""
+    try:
+        items, den = parse(text).scaled()
+    except (FormatError, NonContiguousIndex) as exc:
+        return type(exc), str(exc), exc.line
+    return list(items), den
+
+
+def assert_same_as_reference(fmt, text):
+    assert _outcome(REFERENCE[fmt], text) == _outcome(lambda t: parse_sequence_text(t, fmt), text)
+
+
+_SPACES = ["", " ", "\t", "\xa0", "\u3000", "\x1f"]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_JUNK = ["", "_", "1_000", "٣", "x", ".", ".5", "+", "-", "/", "//", "#", ",", "0", "/0", "/00", "e3"]
+_digits = st.text("0123456789", min_size=1, max_size=4)
+_tokens = st.builds(
+    "{}{}{}".format, st.sampled_from(["", "", "-", "+"]), _digits,
+    st.one_of(st.just(""), _digits.map("/{}".format)),
+)  # fmt: skip
+# mostly well-formed tokens, one in ten spoilt by junk
+_entries = st.builds(
+    lambda spoil, token, before, after: f"{before}{token}{after}" if spoil == 0 else token,
+    st.integers(0, 9), _tokens, st.sampled_from(_JUNK), st.sampled_from(_JUNK),
+)  # fmt: skip
+_padded = st.builds("{}{}{}".format, st.sampled_from(_SPACES), _entries, st.sampled_from(_SPACES))
+
+
+@st.composite
+def _texts(draw, fmt):
+    entries = draw(st.lists(_padded, max_size=8))
+    seps = st.sampled_from(_BREAKS * 3 + ([","] if fmt != "bfile" else []))
+    if fmt == "inline":
+        return ",".join(entries) if draw(st.booleans()) else draw(seps).join(entries)
+    if fmt == "json":
+        items = [int(e) if re.fullmatch("[+-]?[0-9]+", e) and draw(st.booleans()) else e for e in entries]
+        if draw(st.booleans()):
+            items.append(draw(st.sampled_from([None, True, 1.5, [], "1,2"])))
+        return json.dumps(items, ensure_ascii=draw(st.booleans()))
+    lines = entries
+    if fmt == "bfile":
+        first = draw(st.integers(-3, 3))
+        gap = st.sampled_from([" ", "\t", "  ", "\xa0"])
+        lines = [f"{first + i}{draw(gap)}{e}" for i, e in enumerate(entries)]
+        if lines and draw(st.booleans()):  # a wrong index, or a comment ended by any line break
+            k = draw(st.integers(0, len(lines) - 1))
+            spoilt = [f"{first + k + 1} 1", f"# c{draw(seps)}{k}", "", "1 2 3", "+00 1"]
+            lines[k] = draw(st.sampled_from(spoilt))
+        if draw(st.booleans()):
+            lines.insert(0, "# generated")
+    return "".join(line + draw(seps) for line in lines)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_scanner_matches_the_per_token_reference(fmt, data):
+    assert_same_as_reference(fmt, data.draw(_texts(fmt)))
+
+
+EDGE_CORPUS = [
+    "1\r\n2\r\n", "1\r2\r3", "1\x1c2\x853\u20284", "\xa01/2\xa0\n\xa0-3\xa0",
+    "1_000", "٣", "+7", "007", "2/-3", "1/2/3", "4/00", "0/0", "1/0\n4/00",
+    "9" * 4301, "1/" + "9" * 4301, "1\n" + "9" * 4301 + "\n1/0", "1 2", "1, 2 ,3", ",1", "1,",
+    '"1,2"', '["1,2"]', '[" 3/4 ", 5, "-0"]', '["4/00"]', "[1, true]", "[1, 2.5]", "[]", "{}",
+    "# c\x1c1 5\n2 6", "# c\u20281 5\n2 6\n", "# comment\n-1 5\n0 6\n1 7", "+1 5\n+2 6", "-2 1\n-3 2",
+    "1 1\n3 2", "1 1\n\n# gap\n2 2\n", "1 1 1", "x 1", "1 x", "1\t3/4\n2\xa05", "  \n\t\n", "",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_scanner_matches_the_reference_on_edge_cases(fmt):
+    for text in EDGE_CORPUS:
+        assert_same_as_reference(fmt, text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bfile", "json"])
+def test_parsing_holds_a_few_hundred_bytes_per_entry(fmt):
+    # a whole-text fullmatch keeps sre state per line: its match alone peaks at 880-1090 B
+    entries = ([f"{p}/{q}" for p in range(-9, 10) for q in range(1, 10)] * 117)[:20000]
+    text = {
+        "csv": "\n".join(entries) + "\n",
+        "bfile": "# b-file\n" + "".join(f"{i} {e}\n" for i, e in enumerate(entries, start=1)),
+        "json": json.dumps(entries),
+    }[fmt]
+    tracemalloc.start()
+    try:
+        seq = parse_sequence_text(text, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 20000
+    assert peak <= 400 * 20000
+
+
+def _reports():
+    texts = ('quote " here', "back\\slash", "new\nline", "non-ASCII é → ∑", "\x00")
+    return [
+        CheckReport("a", 3, texts, len(texts), False),
+        CheckReport("b", 0, (), 0, True),
+    ]
+
+
+PAYLOADS = {
+    "empty sequence": lambda: sequence_payload(FiniteSeq()),
+    "one entry": lambda: sequence_payload(FiniteSeq(["-3/7"])),
+    "sequence": lambda: sequence_payload(FiniteSeq([1, "1/2", -3, 10**50, "7/9"])),
+    "wide denominators": lambda: sequence_payload(FiniteSeq.from_ratios([(1, 2**61 - 1), (1, 2**31 - 1)])),
+    "rational": lambda: rational_payload(Fraction(-5, 3)),
+    "operator": lambda: operator_payload(OperatorPoly({(1, 0): Fraction(1, 2), (0, 2): -3})),
+    "polynomial": lambda: polynomial_payload(Polynomial([1, "-1/2", 0, 3])),
+    "zero polynomial": lambda: polynomial_payload(Polynomial([])),
+    "classification": lambda: classification_payload(
+        classify_monotonicity(FiniteSeq([1, 4, 9])), classify_convexity(FiniteSeq([1, 4, 9]))
+    ),
+    "classification without convexity": lambda: classification_payload(
+        classify_monotonicity(FiniteSeq([2, 1])), None
+    ),
+    "verification": lambda: verification_payload(_reports()),
+}
+
+
+@pytest.mark.parametrize("kind", PAYLOADS)
+def test_render_json_writes_what_json_dumps_writes(kind):
+    payload = PAYLOADS[kind]()
+    assert render_json(payload) == json.dumps(payload, separators=(",", ":"))
