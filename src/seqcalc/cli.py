@@ -48,6 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help="sequence spec: inline:1,3/2,2 | csv:PATH | json:PATH | bfile:PATH",
         )
+        return p
 
     p_apply = sub.add_parser("apply", help="apply an operator expression to a sequence")
     p_apply.add_argument("--op", required=True, help="operator expression, e.g. '(E - I)^2'")
@@ -56,24 +57,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_simplify = sub.add_parser("simplify", help="canonical form of an operator expression")
     p_simplify.add_argument("--op", required=True)
 
-    p_diff = sub.add_parser("diff", help="discrete derivative")
-    seq_arg(p_diff)
+    p_diff = seq_arg(sub.add_parser("diff", help="discrete derivative"))
     p_diff.add_argument("--order", type=_integer, default=1)
 
-    p_int = sub.add_parser("integrate", help="antiderivative (cumulative sums)")
-    seq_arg(p_int)
+    p_int = seq_arg(sub.add_parser("integrate", help="antiderivative (cumulative sums)"))
     p_int.add_argument("--constant", required=True, help="integration constant, e.g. 1 or 3/2")
 
-    p_defint = sub.add_parser("defint", help="definite integral (inclusive sum)")
-    seq_arg(p_defint)
+    p_defint = seq_arg(sub.add_parser("defint", help="definite integral (inclusive sum)"))
     p_defint.add_argument("--from", dest="lower", type=_integer, required=True)
     p_defint.add_argument("--to", dest="upper", type=_integer, required=True)
 
-    p_classify = sub.add_parser("classify", help="monotonicity and convexity flags")
-    seq_arg(p_classify)
+    seq_arg(sub.add_parser("classify", help="monotonicity and convexity flags"))
 
-    p_lagrange = sub.add_parser("lagrange", help="interpolation through consecutive points")
-    seq_arg(p_lagrange)
+    p_lagrange = seq_arg(sub.add_parser("lagrange", help="interpolation through consecutive points"))
     p_lagrange.add_argument("--n0", type=_integer, required=True)
     p_lagrange.add_argument("--m", type=_integer, required=True)
     mode = p_lagrange.add_mutually_exclusive_group()
@@ -92,70 +88,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    if args.command == "apply":
-        poly = parse_operator_poly(args.op)
-        seq = seqio.load_sequence(args.seq)
-        print(render_json(seqio.sequence_payload(poly.apply(seq))))
-        return 0
-
     if args.command == "simplify":
         payload = seqio.operator_payload(parse_operator_poly(args.op))
         print(payload["text"])
         print(render_json(payload))
         return 0
 
-    if args.command == "diff":
-        seq = seqio.load_sequence(args.seq)
-        print(render_json(seqio.sequence_payload(derivative(seq, args.order))))
-        return 0
-
-    if args.command == "integrate":
-        seq = seqio.load_sequence(args.seq)
-        constant = parse_rational(args.constant)
-        print(render_json(seqio.sequence_payload(antiderivative(seq, constant))))
-        return 0
-
-    if args.command == "defint":
-        seq = seqio.load_sequence(args.seq)
-        value = definite_integral(seq, args.lower, args.upper)
-        print(render_json(seqio.rational_payload(value)))
-        return 0
-
-    if args.command == "classify":
-        seq = seqio.load_sequence(args.seq)
-        monotonicity = classify_monotonicity(seq)
-        convexity = classify_convexity(seq) if len(seq) >= 3 else None
-        print(render_json(seqio.classification_payload(monotonicity, convexity)))
-        return 0
-
-    if args.command == "lagrange":
-        seq = seqio.load_sequence(args.seq)
-        if args.det:
-            value = dm_via_determinant(seq, args.n0, args.m)
-            print(render_json(seqio.rational_payload(value)))
-        elif args.eval_at is not None:
-            poly = lagrange_poly(seq, args.n0, args.m)
-            value = poly.evaluate(parse_rational(args.eval_at))
-            print(render_json(seqio.rational_payload(value)))
-        else:
-            poly = lagrange_poly(seq, args.n0, args.m)
-            print(render_json(seqio.polynomial_payload(poly)))
-        return 0
-
     if args.command == "verify":
         from . import verify  # imported on need: no other command uses the verifier
 
+        bounds = (args.trials, args.seed, args.min_len, args.max_len)
         if args.check == "all":
-            reports = verify.run_all(args.trials, args.seed, args.min_len, args.max_len)
+            reports = verify.run_all(*bounds)
         else:
-            spec = verify.CheckSpec(
-                args.check, args.trials, args.seed, args.min_len, args.max_len
-            )
-            reports = [verify.run_check(spec)]
+            reports = [verify.run_check(verify.CheckSpec(args.check, *bounds))]
         print(render_json(seqio.verification_payload(reports)))
         return 0 if all(r.passed for r in reports) else 1
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+    # inputs are read in a fixed order, so of two faults the first one read is reported
+    poly = parse_operator_poly(args.op) if args.command == "apply" else None
+    seq = seqio.load_sequence(args.seq)
+    if args.command == "apply":
+        payload = seqio.sequence_payload(poly.apply(seq))
+    elif args.command == "diff":
+        payload = seqio.sequence_payload(derivative(seq, args.order))
+    elif args.command == "integrate":
+        payload = seqio.sequence_payload(antiderivative(seq, parse_rational(args.constant)))
+    elif args.command == "defint":
+        payload = seqio.rational_payload(definite_integral(seq, args.lower, args.upper))
+    elif args.command == "classify":
+        monotonicity = classify_monotonicity(seq)
+        convexity = classify_convexity(seq) if len(seq) >= 3 else None
+        payload = seqio.classification_payload(monotonicity, convexity)
+    elif args.det:  # lagrange from here on
+        payload = seqio.rational_payload(dm_via_determinant(seq, args.n0, args.m))
+    elif args.eval_at is not None:
+        poly = lagrange_poly(seq, args.n0, args.m)
+        payload = seqio.rational_payload(poly.evaluate(parse_rational(args.eval_at)))
+    else:
+        payload = seqio.polynomial_payload(lagrange_poly(seq, args.n0, args.m))
+    print(render_json(payload))
+    return 0
 
 
 def main(argv=None) -> int:
@@ -175,12 +148,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"seqcalc: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"seqcalc: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
     except Exception as exc:  # exit 1 must keep meaning "a check failed"
         print(f"seqcalc: internal error: {type(exc).__name__}", file=sys.stderr)
         return 4

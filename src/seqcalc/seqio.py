@@ -16,10 +16,12 @@ and lines end at every ``str.splitlines()`` boundary (a bfile comment too).
 Reading has two parts.  The scanner checks each line (or inline piece, or
 json string) with one regex ``fullmatch``, then converts the whole text at
 once: ``split``, ``partition("/")`` and ``int`` over C-level maps, and one
-dict from denominator text to scale factor.  Only when that fails does an
-error walk go token by token, to raise the error, with its line number, that
-the first bad token earns; it produces no values.  ``render_json`` writes
-each list of entry texts with one join into the result itself.
+dict from each denominator text to its int; ``FiniteSeq.from_columns`` takes
+the numerators and denominators, and only ``sequences`` chooses the common
+denominator.  Only when the scan fails does an error walk go token by token,
+to raise the error, with its line number, that the first bad token earns; it
+produces no values.  ``render_json`` writes each list of entry texts with one
+join into the result itself.
 
 Every user-facing rational is rendered as "p/q" (plain "p" for integers),
 never as a decimal.  Reports share the versioned schema tag "seqcalc/1" and
@@ -32,13 +34,12 @@ import json
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import FormatError, NonContiguousIndex, quoted
 from .lagrange import Polynomial, render_coefficients
 from .operators import render_terms
-from .sequences import DEN_BITS, FiniteSeq, Texts, format_items, format_rational, format_sequence
+from .sequences import FiniteSeq, Texts, format_items, format_rational, format_sequence
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -68,50 +69,44 @@ def parse_integer(text: str) -> int:
 def _scan(parts: list[tuple]) -> FiniteSeq:
     """The sequence of valid tokens' parts (numerator, "/" or "", denominator or "").
 
-    A dict maps each distinct denominator text to its scale factor, so every
-    entry costs C-level maps only.  ValueError: int()'s digit limit, or a 0 denominator.
+    A dict maps each distinct denominator text to its int, so every entry costs
+    C-level maps only.  ValueError: int()'s digit limit, or a 0 denominator.
     """
     nums, dens = list(map(int, map(itemgetter(0), parts))), list(map(itemgetter(2), parts))
-    qs = {d: int(d or 1) for d in dict.fromkeys(dens)}
+    qs = {d: int(d or 1) for d in set(dens)}
     if 0 in qs.values():
         raise ValueError("zero denominator")
-    den = 1
-    for q in qs.values():
-        den = lcm(den, q)
-        if den.bit_length() > DEN_BITS:
-            return FiniteSeq.from_ratios(list(zip(nums, map(qs.__getitem__, dens))))
-    scale = {d: den // q for d, q in qs.items()}
-    return FiniteSeq.from_scaled(list(map(mul, nums, map(scale.__getitem__, dens))), den)
+    return FiniteSeq.from_columns(nums, list(map(qs.__getitem__, dens)))
 
 
-def _check(piece: str, line: int | None = None) -> None:
-    """Raise the error of one rational literal, if it has one: the error walks' step."""
+def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
+    """(p, q) of one rational literal, or its error: the error walks' step."""
     token = piece.strip()
     if not _PIECE.fullmatch(token):
         raise FormatError(f"not a rational literal: {quoted(token)}", line)
     num, _, den = token.partition("/")
     try:
-        int(num)
-        q = int(den or 1)
+        p, q = int(num), int(den or 1)
     except ValueError:
         raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
     if q == 0:
         raise FormatError(f"zero denominator in {quoted(token)}", line)
+    return p, q
 
 
 def _parse_pieces(pieces: list[str], line: int | None = None) -> FiniteSeq:
-    """Comma-separated rationals: inline text, a one-row csv, one --constant."""
+    """Comma-separated rationals: inline text or a one-row csv."""
     try:
         if all(map(_PIECE.fullmatch, pieces)):
             return _scan(list(map(str.partition, map(str.strip, pieces), repeat("/"))))
     except ValueError:
         pass
     for piece in pieces:
-        _check(piece, line)
+        _ratio(piece, line)
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
-    return _parse_pieces([text], line).values[0]
+    return Fraction(*_ratio(text, line))
 
 
 def parse_inline(text: str) -> FiniteSeq:
@@ -131,7 +126,7 @@ def parse_csv(text: str) -> FiniteSeq:
     for number, line in rows:
         if "," in line:
             raise FormatError("unexpected comma in multi-row csv", number)
-        _check(line, number)
+        _ratio(line, number)
 
 
 def parse_json(text: str) -> FiniteSeq:
@@ -156,7 +151,7 @@ def parse_json(text: str) -> FiniteSeq:
         if isinstance(item, bool) or not isinstance(item, (int, str)):
             raise FormatError(f"json entries must be integers or 'p/q' strings, got {quoted(item)}")
         if isinstance(item, str):
-            _check(item)
+            _ratio(item)
 
 
 def parse_bfile(text: str) -> FiniteSeq:
@@ -184,7 +179,7 @@ def parse_bfile(text: str) -> FiniteSeq:
         if expected is not None and index != expected:
             raise NonContiguousIndex(expected, index, number)
         expected = index + 1
-        _check(fields[1], number)
+        _ratio(fields[1], number)
 
 
 _PARSERS = {
@@ -198,13 +193,11 @@ FORMATS = tuple(_PARSERS)
 
 
 def parse_sequence_text(text: str, source_format: str) -> FiniteSeq:
-    try:
-        parser = _PARSERS[source_format]
-    except KeyError:
+    if source_format not in _PARSERS:
         raise FormatError(
             f"unknown sequence format {quoted(source_format)}; known: {', '.join(FORMATS)}"
-        ) from None
-    return parser(text)
+        )
+    return _PARSERS[source_format](text)
 
 
 def load_sequence(spec_text: str) -> FiniteSeq:
@@ -233,11 +226,9 @@ def render_sequence(seq: FiniteSeq, target_format: str) -> str:
     if target_format == "csv":
         return "\n".join(format_sequence(seq)) + ("\n" if len(seq) else "")
     if target_format == "json":
-        texts = format_sequence(seq)
-        return "[" + ", ".join(f'"{t}"' if "/" in t else t for t in texts) + "]"
+        return "[" + ", ".join(f'"{t}"' if "/" in t else t for t in format_sequence(seq)) + "]"
     if target_format == "bfile":
-        lines = [f"{i} {t}" for i, t in enumerate(format_sequence(seq), start=1)]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(f"{i} {t}\n" for i, t in enumerate(format_sequence(seq), start=1))
     raise FormatError(f"unknown sequence format {quoted(target_format)}")
 
 
@@ -278,22 +269,16 @@ def polynomial_payload(poly: Polynomial) -> dict:
     }
 
 
-def monotonicity_payload(report: MonotonicityReport) -> dict:
-    return report._asdict()
-
-
-def convexity_payload(report: ConvexityReport) -> dict:
-    return {**report._asdict(), "second_derivative": format_sequence(report.second_derivative)}
-
-
 def classification_payload(
     monotonicity: MonotonicityReport, convexity: ConvexityReport | None
 ) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "classification",
-        "monotonicity": monotonicity_payload(monotonicity),
-        "convexity": convexity_payload(convexity) if convexity is not None else None,
+        "monotonicity": monotonicity._asdict(),
+        "convexity": None if convexity is None else {
+            **convexity._asdict(), "second_derivative": format_sequence(convexity.second_derivative)
+        },
     }
 
 

@@ -15,8 +15,8 @@ and ``den`` a positive int.  The items are plain ints while the lcm of the
 entry denominators fits in ``DEN_BITS`` bits; past that bound they are the
 entries' own Fractions over ``den = 1``, and the same kernel loops run on
 them.  Every sequence holds its working form from the moment it is built:
-the constructor and the parsers (via ``from_ratios``) choose ``den``, and
-kernels, slices and elementwise arithmetic build the form directly.
+only the constructors here choose ``den`` (the parsers call ``from_columns``),
+and kernels, slices and elementwise arithmetic build the form directly.
 ``values``, the public tuple of reduced Fractions, is a view built from it
 when first asked for; a sequence built from Fractions keeps them as that
 view.  Sums and differences align two sequences to lcm(d1, d2), products
@@ -25,7 +25,7 @@ aligned or product denominator would pass ``DEN_BITS``, the arithmetic runs
 on ``values`` instead.
 
 ``DEN_BITS`` governs only the denominators chosen here: when a sequence is
-built from entries or ratios, and in ``_combine``.  ``OperatorPoly.apply``
+built from entries, ratios or columns, and in ``_combine``.  ``OperatorPoly.apply``
 and ``calculus.antiderivative`` fold a scalar's denominator into ``den`` and
 keep int items even past the bound: every application of ``M`` doubles
 ``den``, and one application of ``(3/4*I - 5/7*E)^60`` multiplies it by 28**60.
@@ -60,22 +60,32 @@ so its result may carry int items over a larger ``den``.
 """
 
 
-def _working_form(
-    ratios: Iterable[tuple[int, int]], dens: set[int], view: tuple | None
-) -> tuple[Sequence, int, tuple | None]:
-    """(items, den, view) of the entries p / q over the (p, q) in ratios, q > 0.
-
-    The items are ints over the lcm of dens while it fits in DEN_BITS bits, else
-    the entries' Fractions over den = 1, which are their own view.  ``view`` is
-    the entries as reduced Fractions where the caller has them, else None.
-    """
+def _common_den(dens: Iterable[int]) -> int:
+    """The lcm of dens while it fits in DEN_BITS bits, else 0: the items are then Fractions."""
     den = 1
     for d in dens:
         den = lcm(den, d)
         if den.bit_length() > DEN_BITS:
-            items = view if view is not None else tuple(Fraction(p, q) for p, q in ratios)
-            return items, 1, items
-    return [p * (den // q) for p, q in ratios], den, view
+            return 0
+    return den
+
+
+def _working_form(
+    nums: Sequence[int], dens: Sequence[int], view: tuple | None
+) -> tuple[Sequence, int, tuple | None]:
+    """(items, den, view) of the entries nums[i] / dens[i], every dens[i] > 0.
+
+    The items are ints over ``_common_den(dens)``, each scaled by a dict entry
+    for its denominator, else the entries' Fractions over den = 1, their own
+    view.  ``view`` is the entries as reduced Fractions if the caller has them.
+    """
+    distinct = set(dens)
+    den = _common_den(distinct)
+    if not den:
+        items = view if view is not None else tuple(map(Fraction, nums, dens))
+        return items, 1, items
+    scale = {d: den // d for d in distinct}
+    return list(map(mul, nums, map(scale.__getitem__, dens))), den, view
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -163,7 +173,7 @@ class FiniteSeq:
         entries = [v if type(v) is int else as_rational(v) for v in values]
         nums, dens = [v.numerator for v in entries], [v.denominator for v in entries]
         view = None if int in map(type, entries) else tuple(entries)  # all Fractions: keep them
-        self._items, self._den, self._values = _working_form(zip(nums, dens), set(dens), view)
+        self._items, self._den, self._values = _working_form(nums, dens, view)
 
     @staticmethod
     def from_scaled(items: Sequence, den: int) -> FiniteSeq:
@@ -178,8 +188,17 @@ class FiniteSeq:
     @staticmethod
     def from_ratios(ratios: Sequence[tuple[int, int]]) -> FiniteSeq:
         """The sequence of p / q over (p, q) pairs with q > 0, not necessarily reduced."""
+        den = _common_den({q for _, q in ratios})
+        if not den:
+            return FiniteSeq.from_columns(*zip(*ratios))
+        # a division per entry: on a few entries cheaper than from_columns's dict of scales
+        return FiniteSeq.from_scaled([p * (den // q) for p, q in ratios], den)
+
+    @staticmethod
+    def from_columns(nums: Sequence[int], dens: Sequence[int]) -> FiniteSeq:
+        """The sequence nums[i] / dens[i] over parallel lists with every dens[i] > 0."""
         seq = object.__new__(FiniteSeq)
-        seq._items, seq._den, seq._values = _working_form(ratios, {q for _, q in ratios}, None)
+        seq._items, seq._den, seq._values = _working_form(nums, dens, None)
         return seq
 
     def scaled(self) -> tuple[Sequence, int]:
@@ -285,9 +304,7 @@ class FiniteSeq:
             return self._combine(other, mul)
         if not isinstance(other, (int, str, Fraction)):
             return NotImplemented
-        scalar = as_rational(other)
-        constant = FiniteSeq.from_scaled([scalar.numerator] * len(self), scalar.denominator)
-        return self._combine(constant, mul)
+        return self._combine(FiniteSeq.constant(other, len(self)), mul)
 
     def __rmul__(self, other: RationalLike) -> FiniteSeq:
         return self.__mul__(other)

@@ -459,14 +459,18 @@ def _check_det_equals_d2(spec: CheckSpec, rng: random.Random):
     yield from _det_equals_d2(s, *_o_ints(s.values))
 
 
-def _check_lagrange_leading(spec: CheckSpec, rng: random.Random):
+def _lagrange_instance(spec: CheckSpec, rng: random.Random):
+    """A random s, m and n0, s's interpolant on n0..n0 + m, and that window as ints over den."""
     n = _length(spec, rng)
     s = random_rational_sequence(n, rng)
     m = rng.randint(0, min(6, n - 1))
     n0 = rng.randint(1, n - m)
-    poly = lagrange_poly(s, n0, m)
     nums, den = _o_ints(s.values)
-    window = nums[n0 - 1 : n0 + m]
+    return s, m, n0, lagrange_poly(s, n0, m), nums[n0 - 1 : n0 + m], den
+
+
+def _check_lagrange_leading(spec: CheckSpec, rng: random.Random):
+    s, m, n0, poly, window, den = _lagrange_instance(spec, rng)
     oracle = _o_diff_m(window, m)[0]
     divided, weight = _o_leading_coefficient(range(n0, n0 + m + 1), window)
     deg = effective_degree(s, n0, m)
@@ -483,14 +487,8 @@ def _check_lagrange_leading(spec: CheckSpec, rng: random.Random):
 
 
 def _check_lagrange_mth(spec: CheckSpec, rng: random.Random):
-    n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    m = rng.randint(0, min(6, n - 1))
-    n0 = rng.randint(1, n - m)
-    poly = lagrange_poly(s, n0, m)
-    nums, den = _o_ints(s.values)
+    s, m, n0, poly, window, den = _lagrange_instance(spec, rng)
     xs = range(n0, n0 + m + 1)
-    window = nums[n0 - 1 : n0 + m]
     if not all(_equals(poly.evaluate(j), y, den) for j, y in zip(xs, window)):
         yield f"node mismatch m={m} n0={n0} S={_inline(s)}"
         return

@@ -155,6 +155,36 @@ def test_domain_errors_exit_3(capsys, argv):
     assert main(list(argv)) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        # --op is read before --seq
+        (
+            ("apply", "--op", "(", "--seq", "inline:x"),
+            2,
+            "seqcalc: at offset 1: expected generator or number or '(', found end of input\n",
+        ),
+        # --seq is read before --constant
+        (
+            ("integrate", "--seq", "inline:x", "--constant=y"),
+            2,
+            "seqcalc: not a rational literal: 'x'\n",
+        ),
+        # the interpolant (and so its window) comes before the --eval point
+        (
+            ("lagrange", "--seq", "inline:1,2", "--n0", "1", "--m", "5", "--eval=z"),
+            3,
+            "seqcalc: window 1..6 outside sequence of length 2\n",
+        ),
+    ],
+    ids=["apply", "integrate", "lagrange"],
+)
+def test_of_two_faults_the_first_input_read_is_reported(capsys, argv, code, stderr):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+
+
 def test_argparse_usage_exit_2(capsys):
     assert main(["diff"]) == 2  # missing --seq
     assert main(["not-a-command"]) == 2

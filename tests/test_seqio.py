@@ -305,6 +305,25 @@ def test_scanner_matches_the_reference_on_edge_cases(fmt):
         assert_same_as_reference(fmt, text)
 
 
+def _rational_outcome(read, text, line):
+    """read(text, line) as (p, q) in lowest terms, or the error's (type, message, line)."""
+    try:
+        value = read(text, line)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line
+    return value.numerator, value.denominator
+
+
+def _ref_rational(text, line):
+    return Fraction(*_ref_ratio(text, line))
+
+
+@pytest.mark.parametrize("line", [None, 7])
+def test_parse_rational_matches_the_reference_on_edge_cases(line):
+    for text in EDGE_CORPUS:
+        assert _rational_outcome(_ref_rational, text, line) == _rational_outcome(parse_rational, text, line)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bfile", "json"])
 def test_parsing_holds_a_few_hundred_bytes_per_entry(fmt):
     # a whole-text fullmatch keeps sre state per line: its match alone peaks at 880-1090 B
