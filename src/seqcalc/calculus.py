@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .errors import InvertedBounds, OutOfRange
+from .errors import InvertedBounds, OutOfRange, quoted
 from .operators import DIFFERENCE
 from .sequences import FiniteSeq, as_rational
 
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 def derivative(seq: FiniteSeq, order: int = 1) -> FiniteSeq:
     """order-fold difference; empty when order >= len(seq), S itself at order 0."""
     if order < 0:
-        raise OutOfRange(f"derivative order must be >= 0, got {order}")
+        raise OutOfRange(f"derivative order must be >= 0, got {quoted(order)}")
     for _ in range(min(order, len(seq))):
         seq = DIFFERENCE.apply(seq)
     return seq
@@ -51,6 +51,6 @@ def definite_integral(seq: FiniteSeq, a: int, b: int) -> Fraction:
     if a > b:
         raise InvertedBounds(a, b)
     if a < 1 or b > n:
-        raise OutOfRange(f"bounds {a}..{b} outside 1..{n}")
+        raise OutOfRange(f"bounds {quoted(a)}..{quoted(b)} outside 1..{n}")
     items, den = seq.scaled()
     return Fraction(sum(items[a - 1 : b]), den)

@@ -53,7 +53,7 @@ class OutOfRange(DomainError):
 
 class InvertedBounds(DomainError):
     def __init__(self, a: int, b: int):
-        super().__init__(f"lower bound {a} exceeds upper bound {b}")
+        super().__init__(f"lower bound {quoted(a)} exceeds upper bound {quoted(b)}")
         self.a = a
         self.b = b
 

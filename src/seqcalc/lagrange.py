@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd
 
-from .errors import OutOfRange
+from .errors import OutOfRange, quoted
 from .operators import DIFFERENCE
 from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
 
@@ -147,10 +147,10 @@ def bareiss_determinant(
 
 def _check_window(seq: FiniteSeq, start: int, m: int) -> None:
     if m < 0:
-        raise OutOfRange(f"order must be >= 0, got {m}")
+        raise OutOfRange(f"order must be >= 0, got {quoted(m)}")
     if start < 1 or start + m > len(seq):
         raise OutOfRange(
-            f"window {start}..{start + m} outside sequence of length {len(seq)}"
+            f"window {quoted(start)}..{quoted(start + m)} outside sequence of length {len(seq)}"
         )
 
 
@@ -208,6 +208,6 @@ def interpolation_determinants(seq: FiniteSeq, i: int, m: int) -> tuple[Fraction
 def dm_via_determinant(seq: FiniteSeq, i: int, m: int) -> Fraction:
     """Cramer-normalized determinant route: m! * det(M_S) / det(V)."""
     if m < 1:
-        raise OutOfRange(f"determinant route needs order >= 1, got {m}")
+        raise OutOfRange(f"determinant route needs order >= 1, got {quoted(m)}")
     det_ms, det_v = interpolation_determinants(seq, i, m)
     return factorial(m) * det_ms / det_v

@@ -23,7 +23,10 @@ of the same length (it acts as the scalar 0).
 An operator is stored in lowest terms as ``(terms, den)``: a nonzero integer
 per monomial over one positive den, with gcd(den, *terms) = 1 and den = 1 for
 zero.  So equal operators have equal forms, which ``==`` and ``hash`` compare.
-Sums align den to an lcm, and a product convolves the terms over d1 * d2.  A
+Sums align den to an lcm, and a product convolves the terms over d1 * d2.
+``__init__`` and the ring operations all end in one reducer, ``_reduce``:
+divide by the gcd, drop zero terms.  Sums, negations, products and powers
+hand it their int term maps directly, without ``__init__``'s parse.  A
 power expands over the base's first term u = c*I^a*E^b and the rest R:
 P^N = sum_k C(N, k) u^(N-k) R^k over d**N, with R^k convolved from R^(k-1)
 and c^(N-k) stepped down by exact division, so a two-term power costs O(N)
@@ -45,7 +48,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BadParameter, NegativePower
+from .errors import BadParameter, NegativePower, quoted
 from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -77,9 +80,14 @@ class OperatorPoly:
             if a < 0 or b < 0:
                 raise NegativePower(min(a, b))
             merged[a, b] = merged.get((a, b), 0) + c
-        g = gcd(den * d, *merged.values())
-        self._terms = {key: c // g for key, c in merged.items() if c}
-        self._den, self._stencil = den * d // g, None
+        self._reduce(merged, den * d)
+
+    def _reduce(self, terms: dict[Monomial, int], den: int) -> OperatorPoly:
+        """Store sum(c / den * monomial) over int terms, den > 0, in lowest terms."""
+        g = gcd(den, *terms.values())
+        self._terms = {key: c // g for key, c in terms.items() if c}
+        self._den, self._stencil = den // g, None
+        return self
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -130,12 +138,12 @@ class OperatorPoly:
         merged = {key: c * f1 for key, c in self._terms.items()}
         for key, c in other._terms.items():
             merged[key] = merged.get(key, 0) + c * f2
-        return OperatorPoly(merged, den)
+        return _from_ints(merged, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> OperatorPoly:
-        return OperatorPoly({key: -c for key, c in self._terms.items()}, self._den)
+        return _from_ints({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
         other = _coerce(other)
@@ -151,7 +159,7 @@ class OperatorPoly:
         if other is NotImplemented:
             return NotImplemented
         _check_work(len(self._terms) * len(other._terms), "product")
-        return OperatorPoly(_convolve(self._terms, other._terms), self._den * other._den)
+        return _from_ints(_convolve(self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -167,7 +175,9 @@ class OperatorPoly:
         if exponent < 0:
             raise NegativePower(exponent)
         if exponent > MAX_EXPONENT:
-            raise BadParameter(f"operator exponents must be <= {MAX_EXPONENT}, got {exponent}")
+            raise BadParameter(
+                f"operator exponents must be <= {MAX_EXPONENT}, got {quoted(exponent)}"
+            )
         if not self._terms:
             return OperatorPoly.scalar(1) if exponent == 0 else OperatorPoly()
         # P^n = sum_k C(n, k) u^(n-k) R^k over the first term u = c I^a E^b and the rest R
@@ -189,7 +199,7 @@ class OperatorPoly:
             binom = binom * j // (k + 1)
             c_power //= c
             rest_power = _convolve(rest_power, rest)
-        return OperatorPoly(sums, self._den**exponent)
+        return _from_ints(sums, self._den**exponent)
 
     def _weights(self) -> tuple[int, Fraction, list[tuple[int, int]]]:
         """(truncation, scale, [(shift b, integer weight)]), a +1 weight first."""
@@ -244,6 +254,11 @@ class OperatorPoly:
 
     def __repr__(self) -> str:
         return f"<OperatorPoly {self.render()}>"
+
+
+def _from_ints(terms: dict[Monomial, int], den: int) -> OperatorPoly:
+    """A ring result from its int term map over den > 0, without ``__init__``'s parse."""
+    return object.__new__(OperatorPoly)._reduce(terms, den)
 
 
 def _convolve(left: dict[Monomial, int], right: dict[Monomial, int]) -> dict[Monomial, int]:

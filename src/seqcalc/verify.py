@@ -6,16 +6,21 @@ single small sequence, an exhaustive integer sweep with values -2..2 and
 length 4).  Each check carries its own brute-force oracle, written at the
 raw index level so it shares no code with the implementation under test.
 
-The oracles run on integers.  ``_o_ints`` puts an instance's entries over
-their common denominator once, with ``math`` and int arithmetic only, and the
-oracle loops add and multiply those ints.  A result is compared by
-cross-multiplication: a sequence on its working form (``scaled()``, see
-``_same``), a scalar r as ``r.numerator * den == num * r.denominator``.
-Only the quotient, inverse and mean-inverse oracles and fd_bridge's step
-``1/h`` divide in Fractions.  Elsewhere no Fraction is built to be compared:
-the verifier builds one only as a kernel's input (a constant, a ratio, a
-step) or to write a failure text.  The sweep's sequences are built once per
-process, on first use; every run still checks every case.
+The oracles read the draws, not the library's build of them.  A random
+sequence is drawn as (p, q) ratios (``generators.random_ratios``); ``_drawn``
+hands them to ``FiniteSeq.from_ratios``, which builds the kernels' input,
+and the check hands the same ratios to ``_o_ints``, which puts them over
+lcm(q) with ``math`` and int arithmetic only.  So a fault in the input build
+fails the check instead of reaching both sides.  A drawn scalar gives its
+numerator and denominator, and a geometric instance its start and ratio
+(``_o_geometric``).  The oracle loops add and multiply those ints; the
+quotient oracles cross-multiply the ratios (``_o_quotients``).  A result is
+compared by cross-multiplication: a sequence on its working form
+(``scaled()``, see ``_same``), a scalar r as
+``r.numerator * den == num * r.denominator``.  No oracle builds or divides a
+Fraction: the verifier builds one only as a kernel's input (a constant, a
+ratio, a step) or to write a failure text.  The sweep's sequences are built
+once per process, on first use; every run still checks every case.
 
 A check is its body: a generator ``body(spec, rng)`` that draws one instance
 (its length, through ``_length``, where its draw order needs it) and yields
@@ -27,7 +32,10 @@ instance's label (``exhaustive: ``, ``trial t: `` and so on).  A
 report keeps the first ``MAX_FAILURES`` failure texts and counts them all.
 
 Reports are deterministic: trial t draws from a generator seeded by
-(name, seed, t), so results do not depend on execution order.
+(name, seed, t), so results do not depend on execution order.  Every integer
+draw goes through ``generators.draw``, which takes the words that
+``rng.randint`` would take, so the draws and every pinned digest stay those
+of ``randint``.
 """
 
 from __future__ import annotations
@@ -44,11 +52,13 @@ from .analysis import classify_convexity, collinearity_determinant
 from .errors import BadParameter, SeqCalcError, UnknownCheck, quoted
 from .generators import (
     arithmetic_sequence,
+    draw,
     geometric_sequence,
     random_nonzero_rational,
+    random_nonzero_ratios,
     random_rational,
     random_rational_sequence,
-    random_zero_free_sequence,
+    random_ratios,
 )
 from .lagrange import (
     dm_via_determinant,
@@ -92,17 +102,17 @@ class CheckSpec(
     def __new__(cls, *args, **kwargs):
         spec = super().__new__(cls, *args, **kwargs)
         if spec.trials < 1:
-            raise BadParameter(f"trials must be >= 1, got {spec.trials}")
+            raise BadParameter(f"trials must be >= 1, got {quoted(spec.trials)}")
         if spec.trials > MAX_TRIALS:
             raise BadParameter(f"trials must be <= {MAX_TRIALS}, got {quoted(spec.trials)}")
         if spec.min_length < 2:
-            raise BadParameter(f"min length must be >= 2, got {spec.min_length}")
+            raise BadParameter(f"min length must be >= 2, got {quoted(spec.min_length)}")
         for label, length in (("min", spec.min_length), ("max", spec.max_length)):
             if length > MAX_LENGTH:
                 raise BadParameter(f"{label} length must be <= {MAX_LENGTH}, got {quoted(length)}")
         if spec.max_length < spec.min_length:
             raise BadParameter(
-                f"max length {spec.max_length} below min length {spec.min_length}"
+                f"max length {quoted(spec.max_length)} below min length {quoted(spec.min_length)}"
             )
         return spec
 
@@ -113,7 +123,13 @@ CheckReport = namedtuple("CheckReport", "name trials_run failures failure_count 
 def _length(spec: CheckSpec, rng: random.Random, floor: int = 2) -> int:
     lo = max(spec.min_length, floor)
     hi = max(spec.max_length, lo)
-    return rng.randint(lo, hi)
+    return draw(rng, lo, hi)
+
+
+def _drawn(n: int, rng: random.Random, sample=random_ratios):
+    """(S, its draws): n (p, q) draws and the kernels' input built from them."""
+    ratios = sample(n, rng)
+    return FiniteSeq.from_ratios(ratios), ratios
 
 
 def _inline(seq: FiniteSeq) -> str:
@@ -123,10 +139,25 @@ def _inline(seq: FiniteSeq) -> str:
 # ---------------------------------------------------------------------------
 # raw-index oracles (no shared code with the modules under test), on ints
 
-def _o_ints(vals):
-    """(nums, den) with vals[i] == nums[i] / den, den the lcm of the denominators."""
-    den = lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals], den
+def _o_ints(ratios):
+    """(nums, den) with nums[i] / den == p / q for the i-th (p, q), q > 0, den the lcm of the q."""
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _o_quotients(tops, bottoms):
+    """The (p, q) ratios, q > 0, of tops[i] / bottoms[i], both (p, q) ratios, bottoms' p != 0."""
+    out = []
+    for (a, b), (c, d) in zip(tops, bottoms):
+        p, q = a * d, b * c
+        out.append((-p, -q) if q < 0 else (p, q))
+    return out
+
+
+def _o_geometric(start, q, n):
+    """(nums, den) of start * q^i, i < n: a p^i r^(n-1-i) over b r^(n-1), start = a/b, q = p/r."""
+    a, b, p, r = start.numerator, start.denominator, q.numerator, q.denominator
+    return [a * p**i * r ** (n - 1 - i) for i in range(n)], b * r ** (n - 1)
 
 
 def _o_diff(vals):
@@ -226,9 +257,9 @@ def _equals(r: Fraction, num, den) -> bool:
 
 def _check_product_rule(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    g = random_rational_sequence(n, rng)
-    (sn, sd), (gn, gd) = _o_ints(s.values), _o_ints(g.values)
+    s, s_draws = _drawn(n, rng)
+    g, g_draws = _drawn(n, rng)
+    (sn, sd), (gn, gd) = _o_ints(s_draws), _o_ints(g_draws)
     oracle = _o_diff([a * b for a, b in zip(sn, gn)])
     for label, candidate in (
         ("D(SG)", calculus.derivative(s * g)),
@@ -243,10 +274,11 @@ def _check_product_rule(spec: CheckSpec, rng: random.Random):
 
 def _check_quotient_rule(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    g = random_zero_free_sequence(n, rng)
+    s, s_draws = _drawn(n, rng)
+    g, g_draws = _drawn(n, rng, random_nonzero_ratios)
     lhs = calculus.derivative(s / g)
-    oracle, den = _o_ints(_o_diff([a / b for a, b in zip(s.values, g.values)]))
+    quotients, den = _o_ints(_o_quotients(s_draws, g_draws))
+    oracle = _o_diff(quotients)
     rhs = (calculus.derivative(s) * middle(g) - calculus.derivative(g) * middle(s)) / (
         top(g) * bottom(g)
     )
@@ -255,9 +287,11 @@ def _check_quotient_rule(spec: CheckSpec, rng: random.Random):
 
 
 def _check_inverse_rule(spec: CheckSpec, rng: random.Random):
-    g = random_zero_free_sequence(_length(spec, rng), rng)
+    n = _length(spec, rng)
+    g, g_draws = _drawn(n, rng, random_nonzero_ratios)
     lhs = calculus.derivative(g.inverse())
-    oracle, den = _o_ints(_o_diff([1 / v for v in g.values]))
+    inverses, den = _o_ints(_o_quotients([(1, 1)] * n, g_draws))
+    oracle = _o_diff(inverses)
     rhs = -(calculus.derivative(g) / (top(g) * bottom(g)))
     if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
         yield f"G={_inline(g)}"
@@ -265,20 +299,21 @@ def _check_inverse_rule(spec: CheckSpec, rng: random.Random):
 
 def _check_mean_inverse(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
-    g = random_zero_free_sequence(n, rng)
+    g, g_draws = _drawn(n, rng, random_nonzero_ratios)
     lhs = middle(g.inverse())
-    oracle, den = _o_ints([(1 / g.values[i] + 1 / g.values[i + 1]) / 2 for i in range(n - 1)])
+    inverses, den = _o_ints(_o_quotients([(1, 1)] * n, g_draws))
+    oracle = [inverses[i] + inverses[i + 1] for i in range(n - 1)]
     rhs = middle(g) / (top(g) * bottom(g))
-    if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
+    if not (_same(lhs, oracle, 2 * den) and _same(rhs, oracle, 2 * den)):
         yield f"G={_inline(g)}"
 
 
 def _check_antiderivative_roundtrip(spec: CheckSpec, rng: random.Random):
-    s = random_rational_sequence(_length(spec, rng), rng)
+    s, draws = _drawn(_length(spec, rng), rng)
     c = random_rational(rng)
     integral = calculus.antiderivative(s, c)
     # c, c + S(1), c + S(1) + S(2), ...: the partial sums of (c, S(1), ..., S(n))
-    nums, den = _o_ints([c, *s.values])
+    nums, den = _o_ints([(c.numerator, c.denominator), *draws])
     if not _same(integral, _o_partial_sums(nums), den):
         yield f"cumulative-sum oracle, S={_inline(s)} c={c}"
     if calculus.derivative(integral) != s:
@@ -288,10 +323,10 @@ def _check_antiderivative_roundtrip(spec: CheckSpec, rng: random.Random):
 
 
 def _check_partial_sums(spec: CheckSpec, rng: random.Random):
-    s = random_rational_sequence(_length(spec, rng), rng)
+    s, draws = _drawn(_length(spec, rng), rng)
     c = random_rational(rng)
     shifted = bottom(calculus.antiderivative(s, c))
-    nums, den = _o_ints([c, *s.values])
+    nums, den = _o_ints([(c.numerator, c.denominator), *draws])
     if not _same(shifted, _o_partial_sums(nums)[1:], den):
         yield f"S={_inline(s)} c={c}"
 
@@ -304,23 +339,23 @@ def _binomial_row(m):
 
 def _check_hod_binomial(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    m = rng.randint(0, min(8, n))
+    s, draws = _drawn(n, rng)
+    m = draw(rng, 0, min(8, n))
     applied = (DIFFERENCE**m).apply(s)
-    nums, den = _o_ints(s.values)
+    nums, den = _o_ints(draws)
     if not _same(applied, _o_diff_m(nums, m), den) or calculus.derivative(s, m) != applied:
         yield f"D^{m} on S={_inline(s)}"
 
 
 def _check_int_by_parts(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    g = random_rational_sequence(n, rng)
+    s, s_draws = _drawn(n, rng)
+    g, g_draws = _drawn(n, rng)
     c0 = random_rational(rng)
     c1 = s.at(1) * g.at(1) - c0
     lhs = calculus.antiderivative(calculus.derivative(s) * middle(g), c0)
     rhs = s * g - calculus.antiderivative(middle(s) * calculus.derivative(g), c1)
-    (sn, sd), (gn, gd) = _o_ints(s.values), _o_ints(g.values)
+    (sn, sd), (gn, gd) = _o_ints(s_draws), _o_ints(g_draws)
     # (S(j+1) - S(j)) * (G(j) + G(j+1)) / 2 and c0, all over 2 * sd * gd * c0's den
     terms_den = 2 * sd * gd
     raw_terms = [
@@ -341,7 +376,7 @@ def _check_geometric_rule(spec: CheckSpec, rng: random.Random):
     q = random_nonzero_rational(rng)
     s = geometric_sequence(start, q, n)
     lhs = calculus.derivative(s)
-    nums, den = _o_ints(s.values)
+    nums, den = _o_geometric(start, q, n)
     oracle = _o_diff(nums)
     rhs = top(s) * (q - 1)
     if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
@@ -357,7 +392,7 @@ def _check_arithmetic_rule(spec: CheckSpec, rng: random.Random):
     if ds != FiniteSeq.constant(d, n - 1):
         yield f"D S not constant d={d}"
         return
-    (first, step), den = _o_ints([s.at(1), d])
+    (first, step), den = _o_ints([(v.numerator, v.denominator) for v in (start, d)])
     for i in range(1, n):
         integral = calculus.definite_integral(ds, 1, i)
         if not (_equals(integral, i * step, den) and _equals(s.at(i + 1), first + i * step, den)):
@@ -368,7 +403,7 @@ def _check_arithmetic_rule(spec: CheckSpec, rng: random.Random):
 def _geometric_sum(start, q, n):
     s = geometric_sequence(start, q, n)
     lhs = calculus.definite_integral(top(s), 1, n - 1)
-    nums, den = _o_ints(s.values)
+    nums, den = _o_geometric(start, q, n)
     total = _o_sum(nums, 1, n - 1)
     # with q = p / r and k = n - 1, over den: the closed form S(1) (1 - q^k) / (1 - q)
     # is nums[0] (r^k - p^k) / (r^(k-1) (r - p)), and the telescoped
@@ -405,10 +440,10 @@ def _ftc(s, nums, den, a, b, constants):
 
 def _check_ftc(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    a = rng.randint(1, n)
-    b = rng.randint(a, n)
-    yield from _ftc(s, *_o_ints(s.values), a, b, (random_rational(rng),))
+    s, draws = _drawn(n, rng)
+    a = draw(rng, 1, n)
+    b = draw(rng, a, n)
+    yield from _ftc(s, *_o_ints(draws), a, b, (random_rational(rng),))
 
 
 def _convexity_equivalence(s, nums, den):
@@ -432,8 +467,8 @@ def _convexity_equivalence(s, nums, den):
 
 
 def _check_convexity_equivalence(spec: CheckSpec, rng: random.Random):
-    s = random_rational_sequence(_length(spec, rng, floor=3), rng)
-    yield from _convexity_equivalence(s, *_o_ints(s.values))
+    s, draws = _drawn(_length(spec, rng, floor=3), rng)
+    yield from _convexity_equivalence(s, *_o_ints(draws))
 
 
 def _det_equals_d2(s, nums, den):
@@ -455,17 +490,17 @@ def _det_equals_d2(s, nums, den):
 
 
 def _check_det_equals_d2(spec: CheckSpec, rng: random.Random):
-    s = random_rational_sequence(_length(spec, rng, floor=3), rng)
-    yield from _det_equals_d2(s, *_o_ints(s.values))
+    s, draws = _drawn(_length(spec, rng, floor=3), rng)
+    yield from _det_equals_d2(s, *_o_ints(draws))
 
 
 def _lagrange_instance(spec: CheckSpec, rng: random.Random):
     """A random s, m and n0, s's interpolant on n0..n0 + m, and that window as ints over den."""
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    m = rng.randint(0, min(6, n - 1))
-    n0 = rng.randint(1, n - m)
-    nums, den = _o_ints(s.values)
+    s, draws = _drawn(n, rng)
+    m = draw(rng, 0, min(6, n - 1))
+    n0 = draw(rng, 1, n - m)
+    nums, den = _o_ints(draws)
     return s, m, n0, lagrange_poly(s, n0, m), nums[n0 - 1 : n0 + m], den
 
 
@@ -521,16 +556,16 @@ def _cubes_node_determinant():
 
 def _check_det_normalization(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng, floor=3)
-    s = random_rational_sequence(n, rng)
-    i = rng.randint(1, n - 2)
-    nums, den = _o_ints(s.values)
+    s, draws = _drawn(n, rng)
+    i = draw(rng, 1, n - 2)
+    nums, den = _o_ints(draws)
     second = _o_diff_m(nums[i - 1 : i + 2], 2)[0]
     # The triangle determinant (columns x, S, 1) is exact at order 2.
     if not _equals(collinearity_determinant(s, i), second, den):
         yield f"order-2 A-determinant, S={_inline(s)} i={i}"
         return
-    m = rng.randint(1, min(4, n - 1))
-    i2 = rng.randint(1, n - m)
+    m = draw(rng, 1, min(4, n - 1))
+    i2 = draw(rng, 1, n - m)
     oracle = _o_diff_m(nums[i2 - 1 : i2 + m], m)[0]
     if not _equals(dm_via_determinant(s, i2, m), oracle, den):
         yield f"corrected route m={m} i={i2} S={_inline(s)}"
@@ -549,18 +584,18 @@ def _check_det_normalization(spec: CheckSpec, rng: random.Random):
 
 def _random_poly(rng: random.Random, max_terms: int = 4, max_power: int = 3) -> OperatorPoly:
     pairs = []
-    for _ in range(rng.randint(0, max_terms)):
-        key = (rng.randint(0, max_power), rng.randint(0, max_power))
+    for _ in range(draw(rng, 0, max_terms)):
+        key = (draw(rng, 0, max_power), draw(rng, 0, max_power))
         pairs.append((key, random_rational(rng)))
     return OperatorPoly(pairs)
 
 
 def _random_homogeneous_poly(rng: random.Random, max_degree: int = 3) -> OperatorPoly:
     while True:
-        degree = rng.randint(0, max_degree)
+        degree = draw(rng, 0, max_degree)
         pairs = []
-        for _ in range(rng.randint(1, 3)):
-            a = rng.randint(0, degree)
+        for _ in range(draw(rng, 1, 3)):
+            a = draw(rng, 0, degree)
             pairs.append(((a, degree - a), random_nonzero_rational(rng)))
         poly = OperatorPoly(pairs)
         if not poly.is_zero():
@@ -600,8 +635,8 @@ def _check_symbolic_laws(spec: CheckSpec, rng: random.Random):
 
 def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    h = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    s, draws = _drawn(n, rng)
+    h = Fraction(draw(rng, 1, 9), draw(rng, 1, 9))
     x0 = random_rational(rng)
     g = grid.GridFunction(x0, h, s)
 
@@ -618,7 +653,7 @@ def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
     if grid.discrete_derivative(g).samples != diff.samples * (1 / h):
         yield f"derivative scaling h={h}, S={_inline(s)}"
         return
-    nums, den = _o_ints(s.values)
+    nums, den = _o_ints(draws)
     diffs = _o_diff(nums)
     # (S(i+1) - S(i)) / h with h = p / q is (nums[i+1] - nums[i]) q / (den p)
     oracle = [x * h.denominator for x in diffs]
@@ -638,9 +673,9 @@ def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
         yield f"top/bottom prefix law, S={_inline(s)}"
         return
 
-    a = rng.randint(0, 3)
-    b = rng.randint(0, 3)
-    sign = rng.choice([1, -1])
+    a = draw(rng, 0, 3)
+    b = draw(rng, 0, 3)
+    sign = (1, -1)[draw(rng, 0, 1)]
     a, b = sign * a, sign * b
     # Same-sign shifts are the cases where both composition orders stay
     # defined; negative shifts additionally need enough samples to drop.

@@ -328,6 +328,33 @@ def test_long_integer_option_is_quoted_in_short(capsys, argv, token):
     assert " characters)" in err
 
 
+# Every integer option with a domain bound, given a 4000-digit int past that bound:
+# the domain error quotes the number in short, as the usage error does a long token.
+HUGE = "9" * 4000
+DOMAIN_BOUND_OPTIONS = [
+    ("diff", "--seq", "inline:1,2", "--order", f"-{HUGE}"),
+    ("defint", "--seq", "inline:1,2", "--to", "2", "--from", f"-{HUGE}"),
+    ("defint", "--seq", "inline:1,2", "--from", "1", "--to", HUGE),
+    ("lagrange", "--seq", "inline:1,2", "--m", "1", "--n0", HUGE),
+    ("lagrange", "--seq", "inline:1,2", "--n0", "1", "--m", HUGE),
+    ("lagrange", "--seq", "inline:1,2", "--n0", "1", "--det", "--m", f"-{HUGE}"),
+    ("verify", "--check", "all", "--trials", f"-{HUGE}"),
+    ("verify", "--check", "all", "--min-len", f"-{HUGE}"),
+    ("verify", "--check", "all", "--max-len", f"-{HUGE}"),
+    ("simplify", "--op", f"I^{HUGE}"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", DOMAIN_BOUND_OPTIONS, ids=lambda argv: " ".join(argv[:1] + argv[3:-1])
+)
+def test_huge_integer_past_a_domain_bound_is_quoted_in_short(capsys, argv):
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert " characters)" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json", "bfile"])
 def test_non_utf8_file_is_a_format_error(capsys, tmp_path, fmt):
     path = tmp_path / f"input.{fmt}"

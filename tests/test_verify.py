@@ -24,9 +24,10 @@ from seqcalc.cli import main
 from seqcalc.errors import BadParameter, UnknownCheck
 from seqcalc.generators import (
     arithmetic_sequence,
+    draw,
     geometric_sequence,
+    random_nonzero_ratios,
     random_rational_sequence,
-    random_zero_free_sequence,
 )
 from seqcalc.seqio import check_payload, render_json, verification_payload
 
@@ -119,8 +120,22 @@ def test_random_generator_ranges():
     s = random_rational_sequence(200, rng)
     assert all(-9 <= v.numerator <= 9 or abs(v) <= 9 for v in s)
     assert all(1 <= v.denominator <= 9 for v in s)
-    zero_free = random_zero_free_sequence(50, random.Random(1))
+    zero_free = FiniteSeq.from_ratios(random_nonzero_ratios(50, random.Random(1)))
     assert all(v != 0 for v in zero_free)
+
+
+def test_draw_takes_the_words_that_randint_and_choice_take():
+    for seed in range(21):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for width in range(1, 131):
+            lo = width - 65  # ranges below, across and above zero
+            assert draw(ours, lo, lo + width - 1) == theirs.randint(lo, lo + width - 1)
+            items = tuple(range(width))
+            assert items[draw(ours, 0, width - 1)] == theirs.choice(items)
+            assert ours.getstate() == theirs.getstate()
+    for lo, hi in ((1, 0), (5, -5)):
+        with pytest.raises(ValueError):
+            draw(random.Random(0), lo, hi)
 
 
 def _off_by_one_in_the_first_entry(seq):
@@ -134,6 +149,19 @@ def test_oracles_catch_a_broken_product_kernel(monkeypatch):
         return _off_by_one_in_the_first_entry(original(self, other))
 
     monkeypatch.setattr(FiniteSeq, "__mul__", broken)
+    report = run_check(CheckSpec("product_rule", trials=10, seed=7, min_length=2, max_length=6))
+    assert report.passed is False
+
+
+def test_oracles_catch_a_broken_input_build(monkeypatch):
+    # the oracles read the (p, q) draws, not the sequence from_ratios builds from them
+    original = FiniteSeq.from_ratios
+
+    def broken(ratios):
+        (p, q), *rest = ratios
+        return original([(p + 1, q), *rest])
+
+    monkeypatch.setattr(FiniteSeq, "from_ratios", staticmethod(broken))
     report = run_check(CheckSpec("product_rule", trials=10, seed=7, min_length=2, max_length=6))
     assert report.passed is False
 
