@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive; juxtaposition means composition):
 
-    expr     := ["-"] term (("+" | "-") term)*
+    expr     := term (("+" | "-") term)*
     term     := factor (("*" factor) | factor)*
     factor   := "-" factor | atom ("^" uint)?
     atom     := "1" | "I" | "E" | "M" | "D" | rational | "(" expr ")"
@@ -67,11 +67,17 @@ def _tokenize(text: str) -> list[_Token]:
 
 _ATOM_START = ("NUMBER", "LETTER", "LPAREN")
 
+MAX_DEPTH = 64
+"""Factors open at once: every "(" and "-" opens one, and the token that opens
+one more is a ParseError.  A "(" costs four Python frames of the descent, and
+without the bound 248 nested ones met the recursion limit."""
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def kind(self) -> str:
         """The next token's kind."""
@@ -96,11 +102,7 @@ class _Parser:
         return poly
 
     def expr(self) -> OperatorPoly:
-        if self.kind() == "MINUS":
-            self.advance()
-            poly = -self.term()
-        else:
-            poly = self.term()
+        poly = self.term()
         while self.kind() in ("PLUS", "MINUS"):
             op = self.advance()[0]
             right = self.term()
@@ -118,14 +120,21 @@ class _Parser:
             poly = poly * self.factor()
 
     def factor(self) -> OperatorPoly:
+        if self.depth == MAX_DEPTH:
+            _, text, offset = self.tokens[self.pos]
+            expected = (f"at most {MAX_DEPTH} nested factors",)
+            raise ParseError(offset, expected, text or "end of input")
+        self.depth += 1
         if self.kind() == "MINUS":
             self.advance()
-            return -self.factor()
-        poly = self.atom()
-        if self.kind() == "CARET":
-            self.advance()
-            _, text, offset = self.expect("NUMBER", ("nonnegative integer exponent",))
-            return poly ** _integer(text, offset)
+            poly = -self.factor()
+        else:
+            poly = self.atom()
+            if self.kind() == "CARET":
+                self.advance()
+                _, text, offset = self.expect("NUMBER", ("nonnegative integer exponent",))
+                poly = poly ** _integer(text, offset)
+        self.depth -= 1
         return poly
 
     def atom(self) -> OperatorPoly:

@@ -13,15 +13,17 @@ digits with a nonzero denominator, and every number within Python's int/str
 digit limit.  Whitespace around a token is anything ``str.strip()`` removes,
 and lines end at every ``str.splitlines()`` boundary (a bfile comment too).
 
-Reading has two parts.  The scanner checks each line (or inline piece, or
-json string) with one regex ``fullmatch``, then converts the whole text at
-once: ``split``, ``partition("/")`` and ``int`` over C-level maps, and one
-dict from each denominator text to its int; ``FiniteSeq.from_columns`` takes
-the numerators and denominators, and only ``sequences`` chooses the common
-denominator.  Only when the scan fails does an error walk go token by token,
-to raise the error, with its line number, that the first bad token earns; it
-produces no values.  ``render_json`` writes each list of entry texts with one
-join into the result itself.
+Every format is read by one reader, ``_read``, which ends in a sequence or
+an error.  A format checks each line (or inline piece, or json string) with
+one regex ``fullmatch`` and, where all pass, hands the reader its token
+parts, which the scan converts at once: ``partition("/")`` and ``int`` over
+C-level maps, one dict from each denominator text to its int, then
+``FiniteSeq.from_columns``, so only ``sequences`` chooses the common
+denominator.  Where the scan fails, the reader walks the format's cells,
+(piece, line) pairs that raise its own errors in input order, token by
+token, so the first bad cell or token raises its error with its line
+number.  ``render_json`` writes each list of entry texts with one join into
+the result itself.
 
 Every user-facing rational is rendered as "p/q" (plain "p" for integers),
 never as a decimal.  Reports share the versioned schema tag "seqcalc/1" and
@@ -43,6 +45,8 @@ from .sequences import FiniteSeq, Texts, format_items, format_rational, format_s
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from .analysis import ConvexityReport, MonotonicityReport
     from .operators import OperatorPoly
     from .verify import CheckReport
@@ -55,7 +59,8 @@ SCHEMA = "seqcalc/1"
 _TOKEN = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _PIECE = re.compile(rf"\s*{_TOKEN}\s*")
 _CSV_LINE = re.compile(rf"\s*(?:{_TOKEN})?\s*")
-_BFILE_LINE = re.compile(rf"\s*(?:#.*|[+-]?[0-9]+\s+{_TOKEN})?\s*")
+# int() reads 640 digits under any int/str digit limit; a longer index goes to the walk
+_BFILE_LINE = re.compile(rf"\s*(?:#.*|[+-]?[0-9]{{1,640}}\s+{_TOKEN})?\s*")
 _COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")  # to the line's end
 
 
@@ -80,7 +85,7 @@ def _scan(parts: list[tuple]) -> FiniteSeq:
 
 
 def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
-    """(p, q) of one rational literal, or its error: the error walks' step."""
+    """(p, q) of one rational literal, or its error: the walk's step."""
     token = piece.strip()
     if not _PIECE.fullmatch(token):
         raise FormatError(f"not a rational literal: {quoted(token)}", line)
@@ -94,39 +99,55 @@ def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
     return p, q
 
 
-def _parse_pieces(pieces: list[str], line: int | None = None) -> FiniteSeq:
-    """Comma-separated rationals: inline text or a one-row csv."""
+def _read(parts: Iterable[tuple] | None, cells: Iterable[tuple[str, int | None]]) -> FiniteSeq:
+    """The scan of parts (None where the format's structure regex failed), or else
+    the walk of cells: the first bad cell or token raises its error."""
     try:
-        if all(map(_PIECE.fullmatch, pieces)):
-            return _scan(list(map(str.partition, map(str.strip, pieces), repeat("/"))))
+        if parts is not None:
+            return _scan(list(parts))
     except ValueError:
         pass
-    for piece in pieces:
-        _ratio(piece, line)
+    return FiniteSeq.from_ratios([_ratio(piece, line) for piece, line in cells])
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
     return Fraction(*_ratio(text, line))
 
 
-def parse_inline(text: str) -> FiniteSeq:
-    body = text.strip()
-    return _parse_pieces(body.split(",")) if body else FiniteSeq()
+def parse_inline(text: str, line: int | None = None) -> FiniteSeq:
+    """Comma-separated rationals; a one-row csv passes its line number."""
+    pieces = text.split(",") if text.strip() else []
+    parts = None
+    if all(map(_PIECE.fullmatch, pieces)):
+        parts = map(str.partition, map(str.strip, pieces), repeat("/"))
+    return _read(parts, zip(pieces, repeat(line)))
+
+
+def _csv_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
+    for number, raw in enumerate(lines, start=1):
+        if "," in raw:
+            raise FormatError("unexpected comma in multi-row csv", number)
+        if line := raw.strip():
+            yield line, number
 
 
 def parse_csv(text: str) -> FiniteSeq:
-    try:
-        if all(map(_CSV_LINE.fullmatch, text.splitlines())):
-            return _scan(list(map(str.partition, text.split(), repeat("/"))))
-    except ValueError:
-        pass
-    rows = [(n, line) for n, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
-    if len(rows) == 1 and "," in rows[0][1]:
-        return _parse_pieces(rows[0][1].split(","), rows[0][0])
-    for number, line in rows:
-        if "," in line:
-            raise FormatError("unexpected comma in multi-row csv", number)
-        _ratio(line, number)
+    lines = text.splitlines()
+    parts = None
+    if all(map(_CSV_LINE.fullmatch, lines)):
+        parts = map(str.partition, text.split(), repeat("/"))
+    else:
+        rows = [(line, n) for n, raw in enumerate(lines, start=1) if (line := raw.strip())]
+        if len(rows) == 1 and "," in rows[0][0]:
+            return parse_inline(*rows[0])  # a one-row csv
+    return _read(parts, _csv_cells(lines))
+
+
+def _json_cells(data: list) -> Iterator[tuple[str, None]]:
+    for item in data:
+        if isinstance(item, bool) or not isinstance(item, (int, str)):
+            raise FormatError(f"json entries must be integers or 'p/q' strings, got {quoted(item)}")
+        yield str(item), None
 
 
 def parse_json(text: str) -> FiniteSeq:
@@ -140,32 +161,16 @@ def parse_json(text: str) -> FiniteSeq:
         raise FormatError("json arrays are nested too deeply to parse") from None
     if not isinstance(data, list):
         raise FormatError("json sequence must be an array")
-    try:
-        if set(map(type, data)) <= {int, str} and all(
-            _PIECE.fullmatch(x) for x in data if type(x) is str
-        ):
-            return _scan([x.strip().partition("/") if type(x) is str else (x, "", "") for x in data])
-    except ValueError:
-        pass
-    for item in data:
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            raise FormatError(f"json entries must be integers or 'p/q' strings, got {quoted(item)}")
-        if isinstance(item, str):
-            _ratio(item)
+    parts = None
+    strings = [x for x in data if type(x) is str]
+    if set(map(type, data)) <= {int, str} and all(map(_PIECE.fullmatch, strings)):
+        parts = [x.strip().partition("/") if type(x) is str else (x, "", "") for x in data]
+    return _read(parts, _json_cells(data))
 
 
-def parse_bfile(text: str) -> FiniteSeq:
-    try:
-        if all(map(_BFILE_LINE.fullmatch, text.splitlines())):
-            fields = _COMMENT.sub("", text).split()  # index, value, index, value, ...
-            first = int(fields[0]) if fields else 0
-            if list(map(int, fields[0::2])) == list(range(first, first + len(fields) // 2)):
-                del fields[0::2]
-                return _scan(list(map(str.partition, fields, repeat("/"))))
-    except ValueError:
-        pass
+def _bfile_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
     expected = None
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -179,7 +184,18 @@ def parse_bfile(text: str) -> FiniteSeq:
         if expected is not None and index != expected:
             raise NonContiguousIndex(expected, index, number)
         expected = index + 1
-        _ratio(fields[1], number)
+        yield fields[1], number
+
+
+def parse_bfile(text: str) -> FiniteSeq:
+    lines = text.splitlines()
+    parts = None
+    if all(map(_BFILE_LINE.fullmatch, lines)):
+        fields = _COMMENT.sub("", text).split()  # index, value, index, value, ...
+        first = int(fields[0]) if fields else 0
+        if list(map(int, fields[0::2])) == list(range(first, first + len(fields) // 2)):
+            parts = map(str.partition, fields[1::2], repeat("/"))
+    return _read(parts, _bfile_cells(lines))
 
 
 _PARSERS = {
@@ -206,7 +222,7 @@ def load_sequence(spec_text: str) -> FiniteSeq:
     if tag not in FORMATS:
         raise FormatError(f"sequence spec must start with one of {FORMATS}, got {quoted(tag)}")
     if tag == "inline":
-        return parse_sequence_text(rest, "inline")
+        return parse_inline(rest)
     try:
         with open(rest, encoding="utf-8") as handle:
             text = handle.read()
@@ -216,7 +232,7 @@ def load_sequence(spec_text: str) -> FiniteSeq:
         raise FormatError(f"cannot read {quoted(rest)}: not UTF-8 text") from None
     except ValueError as exc:  # a NUL byte in the path, which the OS cannot take
         raise FormatError(f"cannot read {quoted(rest)}: {exc}") from None
-    return parse_sequence_text(text, tag)
+    return _PARSERS[tag](text)
 
 
 def render_sequence(seq: FiniteSeq, target_format: str) -> str:
@@ -236,50 +252,38 @@ def render_sequence(seq: FiniteSeq, target_format: str) -> str:
 # JSON reports
 
 
+def _report(kind: str, **fields: object) -> dict:
+    """A report: the schema tag and kind, then fields in the order given."""
+    return {"schema": SCHEMA, "kind": kind, **fields}
+
+
 def sequence_payload(seq: FiniteSeq) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "sequence",
-        "values": format_sequence(seq),
-    }
+    return _report("sequence", values=format_sequence(seq))
 
 
 def rational_payload(value: Fraction) -> dict:
-    return {"schema": SCHEMA, "kind": "rational", "value": format_rational(value)}
+    return _report("rational", value=format_rational(value))
 
 
 def operator_payload(poly: OperatorPoly) -> dict:
     ordered = poly.ordered_terms()
-    return {
-        "schema": SCHEMA,
-        "kind": "operator",
-        "text": render_terms(ordered),
-        "terms": [{"top_power": a, "bottom_power": b, "coeff": text} for a, b, text in ordered],
-    }
+    terms = [{"top_power": a, "bottom_power": b, "coeff": text} for a, b, text in ordered]
+    return _report("operator", text=render_terms(ordered), terms=terms)
 
 
 def polynomial_payload(poly: Polynomial) -> dict:
     texts = format_items(*poly.scaled())
-    return {
-        "schema": SCHEMA,
-        "kind": "polynomial",
-        "text": render_coefficients(texts),
-        "degree": poly.degree,
-        "coefficients": texts,
-    }
+    text = render_coefficients(texts)
+    return _report("polynomial", text=text, degree=poly.degree, coefficients=texts)
 
 
 def classification_payload(
     monotonicity: MonotonicityReport, convexity: ConvexityReport | None
 ) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "classification",
-        "monotonicity": monotonicity._asdict(),
-        "convexity": None if convexity is None else {
-            **convexity._asdict(), "second_derivative": format_sequence(convexity.second_derivative)
-        },
+    convex = None if convexity is None else {
+        **convexity._asdict(), "second_derivative": format_sequence(convexity.second_derivative)
     }
+    return _report("classification", monotonicity=monotonicity._asdict(), convexity=convex)
 
 
 def check_payload(report: CheckReport) -> dict:
@@ -287,12 +291,8 @@ def check_payload(report: CheckReport) -> dict:
 
 
 def verification_payload(reports: list[CheckReport]) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "verification",
-        "reports": [check_payload(r) for r in reports],
-        "all_passed": all(r.passed for r in reports),
-    }
+    passed = all(r.passed for r in reports)
+    return _report("verification", reports=list(map(check_payload, reports)), all_passed=passed)
 
 
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps with those separators

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from seqcalc.cli import main
 from seqcalc.operators import MAX_EXPONENT, MAX_TERM_PRODUCTS
+from seqcalc.parser import MAX_DEPTH
 from seqcalc.seqio import FORMATS, render_sequence
 
 from strategies import finite_seqs
@@ -301,6 +302,24 @@ def test_deeply_nested_json_is_a_format_error(capsys, tmp_path):
     assert main(["diff", "--seq", f"json:{path}"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        "(" * (10 * MAX_DEPTH) + "I" + ")" * (10 * MAX_DEPTH),
+        "-" * (10 * MAX_DEPTH) + "I",
+        "I*(" * (10 * MAX_DEPTH) + "I" + ")" * (10 * MAX_DEPTH),
+    ],
+    ids=["parentheses", "minus", "products"],
+)
+@pytest.mark.parametrize("command", [["simplify"], ["apply", "--seq", "inline:1,2,3"]])
+def test_nesting_past_the_depth_bound_is_a_parse_error(capsys, op, command):
+    # without the bound, 248 nested parentheses ran out of Python's stack: exit 4
+    assert main([command[0], f"--op={op}", *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert f"at most {MAX_DEPTH} nested factors" in err
 
 
 # Every integer option, given one 3000-character token.

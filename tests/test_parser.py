@@ -7,6 +7,7 @@ import pytest
 
 from seqcalc import DIFFERENCE, IDENTITY, MIDDLE, OperatorPoly, parse_operator_poly
 from seqcalc.errors import ParseError
+from seqcalc.parser import MAX_DEPTH
 
 
 def test_standard_operator_relations():
@@ -128,3 +129,13 @@ def test_render_parse_round_trip(seed):
         text, poly = random_expr(rng)
         assert parse_operator_poly(text) == poly, text
         assert parse_operator_poly(poly.render()) == poly
+
+
+def test_nesting_parses_up_to_the_depth_bound():
+    inner, top = MAX_DEPTH - 1, parse_operator_poly("I")  # the outermost factor is open too
+    assert parse_operator_poly("(" * inner + "I" + ")" * inner) == top
+    assert parse_operator_poly("-" * inner + "I") == (-top if inner % 2 else top)
+    for text in ("(" * MAX_DEPTH + "I" + ")" * MAX_DEPTH, "-" * MAX_DEPTH + "I"):
+        with pytest.raises(ParseError) as err:
+            parse_operator_poly(text)
+        assert err.value.offset == MAX_DEPTH
