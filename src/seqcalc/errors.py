@@ -14,12 +14,19 @@ def quoted(value: object) -> str:
     """repr of a value from the input, cut to its first QUOTE_CHARS characters.
 
     A longer string (or repr, for a non-string) is quoted as its prefix plus
-    its total length, so one bad token cannot flood stderr.
+    its total length, so one bad token cannot flood stderr.  An int past
+    Python's int/str digit limit, whose repr raises, is quoted the same way.
     """
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) <= QUOTE_CHARS:
+    try:
+        text = value if isinstance(value, str) else repr(value)
+        size = len(text)
+    except ValueError:  # the digit limit; 0.30102999 < log10(2), so 41 or more digits are kept
+        cut = (abs(value).bit_length() - 1) * 30102999 // 10**8 - QUOTE_CHARS
+        text = ("-" if value < 0 else "") + str(abs(value) // 10**cut)
+        size = len(text) + cut
+    if size <= QUOTE_CHARS:
         return repr(value)
-    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+    return f"{text[:QUOTE_CHARS]!r}... ({size} characters)"
 
 
 class SeqCalcError(Exception):
@@ -95,7 +102,7 @@ class FormatError(UsageError):
 
 class NonContiguousIndex(UsageError):
     def __init__(self, expected: int, got: int, line: int):
-        super().__init__(f"line {line}: expected index {expected}, got {got}")
+        super().__init__(f"line {line}: expected index {quoted(expected)}, got {quoted(got)}")
         self.expected = expected
         self.got = got
         self.line = line

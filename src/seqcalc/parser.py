@@ -25,7 +25,7 @@ from .operators import GENERATORS, OperatorPoly
 _Token = tuple[str, str, int]
 """(kind, text, offset); kind is NUMBER LETTER PLUS MINUS STAR SLASH CARET LPAREN RPAREN END."""
 
-_SIMPLE = {
+_KINDS = {
     "+": "PLUS",
     "-": "MINUS",
     "*": "STAR",
@@ -33,7 +33,9 @@ _SIMPLE = {
     "^": "CARET",
     "(": "LPAREN",
     ")": "RPAREN",
+    **dict.fromkeys("IEMD", "LETTER"),
 }
+"""The kind of every one-character token."""
 
 _DIGITS = frozenset("0123456789")  # ASCII only: str.isdecimal() also takes "٣"
 
@@ -42,25 +44,16 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     pos = 0
     while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _SIMPLE:
-            tokens.append((_SIMPLE[ch], ch, pos))
-            pos += 1
-            continue
+        ch, start = text[pos], pos
+        pos += 1
         if ch in _DIGITS:
-            start = pos
             while pos < len(text) and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("NUMBER", text[start:pos], start))
-            continue
-        if ch in "IEMD":
-            tokens.append(("LETTER", ch, pos))
-            pos += 1
-            continue
-        raise ParseError(pos, ("operator", "generator", "number"), repr(ch))
+        elif ch in _KINDS:
+            tokens.append((_KINDS[ch], ch, start))
+        elif not ch.isspace():
+            raise ParseError(start, ("operator", "generator", "number"), repr(ch))
     tokens.append(("END", "", len(text)))
     return tokens
 
@@ -79,85 +72,75 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def kind(self) -> str:
-        """The next token's kind."""
-        return self.tokens[self.pos][0]
-
-    def advance(self) -> _Token:
+    def accept(self, kind: str) -> _Token | None:
+        """The next token, consumed, if it is of this kind; else None."""
         token = self.tokens[self.pos]
+        if token[0] != kind:
+            return None
         self.pos += 1
         return token
 
+    def fail(self, expected: tuple[str, ...]) -> ParseError:
+        """The error for the next token, which is none of the expected things."""
+        _, text, offset = self.tokens[self.pos]
+        return ParseError(offset, expected, text or "end of input")
+
     def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        found, text, offset = self.tokens[self.pos]
-        if found != kind:
-            raise ParseError(offset, expected, text or "end of input")
-        return self.advance()
+        token = self.accept(kind)
+        if token is None:
+            raise self.fail(expected)
+        return token
 
     def parse(self) -> OperatorPoly:
         poly = self.expr()
-        kind, text, offset = self.tokens[self.pos]
-        if kind != "END":
-            raise ParseError(offset, ("operator", "end of input"), text)
+        self.expect("END", ("operator", "end of input"))
         return poly
 
     def expr(self) -> OperatorPoly:
         poly = self.term()
-        while self.kind() in ("PLUS", "MINUS"):
-            op = self.advance()[0]
+        while op := self.accept("PLUS") or self.accept("MINUS"):
             right = self.term()
-            poly = poly + right if op == "PLUS" else poly - right
+            poly = poly + right if op[0] == "PLUS" else poly - right
         return poly
 
     def term(self) -> OperatorPoly:
         poly = self.factor()
-        while True:
-            kind = self.kind()
-            if kind == "STAR":
-                self.advance()
-            elif kind not in _ATOM_START:
-                return poly
+        while self.accept("STAR") or self.tokens[self.pos][0] in _ATOM_START:
             poly = poly * self.factor()
+        return poly
 
     def factor(self) -> OperatorPoly:
         if self.depth == MAX_DEPTH:
-            _, text, offset = self.tokens[self.pos]
-            expected = (f"at most {MAX_DEPTH} nested factors",)
-            raise ParseError(offset, expected, text or "end of input")
+            raise self.fail((f"at most {MAX_DEPTH} nested factors",))
         self.depth += 1
-        if self.kind() == "MINUS":
-            self.advance()
+        if self.accept("MINUS"):
             poly = -self.factor()
         else:
             poly = self.atom()
-            if self.kind() == "CARET":
-                self.advance()
+            if self.accept("CARET"):
                 _, text, offset = self.expect("NUMBER", ("nonnegative integer exponent",))
                 poly = poly ** _integer(text, offset)
         self.depth -= 1
         return poly
 
     def atom(self) -> OperatorPoly:
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "NUMBER":
-            self.advance()
-            numerator, denominator = _integer(text, offset), 1
-            if self.kind() == "SLASH":
-                self.advance()
-                _, denom_text, denom_offset = self.expect("NUMBER", ("denominator",))
-                denominator = _integer(denom_text, denom_offset)
+        number = self.accept("NUMBER")
+        if number:
+            numerator, denominator = _integer(number[1], number[2]), 1
+            if self.accept("SLASH"):
+                _, text, offset = self.expect("NUMBER", ("denominator",))
+                denominator = _integer(text, offset)
                 if denominator == 0:
-                    raise ParseError(denom_offset, ("nonzero denominator",), denom_text)
+                    raise ParseError(offset, ("nonzero denominator",), text)
             return OperatorPoly({(0, 0): numerator}, denominator)
-        if kind == "LETTER":
-            self.advance()
-            return GENERATORS[text]
-        if kind == "LPAREN":
-            self.advance()
+        letter = self.accept("LETTER")
+        if letter:
+            return GENERATORS[letter[1]]
+        if self.accept("LPAREN"):
             poly = self.expr()
             self.expect("RPAREN", ("')'",))
             return poly
-        raise ParseError(offset, ("generator", "number", "'('"), text or "end of input")
+        raise self.fail(("generator", "number", "'('"))
 
 
 def _integer(text: str, offset: int) -> int:

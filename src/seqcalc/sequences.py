@@ -232,9 +232,6 @@ class FiniteSeq:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSeq):
             return NotImplemented
@@ -258,13 +255,6 @@ class FiniteSeq:
             raise OutOfRange(f"prefix length {k} outside 0..{len(self)}")
         return FiniteSeq.from_scaled(self._items[:k], self._den)
 
-    def _int_form(self) -> tuple[Sequence[int], int] | None:
-        """The working form while its items are ints; None past DEN_BITS."""
-        items, den = self.scaled()
-        if items and not isinstance(items[-1], int):
-            return None
-        return items, den
-
     def _combine(self, other: FiniteSeq, op) -> FiniteSeq:
         """Entry by entry ``op`` (add, sub or mul) of two equal-length sequences.
 
@@ -274,16 +264,14 @@ class FiniteSeq:
         """
         if len(self) != len(other):
             raise LengthMismatch(len(self), len(other))
-        left, right = self._int_form(), other._int_form()
-        if left is not None and right is not None:
-            (x, d1), (y, d2) = left, right
-            if op is mul:
-                den, f1, f2 = d1 * d2, 1, 1
-            else:
-                den = lcm(d1, d2)
-                f1, f2 = den // d1, den // d2
-            if den.bit_length() <= DEN_BITS:
-                return FiniteSeq.from_scaled([op(a * f1, b * f2) for a, b in zip(x, y)], den)
+        (x, d1), (y, d2) = self.scaled(), other.scaled()
+        if op is mul:
+            den, f1, f2 = d1 * d2, 1, 1
+        else:
+            den = lcm(d1, d2)
+            f1, f2 = den // d1, den // d2
+        if den.bit_length() <= DEN_BITS:
+            return FiniteSeq.from_scaled([op(a * f1, b * f2) for a, b in zip(x, y)], den)
         return FiniteSeq(map(op, self.values, other.values))
 
     def __add__(self, other: FiniteSeq) -> FiniteSeq:

@@ -220,6 +220,7 @@ LONG_INPUTS = {
     "json entry": lambda tmp: ("diff", "--seq", "json:" + _write(tmp, "[[" + ",".join("0" * LONG) + "]]")),
     "bfile line": lambda tmp: ("diff", "--seq", "bfile:" + _write(tmp, "1 2 " + "3" * LONG + "\n")),
     "bfile index": lambda tmp: ("diff", "--seq", "bfile:" + _write(tmp, "x" * LONG + " 1\n")),
+    "bfile index order": lambda tmp: ("diff", "--seq", "bfile:" + _write(tmp, "1 1\n" + "3" * LONG + " 2\n")),
     "spec tag": lambda tmp: ("diff", "--seq", "t" * LONG),
     "spec path": lambda tmp: ("diff", "--seq", "csv:" + "p" * LONG),
     "check name": lambda tmp: ("verify", "--check", "c" * LONG),
@@ -372,6 +373,23 @@ def test_huge_integer_past_a_domain_bound_is_quoted_in_short(capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err.encode()) < 200
     assert " characters)" in err
+
+
+# A window end past Python's int/str digit limit, whose repr raises: it is quoted
+# in short all the same.  (These rows would give DOMAIN_BOUND_OPTIONS duplicate ids.)
+LIMIT = "9" * 4300
+PAST_THE_DIGIT_LIMIT = {
+    "n0 and m": ("lagrange", "--seq", "inline:1,2,3", "--n0", LIMIT, "--m", LIMIT),
+    "m with det": ("lagrange", "--seq", "inline:1,2,3", "--n0", "1", "--m", LIMIT, "--det"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_DIGIT_LIMIT))
+def test_integer_past_the_digit_limit_is_quoted_in_short(capsys, case):
+    assert main(list(PAST_THE_DIGIT_LIMIT[case])) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "(4301 characters)" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "bfile"])

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -144,6 +145,21 @@ def test_unknown_format_quotes_a_short_excerpt():
         message = str(err.value)
         assert "f" * QUOTE_CHARS in message and "f" * (QUOTE_CHARS + 1) not in message
         assert "(3000 characters)" in message
+
+
+def test_an_int_past_the_digit_limit_is_quoted_like_any_long_repr():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int/str digit limit in this interpreter")
+    for value in (10**limit, -(10**limit) - 7, 3**20000, 2**100003 - 1):
+        with pytest.raises(ValueError):
+            repr(value)
+        try:
+            sys.set_int_max_str_digits(0)
+            text = repr(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert quoted(value) == f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 # ---------------------------------------------------------------------------
