@@ -260,7 +260,9 @@ class FiniteSeq:
 
         Sums and differences align the items to lcm(d1, d2); products multiply
         them over d1 * d2.  Where that denominator would pass DEN_BITS, the
-        entries' Fractions are combined instead.
+        entries' Fractions are combined instead.  Items past DEN_BITS are
+        Fractions over 1, and the same formula holds for them: from_scaled
+        turns Fraction results over a den other than 1 into Fractions over 1.
         """
         if len(self) != len(other):
             raise LengthMismatch(len(self), len(other))

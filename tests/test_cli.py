@@ -375,8 +375,8 @@ def test_huge_integer_past_a_domain_bound_is_quoted_in_short(capsys, argv):
     assert " characters)" in err
 
 
-# A window end past Python's int/str digit limit, whose repr raises: it is quoted
-# in short all the same.  (These rows would give DOMAIN_BOUND_OPTIONS duplicate ids.)
+# A window end past Python's int/str digit limit, whose repr raises, is quoted in
+# short all the same.  As DOMAIN_BOUND_OPTIONS rows their ids would hold the number.
 LIMIT = "9" * 4300
 PAST_THE_DIGIT_LIMIT = {
     "n0 and m": ("lagrange", "--seq", "inline:1,2,3", "--n0", LIMIT, "--m", LIMIT),
