@@ -352,22 +352,22 @@ def test_long_integer_option_is_quoted_in_short(capsys, argv, token):
 # the domain error quotes the number in short, as the usage error does a long token.
 HUGE = "9" * 4000
 DOMAIN_BOUND_OPTIONS = [
-    ("diff", "--seq", "inline:1,2", "--order", f"-{HUGE}"),
-    ("defint", "--seq", "inline:1,2", "--to", "2", "--from", f"-{HUGE}"),
-    ("defint", "--seq", "inline:1,2", "--from", "1", "--to", HUGE),
-    ("lagrange", "--seq", "inline:1,2", "--m", "1", "--n0", HUGE),
-    ("lagrange", "--seq", "inline:1,2", "--n0", "1", "--m", HUGE),
-    ("lagrange", "--seq", "inline:1,2", "--n0", "1", "--det", "--m", f"-{HUGE}"),
-    ("verify", "--check", "all", "--trials", f"-{HUGE}"),
-    ("verify", "--check", "all", "--min-len", f"-{HUGE}"),
-    ("verify", "--check", "all", "--max-len", f"-{HUGE}"),
-    ("simplify", "--op", f"I^{HUGE}"),
+    pytest.param(("diff", "--seq", "inline:1,2", "--order", f"-{HUGE}"), id="diff --order"),
+    pytest.param(("defint", "--seq", "inline:1,2", "--to", "2", "--from", f"-{HUGE}"), id="defint --to 2 --from"),
+    pytest.param(("defint", "--seq", "inline:1,2", "--from", "1", "--to", HUGE), id="defint --from 1 --to"),
+    pytest.param(("lagrange", "--seq", "inline:1,2", "--m", "1", "--n0", HUGE), id="lagrange --m 1 --n0"),
+    pytest.param(("lagrange", "--seq", "inline:1,2", "--n0", "1", "--m", HUGE), id="lagrange --n0 1 --m"),
+    pytest.param(
+        ("lagrange", "--seq", "inline:1,2", "--n0", "1", "--det", "--m", f"-{HUGE}"), id="lagrange --n0 1 --det --m"
+    ),
+    pytest.param(("verify", "--check", "all", "--trials", f"-{HUGE}"), id="verify --trials"),
+    pytest.param(("verify", "--check", "all", "--min-len", f"-{HUGE}"), id="verify --min-len"),
+    pytest.param(("verify", "--check", "all", "--max-len", f"-{HUGE}"), id="verify --max-len"),
+    pytest.param(("simplify", "--op", f"I^{HUGE}"), id="simplify"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv", DOMAIN_BOUND_OPTIONS, ids=lambda argv: " ".join(argv[:1] + argv[3:-1])
-)
+@pytest.mark.parametrize("argv", DOMAIN_BOUND_OPTIONS)
 def test_huge_integer_past_a_domain_bound_is_quoted_in_short(capsys, argv):
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
@@ -376,7 +376,7 @@ def test_huge_integer_past_a_domain_bound_is_quoted_in_short(capsys, argv):
 
 
 # A window end past Python's int/str digit limit, whose repr raises, is quoted in
-# short all the same.  As DOMAIN_BOUND_OPTIONS rows their ids would hold the number.
+# short all the same.
 LIMIT = "9" * 4300
 PAST_THE_DIGIT_LIMIT = {
     "n0 and m": ("lagrange", "--seq", "inline:1,2,3", "--n0", LIMIT, "--m", LIMIT),

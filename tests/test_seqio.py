@@ -312,6 +312,11 @@ EDGE_CORPUS = [
     '"1,2"', '["1,2"]', '[" 3/4 ", 5, "-0"]', '["4/00"]', "[1, true]", "[1, 2.5]", "[]", "{}",
     "# c\x1c1 5\n2 6", "# c\u20281 5\n2 6\n", "# comment\n-1 5\n0 6\n1 7", "+1 5\n+2 6", "-2 1\n-3 2",
     "1 1\n3 2", "1 1\n\n# gap\n2 2\n", "1 1 1", "x 1", "1 x", "1\t3/4\n2\xa05", "  \n\t\n", "",
+    # shapes a check by conversion alone gets wrong: int() takes whitespace around its
+    # digits, and field counts can balance across lines
+    "1 /2", "1/ 2", "1\t/2", "1/+2", "1/", "+-1", "1\x1f2", "1 2,,3",
+    "1 5#x", "1 5 # note", " # c\n1 5", "1 5 2\n7", "1 1\n2\n3\n3 6", "1 5\n 2\n3 \n3 6",
+    '["", "1 2"]', '[" ", "1 2"]', '["1 /2"]',
 ]  # fmt: skip
 
 
