@@ -13,17 +13,20 @@ digits with a nonzero denominator, and every number within Python's int/str
 digit limit.  Whitespace around a token is anything ``str.strip()`` removes,
 and lines end at every ``str.splitlines()`` boundary (a bfile comment too).
 
-Every format is read by one reader, ``_read``, which ends in a sequence or
-an error.  A format checks each line (or inline piece, or json string) with
-one regex ``fullmatch`` and, where all pass, hands the reader its token
-parts, which the scan converts at once: ``partition("/")`` and ``int`` over
-C-level maps, one dict from each denominator text to its int, then
-``FiniteSeq.from_columns``, so only ``sequences`` chooses the common
-denominator.  Where the scan fails, the reader walks the format's cells,
-(piece, line) pairs that raise its own errors in input order, token by
-token, so the first bad cell or token raises its error with its line
-number.  ``render_json`` writes each list of entry texts with one join into
-the result itself.
+``_read`` reads every format: the scan, else the walk.  A format's shape
+check hands the scan whitespace-free tokens: csv lines, inline pieces and json
+strings stripped, none empty or with whitespace inside; bfile lines of two
+fields past the leading comments.  In ASCII text without "_", ``int()`` takes
+such a token exactly where it matches ``[+-]?[0-9]+``, so the scan's ``int()``
+calls check the grammar, each distinct denominator text once, and a count of
+"/" against the nonempty denominators rejects "1/".  ``FiniteSeq.from_columns``
+gets the numerators, denominator texts and their ints, so only ``sequences``
+chooses the common denominator.  A ValueError sends the text to the walk, the
+reference for values and errors: the format's cells, (piece, line) pairs that
+raise its own errors in input order, read with one regex match per token.  The
+scan may decline a valid text, never accept one the walk rejects.
+``render_json`` writes each list of entry texts with one join into the result
+itself.
 
 Every user-facing rational is rendered as "p/q" (plain "p" for integers),
 never as a decimal.  Reports share the versioned schema tag "seqcalc/1" and
@@ -36,7 +39,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
+from operator import countOf, itemgetter
 
 from .errors import FormatError, NonContiguousIndex, quoted
 from .lagrange import Polynomial, render_coefficients
@@ -45,7 +48,7 @@ from .sequences import FiniteSeq, Texts, format_items, format_rational, format_s
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Callable, Iterable, Iterator
 
     from .analysis import ConvexityReport, MonotonicityReport
     from .operators import OperatorPoly
@@ -53,35 +56,38 @@ if TYPE_CHECKING:
 
 SCHEMA = "seqcalc/1"
 
-# One token grammar for every format: ASCII digits only (int() alone also takes
-# "٣" and "2_0").  Unicode \s is what str.strip() and str.split() remove, and it
-# holds every str.splitlines() boundary, so a line never spans two.
-_TOKEN = r"[+-]?[0-9]+(?:/[0-9]+)?"
-_PIECE = re.compile(rf"\s*{_TOKEN}\s*")
-_CSV_LINE = re.compile(rf"\s*(?:{_TOKEN})?\s*")
-# int() reads 640 digits under any int/str digit limit; a longer index goes to the walk
-_BFILE_LINE = re.compile(rf"\s*(?:#.*|[+-]?[0-9]{{1,640}}\s+{_TOKEN})?\s*")
-_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")  # to the line's end
+# The token grammar, for the walk and for parse_rational: ASCII digits only (int()
+# alone also takes "٣" and "2_0").  Unicode \s is what str.strip() removes.
+_PIECE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
+def _plain(text: str) -> bool:
+    """Whether int() takes text's whitespace-free words exactly where they match [+-]?[0-9]+."""
+    return text.isascii() and "_" not in text
 
 
 def parse_integer(text: str) -> int:
     """int() of ASCII text only: int() alone also reads "٣" as 3 and "2_0" as 20."""
-    if not text.isascii() or "_" in text:
+    if not _plain(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
 
-def _scan(parts: list[tuple]) -> FiniteSeq:
-    """The sequence of valid tokens' parts (numerator, "/" or "", denominator or "").
+def _shape(fits: bool) -> None:
+    """ValueError unless the text fits the shape the scan reads: the walk reads it instead."""
+    if not fits:
+        raise ValueError("outside the scanned shape")
 
-    A dict maps each distinct denominator text to its int, so every entry costs
-    C-level maps only.  ValueError: int()'s digit limit, or a 0 denominator.
-    """
-    nums, dens = list(map(int, map(itemgetter(0), parts))), list(map(itemgetter(2), parts))
-    qs = {d: int(d or 1) for d in set(dens)}
-    if 0 in qs.values():
-        raise ValueError("zero denominator")
-    return FiniteSeq.from_columns(nums, list(map(qs.__getitem__, dens)))
+
+def _scan(parts: list[tuple]) -> FiniteSeq:
+    """The sequence of whitespace-free _plain tokens' parts (numerator, "/" or "",
+    denominator or ""), or ValueError: a token outside the grammar or past int()'s
+    digit limit, or a 0 denominator."""
+    nums, keys = list(map(int, map(itemgetter(0), parts))), list(map(itemgetter(2), parts))
+    dens = {key: int(key or 1) for key in set(keys)}
+    _shape(all(map(str.isdigit, filter(None, dens))) and 0 not in dens.values())
+    _shape(countOf(map(itemgetter(1), parts), "/") == len(keys) - keys.count(""))
+    return FiniteSeq.from_columns(nums, keys, dens)
 
 
 def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
@@ -99,14 +105,12 @@ def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
     return p, q
 
 
-def _read(parts: Iterable[tuple] | None, cells: Iterable[tuple[str, int | None]]) -> FiniteSeq:
-    """The scan of parts (None where the format's structure regex failed), or else
-    the walk of cells: the first bad cell or token raises its error."""
+def _read(parts: Callable[[], Iterable[tuple]], cells: Iterable[tuple[str, int | None]]) -> FiniteSeq:
+    """The scan of parts(), or where that raises ValueError, the walk of cells."""
     try:
-        if parts is not None:
-            return _scan(list(parts))
+        return _scan(list(parts()))
     except ValueError:
-        pass
+        pass  # the walk runs outside the handler, so the scan's lists are freed
     return FiniteSeq.from_ratios([_ratio(piece, line) for piece, line in cells])
 
 
@@ -114,13 +118,18 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
     return Fraction(*_ratio(text, line))
 
 
+def _parts(pieces: list[str]) -> Iterator[tuple]:
+    """The parts of the pieces stripped, where each holds one whitespace-free _plain token."""
+    tokens = list(map(str.strip, pieces))
+    joined = "".join(tokens)
+    _shape(_plain(joined) and len(joined.split()) <= 1)  # "" fails int()
+    return map(str.partition, tokens, repeat("/"))
+
+
 def parse_inline(text: str, line: int | None = None) -> FiniteSeq:
     """Comma-separated rationals; a one-row csv passes its line number."""
     pieces = text.split(",") if text.strip() else []
-    parts = None
-    if all(map(_PIECE.fullmatch, pieces)):
-        parts = map(str.partition, map(str.strip, pieces), repeat("/"))
-    return _read(parts, zip(pieces, repeat(line)))
+    return _read(lambda: _parts(pieces), zip(pieces, repeat(line)))
 
 
 def _csv_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
@@ -133,14 +142,17 @@ def _csv_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
 
 def parse_csv(text: str) -> FiniteSeq:
     lines = text.splitlines()
-    parts = None
-    if all(map(_CSV_LINE.fullmatch, lines)):
-        parts = map(str.partition, text.split(), repeat("/"))
-    else:
+    if "," in text:
         rows = [(line, n) for n, raw in enumerate(lines, start=1) if (line := raw.strip())]
-        if len(rows) == 1 and "," in rows[0][0]:
+        if len(rows) == 1:
             return parse_inline(*rows[0])  # a one-row csv
-    return _read(parts, _csv_cells(lines))
+    return _read(lambda: _parts(list(filter(str.strip, lines))), _csv_cells(lines))
+
+
+def _json_parts(data: list) -> list[tuple]:
+    _shape(set(map(type, data)) <= {int, str})
+    strings = _parts([x for x in data if type(x) is str])
+    return [next(strings) if type(x) is str else (x, "", "") for x in data]
 
 
 def _json_cells(data: list) -> Iterator[tuple[str, None]]:
@@ -161,11 +173,22 @@ def parse_json(text: str) -> FiniteSeq:
         raise FormatError("json arrays are nested too deeply to parse") from None
     if not isinstance(data, list):
         raise FormatError("json sequence must be an array")
-    parts = None
-    strings = [x for x in data if type(x) is str]
-    if set(map(type, data)) <= {int, str} and all(map(_PIECE.fullmatch, strings)):
-        parts = [x.strip().partition("/") if type(x) is str else (x, "", "") for x in data]
-    return _read(parts, _json_cells(data))
+    return _read(lambda: _json_parts(data), _json_cells(data))
+
+
+def _bfile_parts(text: str, lines: list[str]) -> Iterable[tuple]:
+    """Two fields on each line past the leading comments; a later one fails int()."""
+    head = 0
+    while head < len(lines) and lines[head].strip()[:1] in ("", "#"):
+        head += 1
+    rows = lines[head:]
+    body = "\n".join(rows)
+    _shape(_plain(body) and set(map(len, map(str.split, rows))) <= {0, 2})
+    fields = body.split()  # index, value, index, value, ...
+    index = list(map(int, fields[0::2]))
+    first = index[0] if index else 0
+    _shape(index == list(range(first, first + len(index))))
+    return map(str.partition, fields[1::2], repeat("/"))
 
 
 def _bfile_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
@@ -189,13 +212,7 @@ def _bfile_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
 
 def parse_bfile(text: str) -> FiniteSeq:
     lines = text.splitlines()
-    parts = None
-    if all(map(_BFILE_LINE.fullmatch, lines)):
-        fields = _COMMENT.sub("", text).split()  # index, value, index, value, ...
-        first = int(fields[0]) if fields else 0
-        if list(map(int, fields[0::2])) == list(range(first, first + len(fields) // 2)):
-            parts = map(str.partition, fields[1::2], repeat("/"))
-    return _read(parts, _bfile_cells(lines))
+    return _read(lambda: _bfile_parts(text, lines), _bfile_cells(lines))
 
 
 _PARSERS = {

@@ -71,21 +71,21 @@ def _common_den(dens: Iterable[int]) -> int:
 
 
 def _working_form(
-    nums: Sequence[int], dens: Sequence[int], view: tuple | None
+    nums: Sequence[int], keys: Sequence, dens: dict, view: tuple | None
 ) -> tuple[Sequence, int, tuple | None]:
-    """(items, den, view) of the entries nums[i] / dens[i], every dens[i] > 0.
+    """(items, den, view) of the entries nums[i] / dens[keys[i]], every denominator > 0.
 
-    The items are ints over ``_common_den(dens)``, each scaled by a dict entry
-    for its denominator, else the entries' Fractions over den = 1, their own
-    view.  ``view`` is the entries as reduced Fractions if the caller has them.
+    The items are ints over ``_common_den`` of the distinct denominators, each
+    scaled by a dict entry for its key, else the entries' Fractions over den = 1,
+    their own view.  ``view`` is the entries as reduced Fractions if the caller
+    has them.
     """
-    distinct = set(dens)
-    den = _common_den(distinct)
+    den = _common_den(dens.values())
     if not den:
-        items = view if view is not None else tuple(map(Fraction, nums, dens))
+        items = view if view is not None else tuple(map(Fraction, nums, map(dens.__getitem__, keys)))
         return items, 1, items
-    scale = {d: den // d for d in distinct}
-    return list(map(mul, nums, map(scale.__getitem__, dens))), den, view
+    scale = {key: den // d for key, d in dens.items()}
+    return list(map(mul, nums, map(scale.__getitem__, keys))), den, view
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -173,7 +173,8 @@ class FiniteSeq:
         entries = [v if type(v) is int else as_rational(v) for v in values]
         nums, dens = [v.numerator for v in entries], [v.denominator for v in entries]
         view = None if int in map(type, entries) else tuple(entries)  # all Fractions: keep them
-        self._items, self._den, self._values = _working_form(nums, dens, view)
+        distinct = {d: d for d in set(dens)}
+        self._items, self._den, self._values = _working_form(nums, dens, distinct, view)
 
     @staticmethod
     def from_scaled(items: Sequence, den: int) -> FiniteSeq:
@@ -188,17 +189,22 @@ class FiniteSeq:
     @staticmethod
     def from_ratios(ratios: Sequence[tuple[int, int]]) -> FiniteSeq:
         """The sequence of p / q over (p, q) pairs with q > 0, not necessarily reduced."""
-        den = _common_den({q for _, q in ratios})
+        dens = {q for _, q in ratios}
+        den = _common_den(dens)
         if not den:
-            return FiniteSeq.from_columns(*zip(*ratios))
+            return FiniteSeq.from_columns(*zip(*ratios), {q: q for q in dens})
         # a division per entry: on a few entries cheaper than from_columns's dict of scales
         return FiniteSeq.from_scaled([p * (den // q) for p, q in ratios], den)
 
     @staticmethod
-    def from_columns(nums: Sequence[int], dens: Sequence[int]) -> FiniteSeq:
-        """The sequence nums[i] / dens[i] over parallel lists with every dens[i] > 0."""
+    def from_columns(nums: Sequence[int], keys: Sequence, dens: dict) -> FiniteSeq:
+        """The sequence nums[i] / dens[keys[i]] over parallel lists nums and keys.
+
+        ``dens`` maps each distinct key to its denominator, an int > 0: a parser
+        passes the denominator texts it read and their ints.
+        """
         seq = object.__new__(FiniteSeq)
-        seq._items, seq._den, seq._values = _working_form(nums, dens, None)
+        seq._items, seq._den, seq._values = _working_form(nums, keys, dens, None)
         return seq
 
     def scaled(self) -> tuple[Sequence, int]:

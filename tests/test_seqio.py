@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcalc import FiniteSeq, OperatorPoly, Polynomial, classify_convexity, classify_monotonicity
+from seqcalc import FiniteSeq, OperatorPoly, Polynomial, classify_convexity, classify_monotonicity, seqio
 from seqcalc.errors import QUOTE_CHARS, FormatError, NonContiguousIndex, quoted
 from seqcalc.seqio import (
     FORMATS,
@@ -316,7 +316,7 @@ EDGE_CORPUS = [
     # digits, and field counts can balance across lines
     "1 /2", "1/ 2", "1\t/2", "1/+2", "1/", "+-1", "1\x1f2", "1 2,,3",
     "1 5#x", "1 5 # note", " # c\n1 5", "1 5 2\n7", "1 1\n2\n3\n3 6", "1 5\n 2\n3 \n3 6",
-    '["", "1 2"]', '[" ", "1 2"]', '["1 /2"]',
+    '["", "1 2"]', '[" ", "1 2"]', '["1 /2"]', "1 ٣", "1 2_0", "1 3/٣", "٣ 1", "2_0 1",
 ]  # fmt: skip
 
 
@@ -324,6 +324,27 @@ EDGE_CORPUS = [
 def test_scanner_matches_the_reference_on_edge_cases(fmt):
     for text in EDGE_CORPUS:
         assert_same_as_reference(fmt, text)
+
+
+_BIG = "-" + "7" * 400
+_CANONICAL = ["+7", "007", "-3/4", "5/6", _BIG, "0", "9/12"]
+FAST_TEXTS = {
+    "inline": ", ".join(_CANONICAL),
+    "csv": " \r\n".join(_CANONICAL) + "\r\n\r\n",
+    "json": json.dumps(["+7", 7, "-3/4", " 5/6 ", int(_BIG), 0, "9/12"]),
+    "bfile": "# b-file\r\n\r\n" + "".join(f"{i} {v}\r\n\r\n" for i, v in enumerate(_CANONICAL, start=-2)),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_texts_of_the_usual_shapes_never_reach_the_walk(monkeypatch, fmt):
+    """The scan reads them all: a decline to the walk fails here, not just in a benchmark."""
+
+    def walk(piece, line=None):
+        raise AssertionError(f"the walk read {piece!r}")
+
+    monkeypatch.setattr(seqio, "_ratio", walk)
+    assert parse_sequence_text(FAST_TEXTS[fmt], fmt) == FiniteSeq([7, 7, "-3/4", "5/6", int(_BIG), 0, "3/4"])
 
 
 def _rational_outcome(read, text, line):
