@@ -177,7 +177,7 @@ def parse_json(text: str) -> FiniteSeq:
 
 
 def _bfile_parts(text: str, lines: list[str]) -> Iterable[tuple]:
-    """Two fields on each line past the leading comments; a later one fails int()."""
+    """Two fields on each line past the leading comments (a later comment line fails int())."""
     head = 0
     while head < len(lines) and lines[head].strip()[:1] in ("", "#"):
         head += 1
