@@ -11,9 +11,14 @@ sequence is drawn as (p, q) ratios (``generators.random_ratios``); ``_drawn``
 hands them to ``FiniteSeq.from_ratios``, which builds the kernels' input,
 and the check hands the same ratios to ``_o_ints``, which puts them over
 lcm(q) with ``math`` and int arithmetic only.  So a fault in the input build
-fails the check instead of reaching both sides.  A drawn scalar gives its
-numerator and denominator, and a geometric instance its start and ratio
-(``_o_geometric``).  The oracle loops add and multiply those ints; the
+fails the check instead of reaching both sides.  An instance is the triple
+``(S, nums, den)``, S's i-th entry being nums[i] / den, for trials and
+sweeps alike: ``_instance`` draws a length, S and their lcm, ``_inverses``
+does the same for a zero-free G with the ints of 1/G, and the sweep yields
+its sequences over den 1.  Checks that draw two sequences of one length,
+or read the draws themselves (in a quotient, or after a constant), keep
+``_drawn``'s pair.  A drawn scalar gives its numerator and denominator, and
+a geometric instance its start and ratio (``_o_geometric``).  The oracle loops add and multiply those ints; the
 quotient oracles cross-multiply the ratios (``_o_quotients``).  A result is
 compared by cross-multiplication: a sequence on its working form
 (``scaled()``, see ``_same``), a scalar r as
@@ -45,7 +50,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from . import calculus, grid
 from .analysis import classify_convexity, collinearity_determinant
@@ -57,7 +62,6 @@ from .generators import (
     random_nonzero_rational,
     random_nonzero_ratios,
     random_rational,
-    random_rational_sequence,
     random_ratios,
 )
 from .lagrange import (
@@ -130,6 +134,18 @@ def _drawn(n: int, rng: random.Random, sample=random_ratios):
     """(S, its draws): n (p, q) draws and the kernels' input built from them."""
     ratios = sample(n, rng)
     return FiniteSeq.from_ratios(ratios), ratios
+
+
+def _instance(spec: CheckSpec, rng: random.Random, floor: int = 2):
+    """(S, nums, den): S at a drawn length, and its draws over their lcm."""
+    s, draws = _drawn(_length(spec, rng, floor), rng)
+    return (s, *_o_ints(draws))
+
+
+def _inverses(spec: CheckSpec, rng: random.Random):
+    """(G, nums, den): a zero-free G at a drawn length, and the entries of 1/G over their lcm."""
+    g, draws = _drawn(_length(spec, rng), rng, random_nonzero_ratios)
+    return (g, *_o_ints(_o_quotients([(1, 1)] * len(draws), draws)))
 
 
 def _inline(seq: FiniteSeq) -> str:
@@ -287,10 +303,8 @@ def _check_quotient_rule(spec: CheckSpec, rng: random.Random):
 
 
 def _check_inverse_rule(spec: CheckSpec, rng: random.Random):
-    n = _length(spec, rng)
-    g, g_draws = _drawn(n, rng, random_nonzero_ratios)
+    g, inverses, den = _inverses(spec, rng)
     lhs = calculus.derivative(g.inverse())
-    inverses, den = _o_ints(_o_quotients([(1, 1)] * n, g_draws))
     oracle = _o_diff(inverses)
     rhs = -(calculus.derivative(g) / (top(g) * bottom(g)))
     if not (_same(lhs, oracle, den) and _same(rhs, oracle, den)):
@@ -298,11 +312,9 @@ def _check_inverse_rule(spec: CheckSpec, rng: random.Random):
 
 
 def _check_mean_inverse(spec: CheckSpec, rng: random.Random):
-    n = _length(spec, rng)
-    g, g_draws = _drawn(n, rng, random_nonzero_ratios)
+    g, inverses, den = _inverses(spec, rng)
     lhs = middle(g.inverse())
-    inverses, den = _o_ints(_o_quotients([(1, 1)] * n, g_draws))
-    oracle = [inverses[i] + inverses[i + 1] for i in range(n - 1)]
+    oracle = [inverses[i] + inverses[i + 1] for i in range(len(g) - 1)]
     rhs = middle(g) / (top(g) * bottom(g))
     if not (_same(lhs, oracle, 2 * den) and _same(rhs, oracle, 2 * den)):
         yield f"G={_inline(g)}"
@@ -338,11 +350,9 @@ def _binomial_row(m):
 
 
 def _check_hod_binomial(spec: CheckSpec, rng: random.Random):
-    n = _length(spec, rng)
-    s, draws = _drawn(n, rng)
-    m = draw(rng, 0, min(8, n))
+    s, nums, den = _instance(spec, rng)
+    m = draw(rng, 0, min(8, len(s)))
     applied = (DIFFERENCE**m).apply(s)
-    nums, den = _o_ints(draws)
     if not _same(applied, _o_diff_m(nums, m), den) or calculus.derivative(s, m) != applied:
         yield f"D^{m} on S={_inline(s)}"
 
@@ -439,11 +449,10 @@ def _ftc(s, nums, den, a, b, constants):
 
 
 def _check_ftc(spec: CheckSpec, rng: random.Random):
-    n = _length(spec, rng)
-    s, draws = _drawn(n, rng)
-    a = draw(rng, 1, n)
-    b = draw(rng, a, n)
-    yield from _ftc(s, *_o_ints(draws), a, b, (random_rational(rng),))
+    s, nums, den = _instance(spec, rng)
+    a = draw(rng, 1, len(s))
+    b = draw(rng, a, len(s))
+    yield from _ftc(s, nums, den, a, b, (random_rational(rng),))
 
 
 def _convexity_equivalence(s, nums, den):
@@ -467,8 +476,7 @@ def _convexity_equivalence(s, nums, den):
 
 
 def _check_convexity_equivalence(spec: CheckSpec, rng: random.Random):
-    s, draws = _drawn(_length(spec, rng, floor=3), rng)
-    yield from _convexity_equivalence(s, *_o_ints(draws))
+    yield from _convexity_equivalence(*_instance(spec, rng, floor=3))
 
 
 def _det_equals_d2(s, nums, den):
@@ -490,17 +498,14 @@ def _det_equals_d2(s, nums, den):
 
 
 def _check_det_equals_d2(spec: CheckSpec, rng: random.Random):
-    s, draws = _drawn(_length(spec, rng, floor=3), rng)
-    yield from _det_equals_d2(s, *_o_ints(draws))
+    yield from _det_equals_d2(*_instance(spec, rng, floor=3))
 
 
 def _lagrange_instance(spec: CheckSpec, rng: random.Random):
     """A random s, m and n0, s's interpolant on n0..n0 + m, and that window as ints over den."""
-    n = _length(spec, rng)
-    s, draws = _drawn(n, rng)
-    m = draw(rng, 0, min(6, n - 1))
-    n0 = draw(rng, 1, n - m)
-    nums, den = _o_ints(draws)
+    s, nums, den = _instance(spec, rng)
+    m = draw(rng, 0, min(6, len(s) - 1))
+    n0 = draw(rng, 1, len(s) - m)
     return s, m, n0, lagrange_poly(s, n0, m), nums[n0 - 1 : n0 + m], den
 
 
@@ -555,10 +560,9 @@ def _cubes_node_determinant():
 
 
 def _check_det_normalization(spec: CheckSpec, rng: random.Random):
-    n = _length(spec, rng, floor=3)
-    s, draws = _drawn(n, rng)
+    s, nums, den = _instance(spec, rng, floor=3)
+    n = len(s)
     i = draw(rng, 1, n - 2)
-    nums, den = _o_ints(draws)
     second = _o_diff_m(nums[i - 1 : i + 2], 2)[0]
     # The triangle determinant (columns x, S, 1) is exact at order 2.
     if not _equals(collinearity_determinant(s, i), second, den):
@@ -573,26 +577,25 @@ def _check_det_normalization(spec: CheckSpec, rng: random.Random):
     # Node determinant law: |det V| is 1!*2!*...*m!, so the bare
     # data-column determinant can only match D^m S up to m = 2.
     det_ms, det_v = interpolation_determinants(s, i2, m)
-    superfact = 1
-    for k in range(1, m + 1):
-        superfact *= factorial(k)
-    if abs(det_v) != superfact:
+    if abs(det_v) != prod(map(factorial, range(1, m + 1))):
         yield f"node determinant law m={m}"
     elif m >= 3 and oracle != 0 and _equals(det_ms, oracle, den):
         yield f"bare determinant unexpectedly exact at m={m}"
 
 
-def _random_poly(rng: random.Random, max_terms: int = 4, max_power: int = 3) -> OperatorPoly:
+def _random_poly(rng: random.Random) -> OperatorPoly:
+    """Up to 4 terms I^a E^b, a and b in 0..3, with random coefficients."""
     pairs = []
-    for _ in range(draw(rng, 0, max_terms)):
-        key = (draw(rng, 0, max_power), draw(rng, 0, max_power))
+    for _ in range(draw(rng, 0, 4)):
+        key = (draw(rng, 0, 3), draw(rng, 0, 3))
         pairs.append((key, random_rational(rng)))
     return OperatorPoly(pairs)
 
 
-def _random_homogeneous_poly(rng: random.Random, max_degree: int = 3) -> OperatorPoly:
+def _random_homogeneous_poly(rng: random.Random) -> OperatorPoly:
+    """A nonzero sum of 1 to 3 terms I^a E^b of one degree a + b in 0..3."""
     while True:
-        degree = draw(rng, 0, max_degree)
+        degree = draw(rng, 0, 3)
         pairs = []
         for _ in range(draw(rng, 1, 3)):
             a = draw(rng, 0, degree)
@@ -619,8 +622,8 @@ def _check_symbolic_laws(spec: CheckSpec, rng: random.Random):
         return
 
     n = _length(spec, rng)
-    s = random_rational_sequence(n, rng)
-    g = random_rational_sequence(n, rng)
+    s, _ = _drawn(n, rng)
+    g, _ = _drawn(n, rng)
     lam = random_rational(rng)
     if p.apply(s * lam + g) != p.apply(s) * lam + p.apply(g):
         yield f"linearity, S={_inline(s)} G={_inline(g)} lam={lam}"
@@ -634,8 +637,8 @@ def _check_symbolic_laws(spec: CheckSpec, rng: random.Random):
 
 
 def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
-    n = _length(spec, rng)
-    s, draws = _drawn(n, rng)
+    s, nums, den = _instance(spec, rng)
+    n = len(s)
     h = Fraction(draw(rng, 1, 9), draw(rng, 1, 9))
     x0 = random_rational(rng)
     g = grid.GridFunction(x0, h, s)
@@ -650,14 +653,13 @@ def _check_fd_bridge(spec: CheckSpec, rng: random.Random):
     if mean.samples != (shifted + held) * Fraction(1, 2):
         yield f"mean vs displacement, S={_inline(s)}"
         return
-    if grid.discrete_derivative(g).samples != diff.samples * (1 / h):
+    if (derivative := grid.discrete_derivative(g).samples) != diff.samples * (1 / h):
         yield f"derivative scaling h={h}, S={_inline(s)}"
         return
-    nums, den = _o_ints(draws)
     diffs = _o_diff(nums)
     # (S(i+1) - S(i)) / h with h = p / q is (nums[i+1] - nums[i]) q / (den p)
     oracle = [x * h.denominator for x in diffs]
-    if not _same(grid.discrete_derivative(g).samples, oracle, den * h.numerator):
+    if not _same(derivative, oracle, den * h.numerator):
         yield f"derivative oracle h={h}, S={_inline(s)}"
         return
 
@@ -710,8 +712,8 @@ CATALOG = {
 
 @cache
 def _sweep():
-    """Every integer sequence of length 4 with entries -2..2, with its oracle
-    form (the entries over den 1), built on first use.
+    """Every integer sequence of length 4 with entries -2..2, as an instance
+    (S, its entries, den 1), built on first use.
 
     Sequences are immutable, so one process builds them once; every check
     still runs on them, and no outcome is kept.

@@ -265,10 +265,23 @@ _tokens = st.builds(
     "{}{}{}".format, st.sampled_from(["", "", "-", "+"]), _digits,
     st.one_of(st.just(""), _digits.map("/{}".format)),
 )  # fmt: skip
-# mostly well-formed tokens, one in ten spoilt by junk
+
+
+def _spoilt(spoil, token, before, after, odd, at, replace):
+    """token with junk around it (spoil 0), one odd character put in or in place of one of its own
+    (spoil 1 or 2), or as it is."""
+    if spoil == 0:
+        return f"{before}{token}{after}"
+    if spoil <= 2:
+        at %= len(token) + 1 - replace
+        return token[:at] + odd + token[at + replace :]
+    return token
+
+
+# mostly well-formed tokens; one in ten has junk around it, and two in ten a "٣" or "_" inside
 _entries = st.builds(
-    lambda spoil, token, before, after: f"{before}{token}{after}" if spoil == 0 else token,
-    st.integers(0, 9), _tokens, st.sampled_from(_JUNK), st.sampled_from(_JUNK),
+    _spoilt, st.integers(0, 9), _tokens, st.sampled_from(_JUNK), st.sampled_from(_JUNK),
+    st.sampled_from(["٣", "_"]), st.integers(0, 9), st.integers(0, 1),
 )  # fmt: skip
 _padded = st.builds("{}{}{}".format, st.sampled_from(_SPACES), _entries, st.sampled_from(_SPACES))
 
