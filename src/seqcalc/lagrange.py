@@ -13,7 +13,12 @@ with S(i+r).  det(V) is a column-reversed Vandermonde determinant, so it is
 never zero but equals m! in absolute value only for m <= 2; the bare
 det(M_S) therefore does not equal D^m S for m >= 3 (the verifier pins this).
 Determinants are evaluated by fraction-free (Bareiss) elimination on
-integers, and both come from one elimination over the nodes 0..m.
+integers, and both come from one elimination over the nodes 0..m with the
+columns in ascending powers, [1, x, ..., x^(m-1) | x^m | S], which reverses
+V's and M_S's columns and so flips both signs by (-1)^(m(m+1)/2).  The order
+matters: every entry Bareiss writes is a minor of the rows, and with the low
+powers first those minors stay small (at m = 20 the entries written hold
+under half the bits they hold with the high powers first).
 
 Newton's form is expanded on the window's working form in integers over
 den * m!, which ``Polynomial`` keeps in lowest terms; evaluation at p/q sums
@@ -192,16 +197,16 @@ def interpolation_determinants(seq: FiniteSeq, i: int, m: int) -> tuple[Fraction
 
     One elimination on the nodes translated to 0..m, which leaves both
     determinants unchanged (the change of basis on the power columns is unit
-    triangular), over the columns [x^(m-1) ... 1 | x^m | S]: moving the first
-    column of V and M_S to the end multiplies each by (-1)^m.
+    triangular), over the columns [1, x, ..., x^(m-1) | x^m | S]: reversing
+    the m + 1 columns of V and M_S multiplies each by (-1)^(m(m+1)/2).  In
+    this order the pivots are Vandermonde determinants on the nodes 0..k,
+    small and never zero, so no step swaps rows.
     """
     _check_window(seq, i, m)
     items, den = seq.scaled()
-    rows = [
-        [x ** (m - k) for k in range(1, m + 1)] + [x**m, items[i - 1 + x]] for x in range(m + 1)
-    ]
+    rows = [[x**k for k in range(m + 1)] + [items[i - 1 + x]] for x in range(m + 1)]
     det_v, det_ms = bareiss_determinant(rows, bordered=2)
-    sign = (-1) ** m
+    sign = (-1) ** (m * (m + 1) // 2)
     return sign * det_ms / den, sign * det_v
 
 

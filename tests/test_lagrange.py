@@ -299,3 +299,21 @@ def test_interpolant_past_den_bits_matches_basis_form():
         for probe in (Fraction(-7, 3), Fraction(29, 2), 0):
             assert poly.evaluate(probe) == basis_form_oracle(xs, ys, probe)
         assert factorial(m) * poly.coefficient(m) == derivative(s, m).at(n0)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_determinant_signs_match_gauss_at_every_residue_of_m(m):
+    rng = random.Random(200 + m)
+    s = FiniteSeq(Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(m + 5))
+    v = [[Fraction(x ** (m - k)) for k in range(m + 1)] for x in range(3, m + 4)]
+    ms = [[s.at(x)] + row[1:] for x, row in zip(range(3, m + 4), v)]
+    assert interpolation_determinants(s, 3, m) == (gauss_oracle(ms), gauss_oracle(v))
+
+
+def test_determinant_route_past_den_bits_matches_differences():
+    primes = (1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097, 1103)
+    s = FiniteSeq.from_ratios([(k if k % 3 else -k, p) for k, p in enumerate(primes, start=1)])
+    assert not isinstance(s.scaled()[0][0], int)  # Fraction items over den 1
+    for m in range(1, 13):
+        for n0 in range(1, len(s) - m + 1):
+            assert dm_via_determinant(s, n0, m) == derivative(s, m).at(n0)
