@@ -88,8 +88,8 @@ def derivative_error(grid: GridFunction, true_derivative: FiniteSeq) -> Fraction
     approx = discrete_derivative(grid).samples
     if len(approx) != len(true_derivative):
         raise LengthMismatch(len(approx), len(true_derivative), "derivative samples")
-    gap = (approx - true_derivative).values
-    return max((abs(g) for g in gap), default=Fraction(0))
+    gap, den = (approx - true_derivative).scaled()
+    return Fraction(max(map(abs, gap), default=0), den)
 
 
 def sample_function(fn, origin: RationalLike, step: RationalLike, count: int) -> GridFunction:

@@ -12,9 +12,10 @@ where V has rows ((i+r)^m, ..., (i+r), 1) and M_S replaces the first column
 with S(i+r).  det(V) is a column-reversed Vandermonde determinant, so it is
 never zero but equals m! in absolute value only for m <= 2; the bare
 det(M_S) therefore does not equal D^m S for m >= 3 (the verifier pins this).
-Determinants are evaluated by fraction-free (Bareiss) elimination on
-integers, and both come from one elimination over the nodes 0..m with the
-columns in ascending powers, [1, x, ..., x^(m-1) | x^m | S], which reverses
+The window's entries go over one denominator, and both determinants come
+from one fraction-free (Bareiss) elimination on those integer rows, over the
+nodes 0..m with the columns in ascending powers, [1, x, ..., x^(m-1) | x^m | S]
+(the pivots are then Vandermonde determinants, never zero), which reverses
 V's and M_S's columns and so flips both signs by (-1)^(m(m+1)/2).  The order
 matters: every entry Bareiss writes is a minor of the rows, and with the low
 powers first those minors stay small (at m = 20 the entries written hold
@@ -107,47 +108,25 @@ def render_coefficients(texts: list[str]) -> str:
     return format_terms((text, x) for text, x in zip(texts, powers) if text != "0")
 
 
-def bareiss_determinant(
-    matrix: Sequence[Sequence[RationalLike]], bordered: int = 0
-) -> Fraction | tuple[Fraction, ...]:
-    """Fraction-free determinant; exact for rational entries.
+def bareiss_determinant(rows: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) elimination on n integer rows, in place.
 
-    Each row is scaled to integers by the lcm of its denominators, so every
-    elimination step divides exactly with ``//``; the determinant is the last
-    pivot over the product of the row scales.
-
-    With ``bordered = b > 0`` the n rows have n - 1 + b entries, and the
-    result is the tuple of the b determinants det[A | c_j], with A the first
-    n - 1 columns and c_j the j-th of the b trailing columns.  The same n - 1
-    elimination steps run, and by Sylvester's identity the last row then
-    holds each of them (Bareiss 1968).
+    The rows have n - 1 + b entries: A is their first n - 1 columns, and
+    every leading minor of A must be nonzero, so each pivot is.  The result
+    is the b determinants det[A | c_j], c_j the j-th trailing column.  Each of
+    the n - 1 steps divides exactly with ``//`` by the previous pivot, and by
+    Sylvester's identity the last row then holds the determinants (Bareiss
+    1968).
     """
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m: list[list[int]] = []
-    scale = 1
-    for row in matrix:
-        ints, d = over_lcm(row)
-        m.append(ints)
-        scale *= d
-    sign = 1
+    n = len(rows)
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                # columns 0..k are dependent, and every determinant holds them
-                return (Fraction(0),) * bordered if bordered else Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, pivot_tail = m[k][k], m[k][k + 1 :]
-        for row in m[k + 1 :]:
+        pivot, pivot_tail = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
             f = row[k]
             row[k + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1 :], pivot_tail)]
         prev = pivot
-    dets = tuple(Fraction(sign * x, scale) for x in m[n - 1][n - 1 :])
-    return dets if bordered else dets[0]
+    return rows[n - 1][n - 1 :]
 
 
 def _check_window(seq: FiniteSeq, start: int, m: int) -> None:
@@ -195,19 +174,21 @@ def effective_degree(seq: FiniteSeq, n0: int, m: int) -> int:
 def interpolation_determinants(seq: FiniteSeq, i: int, m: int) -> tuple[Fraction, Fraction]:
     """(det(M_S), det(V)) for the descending-power node matrix at window i.
 
-    One elimination on the nodes translated to 0..m, which leaves both
-    determinants unchanged (the change of basis on the power columns is unit
-    triangular), over the columns [1, x, ..., x^(m-1) | x^m | S]: reversing
-    the m + 1 columns of V and M_S multiplies each by (-1)^(m(m+1)/2).  In
-    this order the pivots are Vandermonde determinants on the nodes 0..k,
-    small and never zero, so no step swaps rows.
+    The m + 1 window entries go over one denominator with one ``over_lcm``
+    call.  One elimination then runs on the nodes translated to 0..m, which
+    leaves both determinants unchanged (the change of basis on the power
+    columns is unit triangular), over the integer columns
+    [1, x, ..., x^(m-1) | x^m | S]: reversing the m + 1 columns of V and M_S
+    multiplies each by (-1)^(m(m+1)/2).  In this order the leading minors are
+    Vandermonde determinants on the nodes 0..k, never zero.
     """
     _check_window(seq, i, m)
     items, den = seq.scaled()
-    rows = [[x**k for k in range(m + 1)] + [items[i - 1 + x]] for x in range(m + 1)]
-    det_v, det_ms = bareiss_determinant(rows, bordered=2)
+    window, d = over_lcm(items[i - 1 : i + m])
+    rows = [[x**k for k in range(m + 1)] + [y] for x, y in enumerate(window)]
+    det_v, det_ms = bareiss_determinant(rows)
     sign = (-1) ** (m * (m + 1) // 2)
-    return sign * det_ms / den, sign * det_v
+    return Fraction(sign * det_ms, den * d), Fraction(sign * det_v)
 
 
 def dm_via_determinant(seq: FiniteSeq, i: int, m: int) -> Fraction:

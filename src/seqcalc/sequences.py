@@ -11,26 +11,21 @@ legal value everywhere.
 
 A sequence's working form is integers over one common denominator:
 ``scaled()`` returns ``(items, den)`` with entry i equal to ``items[i] / den``
-and ``den`` a positive int.  The items are plain ints while the lcm of the
-entry denominators fits in ``DEN_BITS`` bits; past that bound they are the
-entries' own Fractions over ``den = 1``, and the same kernel loops run on
-them.  Every sequence holds its working form from the moment it is built:
-only the constructors here choose ``den`` (the parsers call ``from_columns``),
-and kernels, slices and elementwise arithmetic build the form directly.
-``values``, the public tuple of reduced Fractions, is a view built from it
-when first asked for; a sequence built from Fractions keeps them as that
-view.  Sums and differences align two sequences to lcm(d1, d2), products
-multiply over d1 * d2, and equality compares x * d2 == y * d1; where an
-aligned or product denominator would pass ``DEN_BITS``, the arithmetic runs
-on ``values`` instead.
+and ``den`` a positive int.  A sequence holds that form and nothing else.
+When a constructor here builds a sequence from entries, ratios or columns
+(the parsers call ``from_columns``), the items are plain ints while the lcm of
+the entry denominators fits in ``DEN_BITS`` bits; past that bound they are the
+entries' own Fractions over ``den = 1``, and the same kernel loops run on them.
+Kernels, slices and elementwise arithmetic build the form directly.
+``values``, the public tuple of reduced Fractions, is built from it on each
+call.
 
-``DEN_BITS`` governs only the denominators chosen here: when a sequence is
-built from entries, ratios or columns, and in ``_combine``.  ``OperatorPoly.apply``
-and ``calculus.antiderivative`` fold a scalar's denominator into ``den`` and
-keep int items even past the bound: every application of ``M`` doubles
-``den``, and one application of ``(3/4*I - 5/7*E)^60`` multiplies it by 28**60.
-Values stay exact; a later sum or product with such a sequence takes the
-``values`` path.
+``DEN_BITS`` bounds only the denominators that those constructors choose.
+Kernels and arithmetic fold denominators exactly and keep int items past the
+bound: sums and differences align two sequences to lcm(d1, d2), products
+multiply over d1 * d2, ``OperatorPoly.apply`` and ``calculus.antiderivative``
+fold a scalar's denominator into ``den`` (every application of ``M`` doubles
+it), and equality compares x * d2 == y * d1.
 """
 
 from __future__ import annotations
@@ -54,9 +49,9 @@ DEN_BITS = 64
 One lcm for a whole sequence grows with its number of distinct denominators:
 on 2000 entries 1/p with distinct primes p it has thousands of digits, and
 every entry would carry them.  Past this bound the items are the entries'
-Fractions.  A kernel that folds a scalar's denominator into ``den``
-(``OperatorPoly.apply``, the antiderivative, ``constant``) does not check it,
-so its result may carry int items over a larger ``den``.
+Fractions.  Only a constructor that takes the lcm over entries checks it: a
+kernel or an arithmetic operator that folds denominators into ``den`` keeps
+int items over whatever ``den`` it reaches.
 """
 
 
@@ -70,22 +65,17 @@ def _common_den(dens: Iterable[int]) -> int:
     return den
 
 
-def _working_form(
-    nums: Sequence[int], keys: Sequence, dens: dict, view: tuple | None
-) -> tuple[Sequence, int, tuple | None]:
-    """(items, den, view) of the entries nums[i] / dens[keys[i]], every denominator > 0.
+def _working_form(nums: Sequence[int], keys: Sequence, dens: dict) -> tuple[Sequence, int]:
+    """(items, den) of the entries nums[i] / dens[keys[i]], every denominator > 0.
 
     The items are ints over ``_common_den`` of the distinct denominators, each
-    scaled by a dict entry for its key, else the entries' Fractions over den = 1,
-    their own view.  ``view`` is the entries as reduced Fractions if the caller
-    has them.
+    scaled by a dict entry for its key, else the entries' Fractions over den = 1.
     """
     den = _common_den(dens.values())
     if not den:
-        items = view if view is not None else tuple(map(Fraction, nums, map(dens.__getitem__, keys)))
-        return items, 1, items
+        return tuple(map(Fraction, nums, map(dens.__getitem__, keys))), 1
     scale = {key: den // d for key, d in dens.items()}
-    return list(map(mul, nums, map(scale.__getitem__, keys))), den, view
+    return list(map(mul, nums, map(scale.__getitem__, keys))), den
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -166,15 +156,14 @@ class FiniteSeq:
     sequence (x, ..., x).
     """
 
-    __slots__ = ("_values", "_items", "_den")
+    __slots__ = ("_items", "_den")
 
     def __init__(self, values: Iterable[RationalLike] = ()):
         # an int stays an int: like a Fraction it has .numerator and .denominator
         entries = [v if type(v) is int else as_rational(v) for v in values]
         nums, dens = [v.numerator for v in entries], [v.denominator for v in entries]
-        view = None if int in map(type, entries) else tuple(entries)  # all Fractions: keep them
         distinct = {d: d for d in set(dens)}
-        self._items, self._den, self._values = _working_form(nums, dens, distinct, view)
+        self._items, self._den = _working_form(nums, dens, distinct)
 
     @staticmethod
     def from_scaled(items: Sequence, den: int) -> FiniteSeq:
@@ -183,7 +172,7 @@ class FiniteSeq:
             # Fraction items keep den = 1 (only an antiderivative's first item may be an int)
             items, den = [Fraction(x, den) for x in items], 1
         seq = object.__new__(FiniteSeq)
-        seq._values, seq._items, seq._den = None, items, den
+        seq._items, seq._den = items, den
         return seq
 
     @staticmethod
@@ -204,24 +193,23 @@ class FiniteSeq:
         passes the denominator texts it read and their ints.
         """
         seq = object.__new__(FiniteSeq)
-        seq._items, seq._den, seq._values = _working_form(nums, keys, dens, None)
+        seq._items, seq._den = _working_form(nums, keys, dens)
         return seq
 
     def scaled(self) -> tuple[Sequence, int]:
         """The working form (items, den): entry i is items[i] / den, with den > 0.
 
-        The items are ints when the lcm of the denominators fits in DEN_BITS
-        bits, else the entries' Fractions over den = 1.
+        A constructor from entries gives int items when the lcm of their
+        denominators fits in DEN_BITS bits, else the entries' Fractions over
+        den = 1.  Kernels and arithmetic fold denominators into den unbounded.
         """
         return self._items, self._den
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        """The entries as reduced Fractions, built from the working form on first use and kept."""
-        if self._values is None:
-            den = self._den
-            self._values = tuple(Fraction(x, den) for x in self._items)
-        return self._values
+        """The entries as reduced Fractions, built from the working form on each call."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._items)
 
     @staticmethod
     def of(*values: RationalLike) -> FiniteSeq:
@@ -265,10 +253,9 @@ class FiniteSeq:
         """Entry by entry ``op`` (add, sub or mul) of two equal-length sequences.
 
         Sums and differences align the items to lcm(d1, d2); products multiply
-        them over d1 * d2.  Where that denominator would pass DEN_BITS, the
-        entries' Fractions are combined instead.  Items past DEN_BITS are
-        Fractions over 1, and the same formula holds for them: from_scaled
-        turns Fraction results over a den other than 1 into Fractions over 1.
+        them over d1 * d2, however many bits that denominator takes.  The same
+        formula holds for Fraction items over 1: from_scaled turns Fraction
+        results over a den other than 1 into Fractions over 1.
         """
         if len(self) != len(other):
             raise LengthMismatch(len(self), len(other))
@@ -278,9 +265,7 @@ class FiniteSeq:
         else:
             den = lcm(d1, d2)
             f1, f2 = den // d1, den // d2
-        if den.bit_length() <= DEN_BITS:
-            return FiniteSeq.from_scaled([op(a * f1, b * f2) for a, b in zip(x, y)], den)
-        return FiniteSeq(map(op, self.values, other.values))
+        return FiniteSeq.from_scaled([op(a * f1, b * f2) for a, b in zip(x, y)], den)
 
     def __add__(self, other: FiniteSeq) -> FiniteSeq:
         if not isinstance(other, FiniteSeq):

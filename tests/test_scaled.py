@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcalc import DIFFERENCE, MIDDLE, FiniteSeq, derivative
-from seqcalc.grid import GridFunction, displacement
+from seqcalc.grid import GridFunction, derivative_error, displacement
 from seqcalc.lagrange import lagrange_poly
 from seqcalc.operators import bottom, top
 from seqcalc.analysis import collinearity_determinant
@@ -174,20 +174,15 @@ def test_length_access_and_prefix_leave_the_fraction_tuple_unbuilt():
     assert len(seq) == 4 and bool(seq)
     assert seq.at(2) == Fraction(1, 3) - Fraction(1, 2)
     assert seq.prefix(2) == FiniteSeq([Fraction(-1, 2), Fraction(-1, 6)])
-    assert seq._values is None
     assert seq.values[3] == Fraction(1, 5) - Fraction(1, 4)
 
     vals = [Fraction(k % 19 - 9, k % 8 + 1) for k in range(5000)]
     loaded = parse_csv("".join(f"{v}\n" for v in vals))
     poly = lagrange_poly(loaded, 4000, 4)
     assert [poly.evaluate(j) for j in range(4000, 4005)] == vals[3999:4004]
-    assert loaded._values is None
     shorter = [top(loaded), bottom(loaded)]
-    assert loaded._values is None
     grid = GridFunction(0, 1, loaded)
     shorter += [displacement(grid, 3).samples, displacement(grid, -3).samples]
-    assert loaded._values is None
-    assert [s._values for s in shorter] == [None] * 4
     assert [s.at(1) for s in shorter] == [vals[0], vals[1], vals[3], vals[0]]
     assert [s.at(len(s)) for s in shorter] == [vals[-2], vals[-1], vals[-1], vals[-4]]
 
@@ -195,16 +190,48 @@ def test_length_access_and_prefix_leave_the_fraction_tuple_unbuilt():
 def test_constructors_build_the_working_form():
     ints = FiniteSeq(range(5))
     items, den = ints.scaled()
-    assert den == 1 and [type(x) for x in items] == [int] * 5 and ints._values is None
+    assert den == 1 and [type(x) for x in items] == [int] * 5
     assert ints.values == tuple(map(Fraction, range(5)))
 
     vals = [Fraction(1, 2), Fraction(-3), Fraction(5, 6)]
     for seq in (FiniteSeq(vals), FiniteSeq(["1/2", "-3", "5/6"])):
-        assert seq.scaled() == ([3, -18, 5], 6) and seq._values == tuple(vals)
+        assert seq.scaled() == ([3, -18, 5], 6)
     past = [Fraction(1, p) for p in BIG_PRIMES]
     for seq in (FiniteSeq(past), FiniteSeq([1, *past])):
         items, den = seq.scaled()
-        assert den == 1 and items is seq.values and list(items[-5:]) == past
+        assert den == 1 and list(items[-5:]) == past
+
+
+PRIMES_PAST_BOUND = (1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097, 1103)
+
+
+def _no_fraction_tuple(self):
+    raise AssertionError("FiniteSeq.values read on a library path")
+
+
+@pytest.mark.parametrize("past_bound", [False, True], ids=["p/q", "13 primes"])
+def test_no_library_path_reads_the_fraction_tuple(monkeypatch, past_bound):
+    if past_bound:
+        vals = [Fraction(k if k % 3 else -k, p) for k, p in enumerate(PRIMES_PAST_BOUND, start=1)]
+    else:
+        vals = [Fraction(k % 19 - 9, k % 8 + 1) for k in range(16)]
+    seq = "inline:" + ",".join(map(str, vals))
+    grid = GridFunction(0, Fraction(1, 3), FiniteSeq(vals))
+    reference = FiniteSeq([Fraction(k, 7) for k in range(len(vals) - 1)])
+    slopes = [(b - a) * 3 for a, b in zip(vals, vals[1:])]
+    monkeypatch.setattr(FiniteSeq, "values", property(_no_fraction_tuple))
+
+    for op in ("(3/4*I - 5/7*E)^20", "M^70"):
+        run("apply", "--op", op, "--seq", seq)
+    run("diff", "--seq", seq, "--order", "3")
+    run("integrate", "--seq", seq, "--constant=2/3")
+    run("defint", "--seq", seq, "--from", "2", "--to", "9")
+    run("classify", "--seq", seq)
+    for mode in ("--coeffs", "--eval=-7/3", "--det"):
+        run("lagrange", "--seq", seq, "--n0", "2", "--m", "11", mode)
+    run("verify", "--check", "all", "--trials", "20")
+    gap = max(abs(a - b) for a, b in zip(slopes, [Fraction(k, 7) for k in range(len(slopes))]))
+    assert derivative_error(grid, reference) == gap
 
 
 entries = tokens.map(lambda pair: pair[1])
@@ -227,8 +254,6 @@ def assert_entries(seq, vals):
     assert seq == expected and expected == seq
     items, den = seq.scaled()
     assert [Fraction(x, den) for x in items] == vals
-    if items and isinstance(items[-1], int):
-        assert den.bit_length() <= DEN_BITS
     assert seq.values == tuple(vals)
     assert hash(seq) == hash(expected)
 
@@ -290,7 +315,7 @@ def test_elementwise_arithmetic_matches_fraction_oracles(n, forms, scalar, chain
             s + stored(gvals[1:], forms[1])
 
 
-def test_a_chain_of_products_passes_the_bound_and_falls_back():
+def test_a_chain_of_products_passes_the_bound_and_stays_exact():
     p = BIG_PRIMES[0]  # 31 bits: the product of two such denominators fits in DEN_BITS, of three not
     vals = [Fraction(1, p), Fraction(-2), Fraction(5, p)]
     factor = FiniteSeq.from_ratios([(1, p), (-2, 1), (5, p)])
@@ -298,7 +323,8 @@ def test_a_chain_of_products_passes_the_bound_and_falls_back():
     items, den = square.scaled()
     assert all(isinstance(x, int) for x in items) and den == p * p
     cube = square * factor
-    assert (p**3).bit_length() > DEN_BITS
+    items, den = cube.scaled()
+    assert (p**3).bit_length() > DEN_BITS and den == p**3 and all(isinstance(x, int) for x in items)
     assert_entries(cube, [a * a * a for a in vals])
     assert_entries(cube * factor - square * square, [0, 0, 0])
 
