@@ -304,7 +304,7 @@ BOTTOM = OperatorPoly.generator(bottom_power=1)
 MIDDLE = (TOP + BOTTOM) / 2
 DIFFERENCE = BOTTOM - TOP
 
-GENERATORS = {"1": IDENTITY, "I": TOP, "E": BOTTOM, "M": MIDDLE, "D": DIFFERENCE}
+GENERATORS = {"I": TOP, "E": BOTTOM, "M": MIDDLE, "D": DIFFERENCE}
 
 
 def top(seq: FiniteSeq) -> FiniteSeq:

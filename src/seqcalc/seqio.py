@@ -23,7 +23,9 @@ calls check the grammar, each distinct denominator text once, and a count of
 gets the numerators, denominator texts and their ints, so only ``sequences``
 chooses the common denominator.  A ValueError sends the text to the walk, the
 reference for values and errors: the format's cells, (piece, line) pairs that
-raise its own errors in input order, read with one regex match per token.  The
+raise its own errors in input order.  The walk and ``parse_rational`` check
+each token by the same rule, ``isascii()`` and then ``isdigit()`` on the
+numerator past its sign and on the denominator; no pattern is compiled.  The
 scan may decline a valid text, never accept one the walk rejects.
 ``render_json`` writes each list of entry texts with one join into the result
 itself.
@@ -36,7 +38,6 @@ a stable field order, so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from itertools import repeat
 from operator import countOf, itemgetter
@@ -55,10 +56,6 @@ if TYPE_CHECKING:
     from .verify import CheckReport
 
 SCHEMA = "seqcalc/1"
-
-# The token grammar, for the walk and for parse_rational: ASCII digits only (int()
-# alone also takes "٣" and "2_0").  Unicode \s is what str.strip() removes.
-_PIECE = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 
 
 def _plain(text: str) -> bool:
@@ -93,9 +90,11 @@ def _scan(parts: list[tuple]) -> FiniteSeq:
 def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
     """(p, q) of one rational literal, or its error: the walk's step."""
     token = piece.strip()
-    if not _PIECE.fullmatch(token):
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    # [+-]?[0-9]+(/[0-9]+)? in ASCII: isdigit() alone also takes "٣"
+    if not (token.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         raise FormatError(f"not a rational literal: {quoted(token)}", line)
-    num, _, den = token.partition("/")
     try:
         p, q = int(num), int(den or 1)
     except ValueError:
@@ -176,7 +175,7 @@ def parse_json(text: str) -> FiniteSeq:
     return _read(lambda: _json_parts(data), _json_cells(data))
 
 
-def _bfile_parts(text: str, lines: list[str]) -> Iterable[tuple]:
+def _bfile_parts(lines: list[str]) -> Iterable[tuple]:
     """Two fields on each line past the leading comments (a later comment line fails int())."""
     head = 0
     while head < len(lines) and lines[head].strip()[:1] in ("", "#"):
@@ -212,7 +211,7 @@ def _bfile_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
 
 def parse_bfile(text: str) -> FiniteSeq:
     lines = text.splitlines()
-    return _read(lambda: _bfile_parts(text, lines), _bfile_cells(lines))
+    return _read(lambda: _bfile_parts(lines), _bfile_cells(lines))
 
 
 _PARSERS = {

@@ -181,7 +181,7 @@ class FiniteSeq:
         dens = {q for _, q in ratios}
         den = _common_den(dens)
         if not den:
-            return FiniteSeq.from_columns(*zip(*ratios), {q: q for q in dens})
+            return FiniteSeq.from_scaled([Fraction(p, q) for p, q in ratios], 1)
         # a division per entry: on a few entries cheaper than from_columns's dict of scales
         return FiniteSeq.from_scaled([p * (den // q) for p, q in ratios], den)
 
@@ -287,8 +287,7 @@ class FiniteSeq:
             return NotImplemented
         return self._combine(FiniteSeq.constant(other, len(self)), mul)
 
-    def __rmul__(self, other: RationalLike) -> FiniteSeq:
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other: Union[FiniteSeq, RationalLike]) -> FiniteSeq:
         if isinstance(other, FiniteSeq):
@@ -311,8 +310,7 @@ class FiniteSeq:
         return FiniteSeq.from_ratios(ratios)
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(v) for v in self.values)
-        return f"FiniteSeq(({inner}))"
+        return f"FiniteSeq(({', '.join(format_sequence(self))}))"
 
 
 EMPTY = FiniteSeq()

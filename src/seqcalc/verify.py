@@ -72,7 +72,7 @@ from .lagrange import (
     lagrange_poly,
 )
 from .operators import BOTTOM, DIFFERENCE, TOP, OperatorPoly, bottom, middle, top
-from .sequences import FiniteSeq
+from .sequences import FiniteSeq, format_sequence
 
 
 MAX_LENGTH = 100
@@ -149,7 +149,7 @@ def _inverses(spec: CheckSpec, rng: random.Random):
 
 
 def _inline(seq: FiniteSeq) -> str:
-    return ",".join(str(v) for v in seq.values)
+    return ",".join(format_sequence(seq))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcalc import DIFFERENCE, MIDDLE, FiniteSeq, derivative
+from seqcalc import DIFFERENCE, MIDDLE, FiniteSeq, calculus, derivative
 from seqcalc.grid import GridFunction, derivative_error, displacement
 from seqcalc.lagrange import lagrange_poly
 from seqcalc.operators import bottom, top
@@ -209,6 +209,16 @@ def _no_fraction_tuple(self):
     raise AssertionError("FiniteSeq.values read on a library path")
 
 
+def verify_with_a_dropped_constant(monkeypatch):
+    """(exit code, stdout) of a verify check that fails: the antiderivative drops its constant."""
+    original = calculus.antiderivative
+    out = io.StringIO()
+    with monkeypatch.context() as patch, redirect_stdout(out):
+        patch.setattr(calculus, "antiderivative", lambda seq, constant=0: original(seq))
+        code = main(["verify", "--check", "partial_sums", "--trials", "20"])
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("past_bound", [False, True], ids=["p/q", "13 primes"])
 def test_no_library_path_reads_the_fraction_tuple(monkeypatch, past_bound):
     if past_bound:
@@ -219,6 +229,7 @@ def test_no_library_path_reads_the_fraction_tuple(monkeypatch, past_bound):
     grid = GridFunction(0, Fraction(1, 3), FiniteSeq(vals))
     reference = FiniteSeq([Fraction(k, 7) for k in range(len(vals) - 1)])
     slopes = [(b - a) * 3 for a, b in zip(vals, vals[1:])]
+    failing = verify_with_a_dropped_constant(monkeypatch)
     monkeypatch.setattr(FiniteSeq, "values", property(_no_fraction_tuple))
 
     for op in ("(3/4*I - 5/7*E)^20", "M^70"):
@@ -232,6 +243,13 @@ def test_no_library_path_reads_the_fraction_tuple(monkeypatch, past_bound):
     run("verify", "--check", "all", "--trials", "20")
     gap = max(abs(a - b) for a, b in zip(slopes, [Fraction(k, 7) for k in range(len(slopes))]))
     assert derivative_error(grid, reference) == gap
+    # a failing check writes its counterexamples, and repr writes entries, from the working form
+    assert verify_with_a_dropped_constant(monkeypatch) == failing
+    code, out = failing
+    assert code == 1 and all(": S=" in text for text in json.loads(out)["reports"][0]["failures"])
+    samples = f"FiniteSeq(({', '.join(map(str, vals))}))"
+    assert repr(FiniteSeq(vals)) == samples
+    assert repr(grid) == f"GridFunction(origin=Fraction(0, 1), step=Fraction(1, 3), samples={samples})"
 
 
 entries = tokens.map(lambda pair: pair[1])

@@ -166,6 +166,22 @@ def test_oracles_catch_a_broken_input_build(monkeypatch):
     assert report.passed is False
 
 
+# stdout of a passing `verify`: the whole catalog at the default lengths 2..12,
+# and at lengths up to 100, which those never reach
+PASSING_REPORT_SHA256 = [
+    (("--check", "all", "--trials", "200"),
+     "7a024d4414f1bd5820a04ebe5fba232dda262aa98d52ffb8e4fd33db0cd1ec7c"),
+    (("--check", "all", "--trials", "40", "--seed", "11", "--max-len", "100"),
+     "d7477c154549a390ab6b30a84685cec6418cb892ae4b5627e25baea9593c8826"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PASSING_REPORT_SHA256, ids=["trials-200", "max-len-100"])
+def test_passing_report_digest(capsys, argv, expected):
+    assert main(["verify", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
 # stdout of `verify --check all --trials 30 --seed 3 --max-len 14` while
 # OperatorPoly.apply shifts its first entry by 1: pins the draw order of
 # every check, the failure texts a broken kernel produces and their counts.
