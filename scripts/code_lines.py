@@ -15,6 +15,7 @@ prints one line per file and then the total.
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -62,4 +63,11 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # the reader quit early (``| head``): stdout goes to devnull so that the
+        # interpreter's last flush is quiet, and the exit code is 128 + SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)

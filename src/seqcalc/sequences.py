@@ -12,10 +12,14 @@ legal value everywhere.
 A sequence's working form is integers over one common denominator:
 ``scaled()`` returns ``(items, den)`` with entry i equal to ``items[i] / den``
 and ``den`` a positive int.  A sequence holds that form and nothing else.
-When a constructor here builds a sequence from entries, ratios or columns
-(the parsers call ``from_columns``), the items are plain ints while the lcm of
-the entry denominators fits in ``DEN_BITS`` bits; past that bound they are the
-entries' own Fractions over ``den = 1``, and the same kernel loops run on them.
+A constructor here builds that form from entries by one of two rules.
+``FiniteSeq(values)`` and ``from_ratios`` (the verifier's instances, the
+parsers' per-token walk) hand ``(p, q)`` pairs to ``_working_form``; the
+parsers' scan hands columns (numerators, denominator keys and a dict of their
+ints) to ``from_columns``.  Under both, the items are plain ints while the lcm
+of the entry denominators fits in ``DEN_BITS`` bits; past that bound they are
+the entries' own Fractions over ``den = 1``, and the same kernel loops run on
+them.
 Kernels, slices and elementwise arithmetic build the form directly.
 ``values``, the public tuple of reduced Fractions, is built from it on each
 call.
@@ -65,17 +69,16 @@ def _common_den(dens: Iterable[int]) -> int:
     return den
 
 
-def _working_form(nums: Sequence[int], keys: Sequence, dens: dict) -> tuple[Sequence, int]:
-    """(items, den) of the entries nums[i] / dens[keys[i]], every denominator > 0.
+def _working_form(ratios: Sequence[tuple[int, int]]) -> tuple[Sequence, int]:
+    """(items, den) of the entries p / q over (p, q) pairs with q > 0, not necessarily reduced.
 
-    The items are ints over ``_common_den`` of the distinct denominators, each
-    scaled by a dict entry for its key, else the entries' Fractions over den = 1.
+    The items are the ints p * (den // q) over ``_common_den`` of the distinct q,
+    else the entries' Fractions over den = 1.
     """
-    den = _common_den(dens.values())
+    den = _common_den({q for _, q in ratios})
     if not den:
-        return tuple(map(Fraction, nums, map(dens.__getitem__, keys))), 1
-    scale = {key: den // d for key, d in dens.items()}
-    return list(map(mul, nums, map(scale.__getitem__, keys))), den
+        return [Fraction(p, q) for p, q in ratios], 1
+    return [p * (den // q) for p, q in ratios], den
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -161,9 +164,7 @@ class FiniteSeq:
     def __init__(self, values: Iterable[RationalLike] = ()):
         # an int stays an int: like a Fraction it has .numerator and .denominator
         entries = [v if type(v) is int else as_rational(v) for v in values]
-        nums, dens = [v.numerator for v in entries], [v.denominator for v in entries]
-        distinct = {d: d for d in set(dens)}
-        self._items, self._den = _working_form(nums, dens, distinct)
+        self._items, self._den = _working_form([(v.numerator, v.denominator) for v in entries])
 
     @staticmethod
     def from_scaled(items: Sequence, den: int) -> FiniteSeq:
@@ -178,23 +179,22 @@ class FiniteSeq:
     @staticmethod
     def from_ratios(ratios: Sequence[tuple[int, int]]) -> FiniteSeq:
         """The sequence of p / q over (p, q) pairs with q > 0, not necessarily reduced."""
-        dens = {q for _, q in ratios}
-        den = _common_den(dens)
-        if not den:
-            return FiniteSeq.from_scaled([Fraction(p, q) for p, q in ratios], 1)
-        # a division per entry: on a few entries cheaper than from_columns's dict of scales
-        return FiniteSeq.from_scaled([p * (den // q) for p, q in ratios], den)
+        return FiniteSeq.from_scaled(*_working_form(ratios))
 
     @staticmethod
     def from_columns(nums: Sequence[int], keys: Sequence, dens: dict) -> FiniteSeq:
         """The sequence nums[i] / dens[keys[i]] over parallel lists nums and keys.
 
         ``dens`` maps each distinct key to its denominator, an int > 0: a parser
-        passes the denominator texts it read and their ints.
+        passes the denominator texts it read and their ints.  The items are ints
+        over ``_common_den`` of those ints, each scaled by its key's factor,
+        else the entries' Fractions over den = 1.
         """
-        seq = object.__new__(FiniteSeq)
-        seq._items, seq._den = _working_form(nums, keys, dens)
-        return seq
+        den = _common_den(dens.values())
+        if not den:
+            return FiniteSeq.from_scaled(tuple(map(Fraction, nums, map(dens.__getitem__, keys))), 1)
+        scale = {key: den // d for key, d in dens.items()}
+        return FiniteSeq.from_scaled(list(map(mul, nums, map(scale.__getitem__, keys))), den)
 
     def scaled(self) -> tuple[Sequence, int]:
         """The working form (items, den): entry i is items[i] / den, with den > 0.

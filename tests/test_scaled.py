@@ -193,13 +193,24 @@ def test_constructors_build_the_working_form():
     assert den == 1 and [type(x) for x in items] == [int] * 5
     assert ints.values == tuple(map(Fraction, range(5)))
 
-    vals = [Fraction(1, 2), Fraction(-3), Fraction(5, 6)]
-    for seq in (FiniteSeq(vals), FiniteSeq(["1/2", "-3", "5/6"])):
-        assert seq.scaled() == ([3, -18, 5], 6)
-    past = [Fraction(1, p) for p in BIG_PRIMES]
-    for seq in (FiniteSeq(past), FiniteSeq([1, *past])):
+    def form(seq):
         items, den = seq.scaled()
-        assert den == 1 and list(items[-5:]) == past
+        return list(items), den
+
+    # the pair rule (FiniteSeq, from_ratios) and the column rule (parsers) agree
+    vals = [Fraction(1, 2), Fraction(-3), Fraction(5, 6)]
+    builds = [FiniteSeq(vals), FiniteSeq(["1/2", "-3", "5/6"]), FiniteSeq.from_ratios([(1, 2), (-3, 1), (5, 6)])]
+    builds.append(parse_inline("1/2, -3, 5/6"))
+    assert [form(seq) for seq in builds] == [([3, -18, 5], 6)] * 4
+    # neither reduces a ratio before scaling it
+    unreduced = [FiniteSeq.from_ratios([(2, 4), (-3, 1), (10, 12)]), parse_inline("2/4, -3, 10/12")]
+    assert [form(seq) for seq in unreduced] == [([6, -36, 10], 12)] * 2
+    past = [Fraction(1, p) for p in BIG_PRIMES]
+    builds = [FiniteSeq([1, *past]), FiniteSeq.from_ratios([(1, 1), *((1, p) for p in BIG_PRIMES)])]
+    builds.append(parse_inline(",".join(["1", *map(str, past)])))
+    assert [form(seq) for seq in builds] == [([1, *past], 1)] * 3
+    assert all(type(x) is Fraction for seq in builds for x in seq.scaled()[0])
+    assert form(FiniteSeq(past)) == (past, 1)
 
 
 PRIMES_PAST_BOUND = (1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097, 1103)

@@ -34,6 +34,7 @@ from seqcalc.seqio import (
 from seqcalc.verify import CheckReport
 
 from strategies import finite_seqs
+from test_scaled import PRIMES_PAST_BOUND
 
 
 def test_parse_inline():
@@ -318,6 +319,10 @@ def test_scanner_matches_the_per_token_reference(fmt, data):
     assert_same_as_reference(fmt, data.draw(_texts(fmt)))
 
 
+# entries k/p over 13 primes: their lcm passes DEN_BITS, so the scan's from_columns
+# builds Fractions over 1 where the reference builds them through from_ratios
+_PAST_BOUND = [f"{k if k % 3 else -k}/{p}" for k, p in enumerate(PRIMES_PAST_BOUND, start=1)]
+
 EDGE_CORPUS = [
     "1\r\n2\r\n", "1\r2\r3", "1\x1c2\x853\u20284", "\xa01/2\xa0\n\xa0-3\xa0",
     "1_000", "٣", "+7", "007", "2/-3", "1/2/3", "4/00", "0/0", "1/0\n4/00",
@@ -330,6 +335,7 @@ EDGE_CORPUS = [
     "1 /2", "1/ 2", "1\t/2", "1/+2", "1/", "+-1", "1\x1f2", "1 2,,3",
     "1 5#x", "1 5 # note", " # c\n1 5", "1 5 2\n7", "1 1\n2\n3\n3 6", "1 5\n 2\n3 \n3 6",
     '["", "1 2"]', '[" ", "1 2"]', '["1 /2"]', "1 ٣", "1 2_0", "1 3/٣", "٣ 1", "2_0 1",
+    "\n".join(_PAST_BOUND), "".join(f"{i} {e}\n" for i, e in enumerate(_PAST_BOUND)), json.dumps(_PAST_BOUND),
 ]  # fmt: skip
 
 
