@@ -4,6 +4,12 @@ The derivative of S is the difference sequence DS(i) = S(i+1) - S(i); its
 right inverse is the cumulative-sum antiderivative whose free constant is
 stored at index 1.  The definite integral from a to b is the inclusive sum
 of S(a)..S(b).
+
+The antiderivative runs on the working form (see ``sequences``).  Over int
+items it puts the constant c = p / q over lcm(den, q) and takes prefix sums
+of ints.  Over the entries' own Fractions (past ``DEN_BITS``) it sums from c
+itself over den 1: scaling them by q would leave every prefix sum to be
+divided back, one gcd per entry at the size of its denominator.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ def antiderivative(seq: FiniteSeq, constant: RationalLike = 0) -> FiniteSeq:
     """
     c = as_rational(constant)
     items, den = seq.scaled()
+    if items and not isinstance(items[-1], int):
+        # Fraction items over den 1: sum from c itself, with no scale to divide back
+        return FiniteSeq.from_scaled(list(accumulate(items, initial=c)), 1)
     common = lcm(den, c.denominator)
     if common != den:
         items = [x * (common // den) for x in items]

@@ -39,14 +39,18 @@ coprime integer weights times the scale g / den.  Each call adds one multiple
 of the slice S[b : b + n - d] of the sequence's working form (see
 ``sequences``) per shift, a plain add or subtract for a unit weight, so D
 costs one subtraction per entry.  The scale's numerator multiplies the sums
-and its denominator joins the sequence's, so integer items stay integers.
+and its denominator joins the sequence's, so integer items stay integers.  The
+scale is kept as two ints, and each shift's add, subtract or multiple runs as
+one C-level ``map`` over its window, with no per-entry Python frame.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import BadParameter, NegativePower, quoted
 from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
@@ -201,38 +205,47 @@ class OperatorPoly:
             rest_power = _convolve(rest_power, rest)
         return _from_ints(sums, self._den**exponent)
 
-    def _weights(self) -> tuple[int, Fraction, list[tuple[int, int]]]:
-        """(truncation, scale, [(shift b, integer weight)]), a +1 weight first."""
+    def _weights(self) -> tuple[int, int, int, list[tuple[int, int]]]:
+        """(truncation, scale num, scale den, [(shift b, integer weight)]), a +1 weight first.
+
+        The scale g / den is in lowest terms, g being the gcd of the summed weights.
+        """
         merged: dict[int, int] = {}
         for (_, b), c in self._terms.items():
             merged[b] = merged.get(b, 0) + c
         nonzero = [(b, w) for b, w in merged.items() if w]
         g = gcd(*(w for _, w in nonzero))
         weights = sorted(((b, w // g) for b, w in nonzero), key=lambda bw: bw[1] != 1)
-        return max(self.max_degree(), 0), Fraction(g, self._den), weights
+        h = gcd(g, self._den)
+        return max(self.max_degree(), 0), g // h, self._den // h, weights
 
     def apply(self, seq: FiniteSeq) -> FiniteSeq:
-        """Act on a finite sequence with the truncation convention."""
+        """Act on a finite sequence with the truncation convention.
+
+        Each shift adds its window of items to the sums in one C-level ``map``.
+        """
         if self._stencil is None:
             self._stencil = self._weights()
-        depth, scale, weights = self._stencil
+        depth, scale_num, scale_den, weights = self._stencil
         items, den = seq.scaled()
         out_len = max(len(items) - depth, 0)
         if not weights:
             return FiniteSeq.from_scaled([0] * out_len, 1)
         (b, w), *rest = weights
-        acc = items[b : b + out_len] if w == 1 else [v * w for v in items[b : b + out_len]]
+        acc = items[b : b + out_len]
+        if w != 1:
+            acc = list(map(mul, acc, repeat(w)))
         for b, w in rest:
             window = items[b : b + out_len]
             if w == 1:
-                acc = [x + v for x, v in zip(acc, window)]
+                acc = list(map(add, acc, window))
             elif w == -1:
-                acc = [x - v for x, v in zip(acc, window)]
+                acc = list(map(sub, acc, window))
             else:
-                acc = [x + v * w for x, v in zip(acc, window)]
-        if scale.numerator != 1:
-            acc = [x * scale.numerator for x in acc]
-        return FiniteSeq.from_scaled(acc, den * scale.denominator)
+                acc = list(map(add, acc, map(mul, window, repeat(w))))
+        if scale_num != 1:
+            acc = list(map(mul, acc, repeat(scale_num)))
+        return FiniteSeq.from_scaled(acc, den * scale_den)
 
     def ordered_terms(self) -> list[tuple[int, int, str]]:
         """(top power, bottom power, coefficient as text) per term.

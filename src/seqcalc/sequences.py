@@ -22,7 +22,9 @@ the entries' own Fractions over ``den = 1``, and the same kernel loops run on
 them.
 Kernels, slices and elementwise arithmetic build the form directly.
 ``values``, the public tuple of reduced Fractions, is built from it on each
-call.
+call; ``hash`` and iteration work from the form and build no such tuple
+(``hash(S) == hash(S.values)``).  Elementwise loops run as C-level ``map``s
+over ``operator`` functions.
 
 ``DEN_BITS`` bounds only the denominators that those constructors choose.
 Kernels and arithmetic fold denominators exactly and keep int items past the
@@ -34,9 +36,11 @@ it), and equality compares x * d2 == y * d1.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, eq, mul, neg, sub
 
 from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
 
@@ -57,6 +61,15 @@ Fractions.  Only a constructor that takes the lcm over entries checks it: a
 kernel or an arithmetic operator that folds denominators into ``den`` keeps
 int items over whatever ``den`` it reaches.
 """
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _entry_hash(x: int, inv: int) -> int:
+    """hash(Fraction(x, den)) from x and inv, the inverse of den mod ``_HASH_MODULUS``."""
+    h = abs(x) % _HASH_MODULUS * inv % _HASH_MODULUS
+    return -h if x < 0 else h
 
 
 def _common_den(dens: Iterable[int]) -> int:
@@ -170,7 +183,7 @@ class FiniteSeq:
     def from_scaled(items: Sequence, den: int) -> FiniteSeq:
         """The sequence items[i] / den, trusted to be a working form (see ``scaled``)."""
         if den != 1 and items and not isinstance(items[-1], int):
-            # Fraction items keep den = 1 (only an antiderivative's first item may be an int)
+            # Fraction items keep den = 1
             items, den = [Fraction(x, den) for x in items], 1
         seq = object.__new__(FiniteSeq)
         seq._items, seq._den = items, den
@@ -224,7 +237,7 @@ class FiniteSeq:
         return len(self._items)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
+        return map(Fraction, self._items, repeat(self._den))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSeq):
@@ -232,10 +245,25 @@ class FiniteSeq:
         if len(self) != len(other):
             return False
         (x, d1), (y, d2) = self.scaled(), other.scaled()
+        if d1 == d2:
+            return all(map(eq, x, y))
         return all(a * d2 == b * d1 for a, b in zip(x, y))
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        """``hash(self.values)``, computed from the working form.
+
+        A Fraction p / q hashes as |p| * q^-1 mod P with p's sign (-1 becomes
+        -2), P = ``sys.hash_info.modulus``; the value is the same for x / den
+        unreduced when P does not divide den.  So each entry's hash is that
+        int, from one inverse of den per sequence.
+        """
+        items, den = self.scaled()
+        if den == 1:
+            return hash(tuple(items))
+        if den % _HASH_MODULUS == 0:
+            return hash(self.values)
+        inv = pow(den, -1, _HASH_MODULUS)
+        return hash(tuple(map(_entry_hash, items, repeat(inv))))
 
     def at(self, i: int) -> Fraction:
         """1-based access: at(1) is the first term."""
@@ -252,20 +280,24 @@ class FiniteSeq:
     def _combine(self, other: FiniteSeq, op) -> FiniteSeq:
         """Entry by entry ``op`` (add, sub or mul) of two equal-length sequences.
 
-        Sums and differences align the items to lcm(d1, d2); products multiply
-        them over d1 * d2, however many bits that denominator takes.  The same
-        formula holds for Fraction items over 1: from_scaled turns Fraction
-        results over a den other than 1 into Fractions over 1.
+        Sums and differences align the items to lcm(d1, d2), rescaling only a
+        side whose den differs from it; products multiply them over d1 * d2,
+        however many bits that denominator takes.  The same formula holds for
+        Fraction items over 1: from_scaled turns Fraction results over a den
+        other than 1 into Fractions over 1.
         """
         if len(self) != len(other):
             raise LengthMismatch(len(self), len(other))
         (x, d1), (y, d2) = self.scaled(), other.scaled()
         if op is mul:
-            den, f1, f2 = d1 * d2, 1, 1
+            den = d1 * d2
         else:
             den = lcm(d1, d2)
-            f1, f2 = den // d1, den // d2
-        return FiniteSeq.from_scaled([op(a * f1, b * f2) for a, b in zip(x, y)], den)
+            if d1 != den:
+                x = list(map(mul, x, repeat(den // d1)))
+            if d2 != den:
+                y = list(map(mul, y, repeat(den // d2)))
+        return FiniteSeq.from_scaled(list(map(op, x, y)), den)
 
     def __add__(self, other: FiniteSeq) -> FiniteSeq:
         if not isinstance(other, FiniteSeq):
@@ -278,14 +310,18 @@ class FiniteSeq:
         return self._combine(other, sub)
 
     def __neg__(self) -> FiniteSeq:
-        return self * -1
+        items, den = self.scaled()
+        return FiniteSeq.from_scaled(list(map(neg, items)), den)
 
     def __mul__(self, other: Union[FiniteSeq, RationalLike]) -> FiniteSeq:
         if isinstance(other, FiniteSeq):
             return self._combine(other, mul)
         if not isinstance(other, (int, str, Fraction)):
             return NotImplemented
-        return self._combine(FiniteSeq.constant(other, len(self)), mul)
+        # the items times p over den * q, for the scalar p / q
+        v = as_rational(other)
+        items, den = self.scaled()
+        return FiniteSeq.from_scaled(list(map(mul, items, repeat(v.numerator))), den * v.denominator)
 
     __rmul__ = __mul__
 

@@ -25,7 +25,10 @@ compared by cross-multiplication: a sequence on its working form
 ``r.numerator * den == num * r.denominator``.  No oracle builds or divides a
 Fraction: the verifier builds one only as a kernel's input (a constant, a
 ratio, a step) or to write a failure text.  The sweep's sequences are built
-once per process, on first use; every run still checks every case.
+once per process, on first use; every run still checks every case.  Within
+one ``ftc`` run, each swept sequence's antiderivative at each fixed constant
+is built once, by the first window that needs it, and its other windows
+share it; nothing is kept from one run to the next.
 
 A check is its body: a generator ``body(spec, rng)`` that draws one instance
 (its length, through ``_length``, where its draw order needs it) and yields
@@ -207,6 +210,8 @@ def _o_det(matrix):
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
+    if n == 2:
+        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     total = 0
     for r in range(n):
         minor = [row[1:] for k, row in enumerate(matrix) if k != r]
@@ -434,14 +439,21 @@ def _check_geometric_sum(spec: CheckSpec, rng: random.Random):
     yield from _geometric_sum(start, q, n)
 
 
-def _ftc(s, nums, den, a, b, constants):
-    """The fundamental theorem on S = nums / den between a and b."""
+def _ftc(s, nums, den, a, b, constants, antis):
+    """The fundamental theorem on S = nums / den between a and b.
+
+    ``antis[k]`` holds S's antiderivative at ``constants[k]`` once a case has
+    built it, so the windows of one sequence share it; a case that finds the
+    slot empty builds it.
+    """
     total = _o_sum(nums, a, b)
     if not _equals(calculus.definite_integral(s, a, b), total, den):
         yield f"sum oracle mismatch S={_inline(s)} a={a} b={b}"
         return
-    for c in constants:
-        anti = calculus.antiderivative(s, c)
+    for k, c in enumerate(constants):
+        anti = antis[k]
+        if anti is None:
+            anti = antis[k] = calculus.antiderivative(s, c)
         (upper, d), (lower, _) = _entry(anti, b + 1), _entry(anti, a)
         if (upper - lower) * den != total * d:
             yield f"I(b+1)-I(a) mismatch S={_inline(s)} a={a} b={b} c={c}"
@@ -452,7 +464,7 @@ def _check_ftc(spec: CheckSpec, rng: random.Random):
     s, nums, den = _instance(spec, rng)
     a = draw(rng, 1, len(s))
     b = draw(rng, a, len(s))
-    yield from _ftc(s, nums, den, a, b, (random_rational(rng),))
+    yield from _ftc(s, nums, den, a, b, (random_rational(rng),), [None])
 
 
 def _convexity_equivalence(s, nums, den):
@@ -732,8 +744,9 @@ _FIXED = {
         for n in range(3, 9)
     ),
     "ftc": lambda: (
-        ("exhaustive: ", _ftc(*case, a, b, _FTC_CONSTANTS))
+        ("exhaustive: ", _ftc(*case, a, b, _FTC_CONSTANTS, antis))
         for case in _sweep()
+        for antis in ([None] * len(_FTC_CONSTANTS),)  # one slot per sequence and run
         for a in range(1, 5)
         for b in range(a, 5)
     ),

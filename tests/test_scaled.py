@@ -9,6 +9,7 @@ lcm past ``DEN_BITS``, so the items stay Fractions.
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -385,3 +386,58 @@ def test_repeated_means_pass_den_bits_and_stay_exact():
     assert list((seq + other).values) == [a + Fraction(k, 3) for k, a in enumerate(raw)]
     assert list((seq - seq).values) == [0] * len(raw)
     assert list((seq * other).values) == [a * Fraction(k, 3) for k, a in enumerate(raw)]
+
+
+def test_antiderivative_past_den_bits_sums_from_the_constant():
+    vals = [Fraction(k % 19 - 9, p) for k, p in enumerate(_odd_primes(300)[200:] * 3)]
+    seq = FiniteSeq(vals)
+    assert seq.scaled()[1] == 1 and type(seq.scaled()[0][0]) is Fraction
+    base = calculus.antiderivative(seq, 0)
+    assert base.values == tuple(o_running_sums(vals, Fraction(0)))
+    for c in (Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(4)):
+        anti = calculus.antiderivative(seq, c)
+        assert anti == base + FiniteSeq.constant(c, len(vals) + 1)
+        assert anti.scaled()[1] == 1  # the entries' own Fractions, never put over c's denominator
+
+
+HASH_MODULUS = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        FiniteSeq(),
+        FiniteSeq.from_scaled([], 6),
+        FiniteSeq([3, -1, 0, 2**70]),
+        FiniteSeq.from_scaled([-6, 3, 4, -12], 6),  # unreduced, with an entry -1 whose hash is -2
+        FiniteSeq([Fraction(1, p) for p in BIG_PRIMES] + [Fraction(-1), Fraction(-7, 3)]),
+        FiniteSeq.from_ratios([(1, HASH_MODULUS), (-2, 3), (5, 1)]),  # ints over 3 * P
+        FiniteSeq.from_scaled([-1, 2, HASH_MODULUS], 2 * HASH_MODULUS),
+        FiniteSeq([Fraction(1, 3)]) * Fraction(-2, 5),
+    ],
+    ids=["empty", "empty over 6", "ints", "unreduced", "fractions", "den 3P", "den 2P", "scaled"],
+)
+def test_hash_from_the_working_form_equals_the_hash_of_the_fraction_tuple(seq):
+    assert hash(seq) == hash(seq.values)
+    assert tuple(iter(seq)) == seq.values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    vals=st.lists(entries, max_size=8),
+    past_bound=st.booleans(),
+    form=st.sampled_from(["fractions", "ints", "strings", "ratios", "unreduced"]),
+    scalar=st.one_of(entries, st.integers(-5, 5)),
+)
+def test_scalar_products_and_negation_in_both_stored_forms(vals, past_bound, form, scalar):
+    if past_bound:
+        vals = vals + [Fraction(1, 2**89 - 1)]
+    s = stored(vals, form)
+    if past_bound:
+        items, den = s.scaled()
+        assert den == 1 and all(type(x) is Fraction for x in items)
+    assert (s * scalar).values == tuple(v * scalar for v in s.values)
+    assert -s == s * -1
+    assert (-s).values == tuple(-v for v in s.values)
+    for seq in (s, -s, s * scalar):
+        assert hash(seq) == hash(seq.values)

@@ -21,7 +21,7 @@ from seqcalc import (
     verify,
 )
 from seqcalc.cli import main
-from seqcalc.errors import BadParameter, UnknownCheck
+from seqcalc.errors import BadParameter, OutOfRange, UnknownCheck
 from seqcalc.generators import (
     arithmetic_sequence,
     draw,
@@ -281,6 +281,31 @@ def test_a_short_kernel_result_fails_the_case(monkeypatch):
     report = run_check(CheckSpec("ftc", 5))
     assert not report.passed
     assert report.failures[0] == "exhaustive: OutOfRange: index 5 outside 1..4"
+
+
+def test_ftc_builds_each_swept_antiderivative_once_per_run(monkeypatch):
+    original, calls = calculus.antiderivative, []
+
+    def counting(seq, constant=0):
+        calls.append(constant)
+        return original(seq, constant)
+
+    monkeypatch.setattr(calculus, "antiderivative", counting)
+    spec = CheckSpec("ftc", 5)
+    first = run_check(spec)
+    assert first.passed and len(calls) == 625 * 2 + 5  # one per sequence and constant, one per trial
+    # nothing is kept from one run to the next
+    assert run_check(spec) == first and len(calls) == 2 * (625 * 2 + 5)
+
+
+def test_a_failing_shared_antiderivative_fails_every_case_that_asks_for_it(monkeypatch):
+    def failing(seq, constant=0):
+        raise OutOfRange("no antiderivative")
+
+    monkeypatch.setattr(calculus, "antiderivative", failing)
+    report = run_check(CheckSpec("ftc", 5))
+    assert report.failure_count == report.trials_run == 6255
+    assert report.failures[0] == "exhaustive: OutOfRange: no antiderivative"
 
 
 # sha256 of passing `verify` stdout from before reports carried `failure_count`
