@@ -18,20 +18,20 @@ parsers' per-token walk) hand ``(p, q)`` pairs to ``_working_form``; the
 parsers' scan hands columns (numerators, denominator keys and a dict of their
 ints) to ``from_columns``.  Under both, the items are plain ints while the lcm
 of the entry denominators fits in ``DEN_BITS`` bits; past that bound they are
-the entries' own Fractions over ``den = 1``, and the same kernel loops run on
-them.
-Kernels, slices and elementwise arithmetic build the form directly.
-``values``, the public tuple of reduced Fractions, is built from it on each
-call; ``hash`` and iteration work from the form and build no such tuple
-(``hash(S) == hash(S.values)``).  Elementwise loops run as C-level ``map``s
-over ``operator`` functions.
+the entries' own Fractions over ``den = 1``.
+Kernels, slices and elementwise arithmetic build the form directly, and
+their loops run as C-level ``map``s over ``operator`` functions.
 
 ``DEN_BITS`` bounds only the denominators that those constructors choose.
-Kernels and arithmetic fold denominators exactly and keep int items past the
-bound: sums and differences align two sequences to lcm(d1, d2), products
+Kernels and arithmetic fold denominators exactly, over int or Fraction items
+alike: sums and differences align two sequences to lcm(d1, d2), products
 multiply over d1 * d2, ``OperatorPoly.apply`` and ``calculus.antiderivative``
 fold a scalar's denominator into ``den`` (every application of ``M`` doubles
-it), and equality compares x * d2 == y * d1.
+it), and equality compares x * d2 == y * d1.  So Fraction items may sit over
+any ``den``, and only their first item may be an int (an antiderivative's
+constant).  Nothing divides them back: an entry leaves the working form as a
+reduced Fraction only through ``_exits``, which ``values``, iteration,
+``at``, ``format_items`` and ``hash`` use (``hash(S) == hash(S.values)``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, eq, mul, neg, sub
+from operator import add, eq, mul, neg, sub, truediv
 
 from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
 
@@ -57,9 +57,9 @@ DEN_BITS = 64
 One lcm for a whole sequence grows with its number of distinct denominators:
 on 2000 entries 1/p with distinct primes p it has thousands of digits, and
 every entry would carry them.  Past this bound the items are the entries'
-Fractions.  Only a constructor that takes the lcm over entries checks it: a
-kernel or an arithmetic operator that folds denominators into ``den`` keeps
-int items over whatever ``den`` it reaches.
+Fractions over 1.  Only a constructor that takes the lcm over entries checks
+it: a kernel or an arithmetic operator that folds denominators into ``den``
+keeps its items, ints or Fractions, over whatever ``den`` it reaches.
 """
 
 
@@ -70,6 +70,18 @@ def _entry_hash(x: int, inv: int) -> int:
     """hash(Fraction(x, den)) from x and inv, the inverse of den mod ``_HASH_MODULUS``."""
     h = abs(x) % _HASH_MODULUS * inv % _HASH_MODULUS
     return -h if x < 0 else h
+
+
+def _exits(items: Sequence, den: int) -> Iterator[Fraction]:
+    """Each entry items[i] / den as a reduced Fraction: the way a value leaves the working form.
+
+    Int items leave as Fraction(x, den).  Where the items are Fractions (only
+    the first may be an int), each leaves as x / Fraction(den): x is already
+    reduced, so Fraction's division takes one gcd, of x's numerator with den.
+    """
+    if items and type(items[-1]) is Fraction:
+        return map(truediv, items, repeat(Fraction(den)))
+    return map(Fraction, items, repeat(den))
 
 
 def _common_den(dens: Iterable[int]) -> int:
@@ -119,13 +131,16 @@ class Texts(list):
     __slots__ = ()
 
 
-def format_items(items: Iterable, den: int) -> Texts:
-    """The text of each items[i] / den, ints or (with den = 1) Fractions.
+def format_items(items: Sequence, den: int) -> Texts:
+    """The text of each items[i] / den, over int items or a sequence's Fraction items.
 
-    The one place a rational becomes text: each entry costs one gcd with den,
-    no Fraction is built, and Python's int/str digit limit raises FormatError.
+    The one place a rational becomes text: each int entry costs one gcd with
+    den, and no Fraction is built; Fraction items write their ``_exits``.
+    Python's int/str digit limit raises FormatError.
     """
     try:
+        if items and type(items[-1]) is Fraction:
+            return Texts(map(str, _exits(items, den)))
         if den == 1:
             return Texts(map(str, items))
         texts = Texts()
@@ -181,10 +196,10 @@ class FiniteSeq:
 
     @staticmethod
     def from_scaled(items: Sequence, den: int) -> FiniteSeq:
-        """The sequence items[i] / den, trusted to be a working form (see ``scaled``)."""
-        if den != 1 and items and not isinstance(items[-1], int):
-            # Fraction items keep den = 1
-            items, den = [Fraction(x, den) for x in items], 1
+        """The sequence items[i] / den, trusted to be a working form (see ``scaled``).
+
+        The items are kept as given, ints or Fractions, over any den.
+        """
         seq = object.__new__(FiniteSeq)
         seq._items, seq._den = items, den
         return seq
@@ -214,15 +229,15 @@ class FiniteSeq:
 
         A constructor from entries gives int items when the lcm of their
         denominators fits in DEN_BITS bits, else the entries' Fractions over
-        den = 1.  Kernels and arithmetic fold denominators into den unbounded.
+        den = 1.  Kernels and arithmetic fold denominators into den unbounded,
+        over int and Fraction items alike, and never divide an item back.
         """
         return self._items, self._den
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """The entries as reduced Fractions, built from the working form on each call."""
-        den = self._den
-        return tuple(Fraction(x, den) for x in self._items)
+        return tuple(self)
 
     @staticmethod
     def of(*values: RationalLike) -> FiniteSeq:
@@ -237,7 +252,7 @@ class FiniteSeq:
         return len(self._items)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return map(Fraction, self._items, repeat(self._den))
+        return _exits(self._items, self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteSeq):
@@ -255,13 +270,12 @@ class FiniteSeq:
         A Fraction p / q hashes as |p| * q^-1 mod P with p's sign (-1 becomes
         -2), P = ``sys.hash_info.modulus``; the value is the same for x / den
         unreduced when P does not divide den.  So each entry's hash is that
-        int, from one inverse of den per sequence.
+        int, from one inverse of den per sequence.  Fraction items, and a den
+        that P divides, hash their ``_exits``.
         """
         items, den = self.scaled()
-        if den == 1:
-            return hash(tuple(items))
-        if den % _HASH_MODULUS == 0:
-            return hash(self.values)
+        if den % _HASH_MODULUS == 0 or items and type(items[-1]) is Fraction:
+            return hash(tuple(self))
         inv = pow(den, -1, _HASH_MODULUS)
         return hash(tuple(map(_entry_hash, items, repeat(inv))))
 
@@ -269,7 +283,7 @@ class FiniteSeq:
         """1-based access: at(1) is the first term."""
         if not 1 <= i <= len(self):
             raise OutOfRange(f"index {i} outside 1..{len(self)}")
-        return Fraction(self._items[i - 1], self._den)
+        return next(_exits(self._items[i - 1 : i], self._den))
 
     def prefix(self, k: int) -> FiniteSeq:
         """First k terms; prefix(n - 1) is the top of a length-n sequence."""
@@ -283,8 +297,7 @@ class FiniteSeq:
         Sums and differences align the items to lcm(d1, d2), rescaling only a
         side whose den differs from it; products multiply them over d1 * d2,
         however many bits that denominator takes.  The same formula holds for
-        Fraction items over 1: from_scaled turns Fraction results over a den
-        other than 1 into Fractions over 1.
+        Fraction items, and their results stay over that den.
         """
         if len(self) != len(other):
             raise LengthMismatch(len(self), len(other))
@@ -340,7 +353,7 @@ class FiniteSeq:
         for i, x in enumerate(items, start=1):
             if x == 0:
                 raise ZeroEntry(i)
-            # den / x, with x an int or (past DEN_BITS) a Fraction over den = 1
+            # den / x, with x an int or (past DEN_BITS) a Fraction
             p, q = den * x.denominator, x.numerator
             ratios.append((p, q) if q > 0 else (-p, -q))
         return FiniteSeq.from_ratios(ratios)

@@ -12,16 +12,17 @@ import json
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcalc import DIFFERENCE, MIDDLE, FiniteSeq, calculus, derivative
+from seqcalc import DIFFERENCE, MIDDLE, FiniteSeq, calculus, derivative, parse_operator_poly
 from seqcalc.grid import GridFunction, derivative_error, displacement
-from seqcalc.lagrange import lagrange_poly
+from seqcalc.lagrange import dm_via_determinant, lagrange_poly
 from seqcalc.operators import bottom, top
-from seqcalc.analysis import collinearity_determinant
+from seqcalc.analysis import classify_convexity, collinearity_determinant
 from seqcalc.cli import main
 from seqcalc.errors import BadParameter, LengthMismatch, ZeroEntry
 from seqcalc.seqio import parse_csv, parse_inline
@@ -215,6 +216,7 @@ def test_constructors_build_the_working_form():
 
 
 PRIMES_PAST_BOUND = (1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091, 1093, 1097, 1103)
+PRIME_ENTRIES = [Fraction(k if k % 3 else -k, p) for k, p in enumerate(PRIMES_PAST_BOUND, start=1)]
 
 
 def _no_fraction_tuple(self):
@@ -234,7 +236,7 @@ def verify_with_a_dropped_constant(monkeypatch):
 @pytest.mark.parametrize("past_bound", [False, True], ids=["p/q", "13 primes"])
 def test_no_library_path_reads_the_fraction_tuple(monkeypatch, past_bound):
     if past_bound:
-        vals = [Fraction(k if k % 3 else -k, p) for k, p in enumerate(PRIMES_PAST_BOUND, start=1)]
+        vals = PRIME_ENTRIES
     else:
         vals = [Fraction(k % 19 - 9, k % 8 + 1) for k in range(16)]
     seq = "inline:" + ",".join(map(str, vals))
@@ -280,12 +282,15 @@ def stored(vals, form):
 
 
 def assert_entries(seq, vals):
+    """The working form holds vals, and every way an entry leaves it gives vals."""
     expected = FiniteSeq(vals)
     assert seq == expected and expected == seq
     items, den = seq.scaled()
     assert [Fraction(x, den) for x in items] == vals
-    assert seq.values == tuple(vals)
-    assert hash(seq) == hash(expected)
+    assert seq.values == tuple(vals) and list(seq) == vals
+    assert [seq.at(i) for i in range(1, len(vals) + 1)] == vals
+    assert format_sequence(seq) == texts(vals)
+    assert hash(seq) == hash(expected) == hash(tuple(vals))
 
 
 def first_zero(vals):
@@ -397,10 +402,14 @@ def test_antiderivative_past_den_bits_sums_from_the_constant():
     for c in (Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(4)):
         anti = calculus.antiderivative(seq, c)
         assert anti == base + FiniteSeq.constant(c, len(vals) + 1)
-        assert anti.scaled()[1] == 1  # the entries' own Fractions, never put over c's denominator
+        items, den = anti.scaled()
+        # the constant went over its denominator q, and no sum was divided back
+        assert den == c.denominator and all(type(x) is Fraction for x in items[1:])
 
 
 HASH_MODULUS = sys.hash_info.modulus
+PAST_BOUND = FiniteSeq([Fraction(1, p) for p in BIG_PRIMES] + [Fraction(-1), Fraction(-7, 3)])
+SCALED_PAST_BOUND = PAST_BOUND * Fraction(-2, 5)
 
 
 @pytest.mark.parametrize(
@@ -410,16 +419,24 @@ HASH_MODULUS = sys.hash_info.modulus
         FiniteSeq.from_scaled([], 6),
         FiniteSeq([3, -1, 0, 2**70]),
         FiniteSeq.from_scaled([-6, 3, 4, -12], 6),  # unreduced, with an entry -1 whose hash is -2
-        FiniteSeq([Fraction(1, p) for p in BIG_PRIMES] + [Fraction(-1), Fraction(-7, 3)]),
+        PAST_BOUND,
         FiniteSeq.from_ratios([(1, HASH_MODULUS), (-2, 3), (5, 1)]),  # ints over 3 * P
         FiniteSeq.from_scaled([-1, 2, HASH_MODULUS], 2 * HASH_MODULUS),
         FiniteSeq([Fraction(1, 3)]) * Fraction(-2, 5),
+        SCALED_PAST_BOUND,  # Fractions over 5
+        MIDDLE.apply(SCALED_PAST_BOUND),  # Fractions over 10
+        calculus.antiderivative(SCALED_PAST_BOUND, Fraction(1, 3)),  # an int, then Fractions, over 15
     ],
-    ids=["empty", "empty over 6", "ints", "unreduced", "fractions", "den 3P", "den 2P", "scaled"],
+    ids=[
+        "empty", "empty over 6", "ints", "unreduced", "fractions", "den 3P", "den 2P", "scaled",
+        "fractions scaled", "fractions mean", "fractions antiderivative",
+    ],
 )
 def test_hash_from_the_working_form_equals_the_hash_of_the_fraction_tuple(seq):
     assert hash(seq) == hash(seq.values)
     assert tuple(iter(seq)) == seq.values
+    items, d = seq.scaled()
+    assert seq.values == tuple(Fraction(x, d) for x in items)
 
 
 @settings(max_examples=150, deadline=None)
@@ -441,3 +458,60 @@ def test_scalar_products_and_negation_in_both_stored_forms(vals, past_bound, for
     assert (-s).values == tuple(-v for v in s.values)
     for seq in (s, -s, s * scalar):
         assert hash(seq) == hash(seq.values)
+
+
+def test_kernels_keep_fraction_items_over_the_den_they_reach():
+    s = FiniteSeq(PRIME_ENTRIES)
+    assert s.scaled()[1] == 1 and all(type(x) is Fraction for x in s.scaled()[0])
+    svals, x = list(s.values), Fraction(-4, 9)
+    tvals = [Fraction(3 * k - 20, 1 + k % 4) for k in range(len(svals))]
+    t = FiniteSeq(tvals)
+    assert all(type(x) is int for x in t.scaled()[0])
+    weights = [comb(3, k) * Fraction(3, 4) ** (3 - k) * Fraction(-5, 7) ** k for k in range(4)]
+    cases = [
+        (s * x, [v * x for v in svals]),
+        (s / x, [v / x for v in svals]),
+        (MIDDLE.apply(s), o_stencil(svals, OPERATORS["M"])),
+        (parse_operator_poly("(3/4*I - 5/7*E)^3").apply(s), o_stencil(svals, weights)),
+        (s + t, [a + b for a, b in zip(svals, tvals)]),
+        (s * t, [a * b for a, b in zip(svals, tvals)]),
+    ]
+    for c in (Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(4)):
+        cases.append((calculus.antiderivative(s, c), o_running_sums(svals, c)))
+    for seq, expected in cases:
+        assert_entries(seq, expected)
+    # each scalar's or T's denominator stays in den: nothing was divided back to den = 1
+    dens = [seq.scaled()[1] for seq, _ in cases]
+    assert dens == [9, 4, 2, 28**3, 12, 12, 1, 3, 7, 1]
+    for seq, _ in cases[:-4]:
+        assert all(type(x) is Fraction for x in seq.scaled()[0])
+
+
+def test_an_empty_result_over_a_den_other_than_1():
+    one = FiniteSeq([Fraction(3, 2**89 - 1)])
+    for empty in (MIDDLE.apply(one), parse_operator_poly("1/16*(I+E)^4").apply(one)):
+        items, den = empty.scaled()
+        assert len(items) == 0 and den != 1
+        assert format_sequence(empty) == [] and empty.values == () and list(empty) == []
+        assert hash(empty) == hash(()) and empty == FiniteSeq()
+    seq = "inline:" + ",".join(f"{k}/{p}" for k, p in zip((1, -2, 3), BIG_PRIMES[2:]))
+    assert run("apply", "--op", "1/16*(I+E)^4", "--seq", seq)["values"] == []
+
+
+def test_consumers_read_fraction_items_over_any_den():
+    mean = MIDDLE.apply(FiniteSeq(PRIME_ENTRIES))
+    items, den = mean.scaled()
+    assert den == 2 and all(type(x) is Fraction for x in items)
+    over_1 = FiniteSeq(mean.values)
+    assert over_1.scaled()[1] == 1
+    n, h = len(mean), Fraction(1, 3)
+    reference = FiniteSeq([Fraction(k, 7) for k in range(n - 1)])
+    for call in (
+        lambda seq: lagrange_poly(seq, 2, 9),
+        lambda seq: dm_via_determinant(seq, 1, 6),
+        classify_convexity,
+        lambda seq: [collinearity_determinant(seq, i) for i in range(1, n - 1)],
+        lambda seq: calculus.definite_integral(seq, 2, n - 1),
+        lambda seq: derivative_error(GridFunction(0, h, seq), reference),
+    ):
+        assert call(mean) == call(over_1)
