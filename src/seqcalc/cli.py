@@ -23,7 +23,7 @@ from .calculus import antiderivative, definite_integral, derivative
 from .errors import DomainError, UsageError, quoted
 from .lagrange import dm_via_determinant, lagrange_poly
 from .parser import parse_operator_poly
-from .seqio import parse_integer, parse_rational, render_json
+from .seqio import parse_integer, render_json
 
 
 def _integer(text: str) -> int:
@@ -113,7 +113,7 @@ def _run(args) -> int:
     elif args.command == "diff":
         payload = seqio.sequence_payload(derivative(seq, args.order))
     elif args.command == "integrate":
-        payload = seqio.sequence_payload(antiderivative(seq, parse_rational(args.constant)))
+        payload = seqio.sequence_payload(antiderivative(seq, args.constant))
     elif args.command == "defint":
         payload = seqio.rational_payload(definite_integral(seq, args.lower, args.upper))
     elif args.command == "classify":
@@ -124,7 +124,7 @@ def _run(args) -> int:
         payload = seqio.rational_payload(dm_via_determinant(seq, args.n0, args.m))
     elif args.eval_at is not None:
         poly = lagrange_poly(seq, args.n0, args.m)
-        payload = seqio.rational_payload(poly.evaluate(parse_rational(args.eval_at)))
+        payload = seqio.rational_payload(poly.evaluate(args.eval_at))
     else:
         payload = seqio.polynomial_payload(lagrange_poly(seq, args.n0, args.m))
     print(render_json(payload))

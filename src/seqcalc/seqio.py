@@ -23,10 +23,12 @@ calls check the grammar, each distinct denominator text once, and a count of
 gets the numerators, denominator texts and their ints, so only ``sequences``
 chooses the common denominator.  A ValueError sends the text to the walk, the
 reference for values and errors: the format's cells, (piece, line) pairs that
-raise its own errors in input order.  The walk and ``parse_rational`` check
-each token by the same rule, ``isascii()`` and then ``isdigit()`` on the
-numerator past its sign and on the denominator; no pattern is compiled.  The
-scan may decline a valid text, never accept one the walk rejects.
+raise its own errors in input order.  The walk checks each token by
+``sequences._ratio``, the one rule by which text becomes a rational, which
+``as_rational`` also calls for every string scalar: ``isascii()`` and then
+``isdigit()`` on the numerator past its sign and on the denominator; no
+pattern is compiled.  The scan may decline a valid text, never accept one
+the walk rejects.
 ``render_json`` writes each list of entry texts with one join into the result
 itself.
 
@@ -38,18 +40,18 @@ a stable field order, so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import repeat
 from operator import countOf, itemgetter
 
 from .errors import FormatError, NonContiguousIndex, quoted
 from .lagrange import Polynomial, render_coefficients
 from .operators import render_terms
-from .sequences import FiniteSeq, Texts, format_items, format_rational, format_sequence
+from .sequences import FiniteSeq, Texts, _ratio, format_items, format_rational, format_sequence
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable, Iterator
+    from fractions import Fraction
 
     from .analysis import ConvexityReport, MonotonicityReport
     from .operators import OperatorPoly
@@ -87,23 +89,6 @@ def _scan(parts: list[tuple]) -> FiniteSeq:
     return FiniteSeq.from_columns(nums, keys, dens)
 
 
-def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
-    """(p, q) of one rational literal, or its error: the walk's step."""
-    token = piece.strip()
-    num, slash, den = token.partition("/")
-    digits = num[1:] if num.startswith(("+", "-")) else num
-    # [+-]?[0-9]+(/[0-9]+)? in ASCII: isdigit() alone also takes "٣"
-    if not (token.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
-        raise FormatError(f"not a rational literal: {quoted(token)}", line)
-    try:
-        p, q = int(num), int(den or 1)
-    except ValueError:
-        raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
-    if q == 0:
-        raise FormatError(f"zero denominator in {quoted(token)}", line)
-    return p, q
-
-
 def _read(parts: Callable[[], Iterable[tuple]], cells: Iterable[tuple[str, int | None]]) -> FiniteSeq:
     """The scan of parts(), or where that raises ValueError, the walk of cells."""
     try:
@@ -111,10 +96,6 @@ def _read(parts: Callable[[], Iterable[tuple]], cells: Iterable[tuple[str, int |
     except ValueError:
         pass  # the walk runs outside the handler, so the scan's lists are freed
     return FiniteSeq.from_ratios([_ratio(piece, line) for piece, line in cells])
-
-
-def parse_rational(text: str, line: int | None = None) -> Fraction:
-    return Fraction(*_ratio(text, line))
 
 
 def _parts(pieces: list[str]) -> Iterator[tuple]:

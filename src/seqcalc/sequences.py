@@ -28,10 +28,20 @@ alike: sums and differences align two sequences to lcm(d1, d2), products
 multiply over d1 * d2, ``OperatorPoly.apply`` and ``calculus.antiderivative``
 fold a scalar's denominator into ``den`` (every application of ``M`` doubles
 it), and equality compares x * d2 == y * d1.  So Fraction items may sit over
-any ``den``, and only their first item may be an int (an antiderivative's
-constant).  Nothing divides them back: an entry leaves the working form as a
-reduced Fraction only through ``_exits``, which ``values``, iteration,
-``at``, ``format_items`` and ``hash`` use (``hash(S) == hash(S.values)``).
+any ``den``.  Ints among them only ever form a leading run: each
+antiderivative puts its int constant first, and an int plus a Fraction is a
+Fraction, so ``antiderivative(antiderivative(S, 1/3), 2/7)`` starts with two.
+The last item thus tells the two forms apart.  Nothing divides them back: an
+entry leaves the working form as a reduced Fraction only through ``_exits``,
+which ``values``, iteration, ``at``, ``format_items`` and ``hash`` use
+(``hash(S) == hash(S.values)``).
+
+Text and rationals meet in two functions here.  ``_ratio`` is the one way
+text becomes a rational: ``[+-]?[0-9]+(/[0-9]+)?`` in ASCII digits, a nonzero
+denominator and Python's int/str digit limit, else a FormatError.  The
+readers' walk and ``as_rational``, which every library scalar given as a
+string goes through, call it.  ``format_items`` is the one way a rational
+becomes text.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, eq, mul, neg, sub, truediv
 
-from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
+from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry, quoted
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -75,9 +85,10 @@ def _entry_hash(x: int, inv: int) -> int:
 def _exits(items: Sequence, den: int) -> Iterator[Fraction]:
     """Each entry items[i] / den as a reduced Fraction: the way a value leaves the working form.
 
-    Int items leave as Fraction(x, den).  Where the items are Fractions (only
-    the first may be an int), each leaves as x / Fraction(den): x is already
-    reduced, so Fraction's division takes one gcd, of x's numerator with den.
+    Int items leave as Fraction(x, den).  Where the last item is a Fraction
+    (ints there form a leading run), each leaves as x / Fraction(den): a
+    Fraction x is already reduced, so Fraction's division takes one gcd, of
+    x's numerator with den.
     """
     if items and type(items[-1]) is Fraction:
         return map(truediv, items, repeat(Fraction(den)))
@@ -107,13 +118,19 @@ def _working_form(ratios: Sequence[tuple[int, int]]) -> tuple[Sequence, int]:
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, ``"p/q"`` string or Fraction to an exact Fraction."""
+    """Coerce an int, ``"p/q"`` string or Fraction to an exact Fraction.
+
+    An int is the pair (value, 1), and a string is read into its pair by
+    ``_ratio``, the readers' rule for one token.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
+    if isinstance(value, int):
+        return Fraction(value, 1)
+    if isinstance(value, str):
+        return Fraction(*_ratio(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -123,6 +140,23 @@ def over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     rationals = [v if type(v) is int else as_rational(v) for v in values]
     d = lcm(*(v.denominator for v in rationals))
     return [v.numerator * (d // v.denominator) for v in rationals], d
+
+
+def _ratio(piece: str, line: int | None = None) -> tuple[int, int]:
+    """(p, q) of one rational literal, or its FormatError: the one way text becomes a rational."""
+    token = piece.strip()
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    # [+-]?[0-9]+(/[0-9]+)? in ASCII: isdigit() alone also takes "٣"
+    if not (token.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise FormatError(f"not a rational literal: {quoted(token)}", line)
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:
+        raise FormatError(f"{len(token)}-character literal has too many digits to parse", line) from None
+    if q == 0:
+        raise FormatError(f"zero denominator in {quoted(token)}", line)
+    return p, q
 
 
 class Texts(list):
@@ -270,10 +304,14 @@ class FiniteSeq:
         A Fraction p / q hashes as |p| * q^-1 mod P with p's sign (-1 becomes
         -2), P = ``sys.hash_info.modulus``; the value is the same for x / den
         unreduced when P does not divide den.  So each entry's hash is that
-        int, from one inverse of den per sequence.  Fraction items, and a den
-        that P divides, hash their ``_exits``.
+        int, from one inverse of den per sequence.  Over den = 1 every item,
+        int or Fraction, is its entry's value and the items' tuple is hashed.
+        Fraction items over another den, and a den that P divides, hash their
+        ``_exits``.
         """
         items, den = self.scaled()
+        if den == 1:
+            return hash(tuple(items))
         if den % _HASH_MODULUS == 0 or items and type(items[-1]) is Fraction:
             return hash(tuple(self))
         inv = pow(den, -1, _HASH_MODULUS)

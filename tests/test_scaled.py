@@ -426,10 +426,14 @@ SCALED_PAST_BOUND = PAST_BOUND * Fraction(-2, 5)
         SCALED_PAST_BOUND,  # Fractions over 5
         MIDDLE.apply(SCALED_PAST_BOUND),  # Fractions over 10
         calculus.antiderivative(SCALED_PAST_BOUND, Fraction(1, 3)),  # an int, then Fractions, over 15
+        FiniteSeq.from_scaled([-1, HASH_MODULUS, 2**70, 0], 1),  # ints over 1, hashing -2 and 0
+        parse_csv("".join(f"{k - 9}/{p}\n" for k, p in enumerate(BIG_PRIMES * 4))),  # Fractions over 1
+        calculus.antiderivative(PAST_BOUND, 2),  # an int, then Fractions, over 1
     ],
     ids=[
         "empty", "empty over 6", "ints", "unreduced", "fractions", "den 3P", "den 2P", "scaled",
-        "fractions scaled", "fractions mean", "fractions antiderivative",
+        "fractions scaled", "fractions mean", "fractions antiderivative", "ints over 1",
+        "fractions read", "fractions antiderivative over 1",
     ],
 )
 def test_hash_from_the_working_form_equals_the_hash_of_the_fraction_tuple(seq):
@@ -437,6 +441,19 @@ def test_hash_from_the_working_form_equals_the_hash_of_the_fraction_tuple(seq):
     assert tuple(iter(seq)) == seq.values
     items, d = seq.scaled()
     assert seq.values == tuple(Fraction(x, d) for x in items)
+
+
+def test_fraction_items_may_lead_with_a_run_of_ints():
+    """Each antiderivative puts an int constant first, and an int plus a Fraction is a Fraction."""
+    once = calculus.antiderivative(PAST_BOUND, Fraction(1, 3))
+    j = calculus.antiderivative(once, Fraction(2, 7))
+    items, den = j.scaled()
+    assert den == 21 and [type(x) for x in items[:3]] == [int, int, Fraction]
+    assert all(type(x) is Fraction for x in items[2:])
+    assert list(j) == [Fraction(x) / den for x in items]
+    assert hash(j) == hash(j.values)
+    assert format_sequence(j) == [str(v) for v in j.values]
+    assert derivative(j) == once
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcalc import FiniteSeq, OperatorPoly, Polynomial, classify_convexity, classify_monotonicity, seqio
+from seqcalc import FiniteSeq, OperatorPoly, Polynomial, as_rational, classify_convexity, classify_monotonicity, seqio
 from seqcalc.errors import QUOTE_CHARS, FormatError, NonContiguousIndex, quoted
 from seqcalc.seqio import (
     FORMATS,
@@ -22,7 +22,6 @@ from seqcalc.seqio import (
     parse_csv,
     parse_inline,
     parse_json,
-    parse_rational,
     parse_sequence_text,
     polynomial_payload,
     rational_payload,
@@ -49,12 +48,12 @@ def test_parse_inline():
 
 
 def test_parse_rational_rejects_decimals():
-    assert parse_rational("3/2") == Fraction(3, 2)
-    assert parse_rational("-7") == -7
+    assert as_rational("3/2") == Fraction(3, 2)
+    assert as_rational("-7") == -7
     with pytest.raises(FormatError):
-        parse_rational("1.5")
+        as_rational("1.5")
     with pytest.raises(FormatError):
-        parse_rational("3/0")
+        as_rational("3/0")
 
 
 def test_parse_csv_column_and_row():
@@ -379,10 +378,15 @@ def _ref_rational(text, line):
     return Fraction(*_ref_ratio(text, line))
 
 
+def _read_rational(text, line):
+    """as_rational, which has no line, or the walk's rule with the line it is given."""
+    return as_rational(text) if line is None else Fraction(*seqio._ratio(text, line))
+
+
 @pytest.mark.parametrize("line", [None, 7])
 def test_parse_rational_matches_the_reference_on_edge_cases(line):
     for text in EDGE_CORPUS:
-        assert _rational_outcome(_ref_rational, text, line) == _rational_outcome(parse_rational, text, line)
+        assert _rational_outcome(_ref_rational, text, line) == _rational_outcome(_read_rational, text, line)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bfile", "json"])

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqcalc import EMPTY, FiniteSeq, as_rational, top
-from seqcalc.errors import BadParameter, LengthMismatch, OutOfRange, ZeroEntry
+from seqcalc import EMPTY, FiniteSeq, GridFunction, OperatorPoly, Polynomial, antiderivative, as_rational, top
+from seqcalc.errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry
+from seqcalc.seqio import parse_inline
 
 from strategies import (
     finite_seqs,
@@ -75,6 +76,32 @@ def test_as_rational_rejects_floats_and_bools():
         as_rational(0.5)
     with pytest.raises(TypeError):
         as_rational(True)
+
+
+# Fraction(str) reads each of these as a value, or raises ZeroDivisionError or
+# ValueError; "1e1000000" takes it a quarter of a second
+OUTSIDE_THE_GRAMMAR = ["1.5", "1e3", "1_000", "٣", ".5", "1/0", "9" * 4301, "1e1000000"]
+
+
+@pytest.mark.parametrize("token", OUTSIDE_THE_GRAMMAR, ids=lambda t: t if len(t) < 12 else f"{len(t)} chars")
+def test_string_scalars_are_read_by_the_readers_rule(token):
+    with pytest.raises(FormatError) as read:
+        parse_inline(token)
+    one = FiniteSeq.of(1)
+    calls = [
+        as_rational,
+        lambda t: FiniteSeq([t]),
+        lambda t: one * t,
+        OperatorPoly.scalar,
+        lambda t: Polynomial([t]),
+        Polynomial([1]).evaluate,
+        lambda t: antiderivative(one, t),
+        lambda t: GridFunction(0, t, one),
+    ]
+    for call in calls:
+        with pytest.raises(FormatError) as exc:
+            call(token)
+        assert str(exc.value) == str(read.value) and exc.value.line is None
 
 
 @given(same_length_pairs())
