@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .calculus import derivative
-from .errors import OutOfRange, TooShort
+from .errors import OutOfRange, TooShort, quoted
 from .sequences import FiniteSeq
 
 MonotonicityReport = namedtuple(
@@ -72,7 +72,7 @@ def collinearity_determinant(seq: FiniteSeq, i: int) -> Fraction:
     """
     n = len(seq)
     if not 1 <= i <= n - 2:
-        raise OutOfRange(f"index {i} outside 1..{n - 2}")
+        raise OutOfRange(f"index {quoted(i)} outside 1..{n - 2}")
     items, den = seq.scaled()
     x = [i, i + 1, i + 2]
     y = items[i - 1 : i + 2]

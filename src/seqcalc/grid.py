@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import LengthMismatch, OutOfRange
+from .errors import TOO_MANY_DIGITS, FormatError, LengthMismatch, OutOfRange, quoted
 from .operators import DIFFERENCE, MIDDLE
-from .sequences import FiniteSeq, as_rational
+from .sequences import FiniteSeq, as_rational, checked_length
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -33,7 +33,7 @@ class GridFunction:
     def __init__(self, origin: RationalLike, step: RationalLike, samples: FiniteSeq):
         h = as_rational(step)
         if h <= 0:
-            raise OutOfRange(f"grid step must be positive, got {h}")
+            raise OutOfRange(f"grid step must be positive, got {quoted(h)}")
         self.origin: Fraction = as_rational(origin)
         self.step: Fraction = h
         self.samples: FiniteSeq = samples
@@ -47,7 +47,10 @@ class GridFunction:
         return hash((self.origin, self.step, self.samples))
 
     def __repr__(self) -> str:
-        return f"GridFunction(origin={self.origin!r}, step={self.step!r}, samples={self.samples!r})"
+        try:
+            return f"GridFunction(origin={self.origin!r}, step={self.step!r}, samples={self.samples!r})"
+        except ValueError:
+            raise FormatError(TOO_MANY_DIGITS) from None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -68,7 +71,7 @@ def displacement(grid: GridFunction, k: int) -> GridFunction:
         kept = items[k:]
     else:
         if -k > n:
-            raise OutOfRange(f"cannot displace by {k}: only {n} samples")
+            raise OutOfRange(f"cannot displace by {quoted(k)}: only {n} samples")
         kept = items[: n + k]
     return GridFunction(grid.origin + k * grid.step, grid.step, FiniteSeq.from_scaled(kept, den))
 
@@ -78,8 +81,7 @@ def mean_filter(grid: GridFunction) -> GridFunction:
 
 
 def discrete_derivative(grid: GridFunction) -> GridFunction:
-    diff = difference(grid)
-    return GridFunction(diff.origin, diff.step, diff.samples * (1 / grid.step))
+    return GridFunction(grid.origin, grid.step, DIFFERENCE.apply(grid.samples) * (1 / grid.step))
 
 
 def derivative_error(grid: GridFunction, true_derivative: FiniteSeq) -> Fraction:
@@ -94,7 +96,6 @@ def derivative_error(grid: GridFunction, true_derivative: FiniteSeq) -> Fraction
 
 def sample_function(fn, origin: RationalLike, step: RationalLike, count: int) -> GridFunction:
     """Tabulate fn at count grid points starting at origin."""
-    x0 = as_rational(origin)
-    h = as_rational(step)
-    samples = FiniteSeq(fn(x0 + i * h) for i in range(count))
+    x0, h = as_rational(origin), as_rational(step)
+    samples = FiniteSeq(fn(x0 + i * h) for i in range(checked_length(count)))
     return GridFunction(x0, h, samples)

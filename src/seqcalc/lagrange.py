@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd
 
-from .errors import OutOfRange, quoted
+from .errors import BadParameter, OutOfRange, quoted
 from .operators import DIFFERENCE
 from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
 
@@ -54,6 +54,8 @@ class Polynomial:
 
     def __init__(self, coefficients: Sequence[RationalLike] = (), den: int = 1):
         """The polynomial sum(coefficients[k] / den * x^k), den > 0."""
+        if den < 1:
+            raise BadParameter(f"den must be a positive integer, got {quoted(den)}")
         coeffs, d = over_lcm(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()

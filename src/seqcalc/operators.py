@@ -52,7 +52,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .errors import BadParameter, NegativePower, quoted
+from .errors import TOO_MANY_DIGITS, BadParameter, FormatError, NegativePower, quoted
 from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -75,8 +75,8 @@ class OperatorPoly:
 
     __slots__ = ("_terms", "_den", "_stencil")
 
-    def __init__(self, terms: Mapping[Monomial, RationalLike] = (), den: int = 1):
-        """sum(c / den * monomial) over (monomial, c) pairs, den > 0; monomials may repeat."""
+    def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
+        """sum(c * monomial) over (monomial, c) pairs; monomials may repeat."""
         pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
         nums, d = over_lcm(c for _, c in pairs)
         merged: dict[Monomial, int] = {}
@@ -84,7 +84,7 @@ class OperatorPoly:
             if a < 0 or b < 0:
                 raise NegativePower(min(a, b))
             merged[a, b] = merged.get((a, b), 0) + c
-        self._reduce(merged, den * d)
+        self._reduce(merged, d)
 
     def _reduce(self, terms: dict[Monomial, int], den: int) -> OperatorPoly:
         """Store sum(c / den * monomial) over int terms, den > 0, in lowest terms."""
@@ -298,8 +298,14 @@ def _coerce(value: Union[OperatorPoly, RationalLike]) -> OperatorPoly:
 
 
 def render_terms(ordered: list[tuple[int, int, str]]) -> str:
-    """The canonical text of an operator from its ``ordered_terms()``."""
-    return format_terms((text, _monomial(a, b)) for a, b, text in ordered)
+    """The canonical text of an operator from its ``ordered_terms()``.
+
+    An exponent past Python's int/str digit limit raises ``format_items``' FormatError.
+    """
+    try:
+        return format_terms((text, _monomial(a, b)) for a, b, text in ordered)
+    except ValueError:
+        raise FormatError(TOO_MANY_DIGITS) from None
 
 
 def _monomial(a: int, b: int) -> str:

@@ -20,7 +20,7 @@ polynomial.
 from __future__ import annotations
 
 from .errors import ParseError
-from .operators import GENERATORS, OperatorPoly
+from .operators import GENERATORS, OperatorPoly, _from_ints
 
 _Token = tuple[str, str, int]
 """(kind, text, offset); kind is NUMBER LETTER PLUS MINUS STAR SLASH CARET LPAREN RPAREN END."""
@@ -132,7 +132,7 @@ class _Parser:
                 denominator = _integer(text, offset)
                 if denominator == 0:
                     raise ParseError(offset, ("nonzero denominator",), text)
-            return OperatorPoly({(0, 0): numerator}, denominator)
+            return _from_ints({(0, 0): numerator}, denominator)
         letter = self.accept("LETTER")
         if letter:
             return GENERATORS[letter[1]]

@@ -68,7 +68,7 @@ def _plain(text: str) -> bool:
 def parse_integer(text: str) -> int:
     """int() of ASCII text only: int() alone also reads "٣" as 3 and "2_0" as 20."""
     if not _plain(text):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {quoted(text)}")
     return int(text)
 
 

@@ -52,7 +52,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, eq, mul, neg, sub, truediv
 
-from .errors import BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry, quoted
+from .errors import TOO_MANY_DIGITS, BadParameter, FormatError, LengthMismatch, OutOfRange, ZeroEntry, quoted
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -131,7 +131,14 @@ def as_rational(value: RationalLike) -> Fraction:
         return Fraction(value, 1)
     if isinstance(value, str):
         return Fraction(*_ratio(value))
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise TypeError(f"cannot interpret {quoted(value)} as an exact rational")
+
+
+def checked_length(length: int) -> int:
+    """A length the caller chose, in 0..sys.maxsize, else OutOfRange."""
+    if not 0 <= length <= sys.maxsize:
+        raise OutOfRange(f"length {quoted(length)} outside 0..{sys.maxsize}")
+    return length
 
 
 def over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
@@ -183,7 +190,7 @@ def format_items(items: Sequence, den: int) -> Texts:
             texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
         return texts
     except ValueError:
-        raise FormatError("a number in the result has too many digits to write as text") from None
+        raise FormatError(TOO_MANY_DIGITS) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -280,7 +287,7 @@ class FiniteSeq:
     @staticmethod
     def constant(value: RationalLike, length: int) -> FiniteSeq:
         v = as_rational(value)
-        return FiniteSeq.from_scaled([v.numerator] * length, v.denominator)
+        return FiniteSeq.from_scaled([v.numerator] * checked_length(length), v.denominator)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -320,13 +327,13 @@ class FiniteSeq:
     def at(self, i: int) -> Fraction:
         """1-based access: at(1) is the first term."""
         if not 1 <= i <= len(self):
-            raise OutOfRange(f"index {i} outside 1..{len(self)}")
+            raise OutOfRange(f"index {quoted(i)} outside 1..{len(self)}")
         return next(_exits(self._items[i - 1 : i], self._den))
 
     def prefix(self, k: int) -> FiniteSeq:
         """First k terms; prefix(n - 1) is the top of a length-n sequence."""
         if not 0 <= k <= len(self):
-            raise OutOfRange(f"prefix length {k} outside 0..{len(self)}")
+            raise OutOfRange(f"prefix length {quoted(k)} outside 0..{len(self)}")
         return FiniteSeq.from_scaled(self._items[:k], self._den)
 
     def _combine(self, other: FiniteSeq, op) -> FiniteSeq:
@@ -335,8 +342,11 @@ class FiniteSeq:
         Sums and differences align the items to lcm(d1, d2), rescaling only a
         side whose den differs from it; products multiply them over d1 * d2,
         however many bits that denominator takes.  The same formula holds for
-        Fraction items, and their results stay over that den.
+        Fraction items, and their results stay over that den.  Any other
+        ``other`` is NotImplemented.
         """
+        if not isinstance(other, FiniteSeq):
+            return NotImplemented
         if len(self) != len(other):
             raise LengthMismatch(len(self), len(other))
         (x, d1), (y, d2) = self.scaled(), other.scaled()
@@ -351,13 +361,9 @@ class FiniteSeq:
         return FiniteSeq.from_scaled(list(map(op, x, y)), den)
 
     def __add__(self, other: FiniteSeq) -> FiniteSeq:
-        if not isinstance(other, FiniteSeq):
-            return NotImplemented
         return self._combine(other, add)
 
     def __sub__(self, other: FiniteSeq) -> FiniteSeq:
-        if not isinstance(other, FiniteSeq):
-            return NotImplemented
         return self._combine(other, sub)
 
     def __neg__(self) -> FiniteSeq:
@@ -365,10 +371,8 @@ class FiniteSeq:
         return FiniteSeq.from_scaled(list(map(neg, items)), den)
 
     def __mul__(self, other: Union[FiniteSeq, RationalLike]) -> FiniteSeq:
-        if isinstance(other, FiniteSeq):
-            return self._combine(other, mul)
         if not isinstance(other, (int, str, Fraction)):
-            return NotImplemented
+            return self._combine(other, mul)  # a sequence, else NotImplemented
         # the items times p over den * q, for the scalar p / q
         v = as_rational(other)
         items, den = self.scaled()

@@ -776,11 +776,13 @@ def _labelled(label: str, texts):
 
 def run_check(spec: CheckSpec) -> CheckReport:
     try:
-        body = CATALOG[spec.name]
+        body, seed = CATALOG[spec.name], f"{spec.name}:{spec.seed}:"  # each trial's seed is text
     except KeyError:
         raise UnknownCheck(spec.name, check_names()) from None
+    except ValueError:  # the seed passes Python's int/str digit limit
+        raise BadParameter(f"seed {quoted(spec.seed)} has too many digits to write as text") from None
     trials = (
-        (f"trial {t}: ", body(spec, random.Random(f"{spec.name}:{spec.seed}:{t}")))
+        (f"trial {t}: ", body(spec, random.Random(f"{seed}{t}")))
         for t in range(spec.trials)
     )
     failures, count, cases = [], 0, 0

@@ -224,6 +224,8 @@ LONG_INPUTS = {
     "spec tag": lambda tmp: ("diff", "--seq", "t" * LONG),
     "spec path": lambda tmp: ("diff", "--seq", "csv:" + "p" * LONG),
     "check name": lambda tmp: ("verify", "--check", "c" * LONG),
+    "operator zero denominator": lambda tmp: ("simplify", "--op", "1/" + "0" * LONG),
+    "operator past the depth bound": lambda tmp: ("simplify", "--op", "(" * MAX_DEPTH + "7" * LONG),
 }
 
 

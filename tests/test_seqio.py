@@ -151,15 +151,26 @@ def test_an_int_past_the_digit_limit_is_quoted_like_any_long_repr():
     limit = sys.get_int_max_str_digits()
     if not limit:
         pytest.skip("no int/str digit limit in this interpreter")
-    for value in (10**limit, -(10**limit) - 7, 3**20000, 2**100003 - 1):
+    big = 10**limit
+    values = (big, -big - 7, 3**20000, 2**100003 - 1)
+    # a rational is quoted as "p/q", with the numerator or the denominator past the limit
+    rationals = (Fraction(big, 3), Fraction(-big - 7, 3), Fraction(2, 3**20000), Fraction(-1, 2**100003 - 1))
+    for value in values + rationals:
         with pytest.raises(ValueError):
-            repr(value)
+            str(value)
         try:
             sys.set_int_max_str_digits(0)
-            text = repr(value)
+            text = str(value)
         finally:
             sys.set_int_max_str_digits(limit)
         assert quoted(value) == f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+    assert quoted(Fraction(-1, 2)) == "-1/2" and quoted(Fraction(6, 3)) == "2"
+
+
+def test_parse_integer_quotes_a_bad_token_in_short():
+    with pytest.raises(ValueError) as err:
+        seqio.parse_integer("٣" * 3000)
+    assert str(err.value) == f"not an integer: {'٣' * QUOTE_CHARS!r}... (3000 characters)"
 
 
 # ---------------------------------------------------------------------------
