@@ -25,17 +25,21 @@ if TYPE_CHECKING:
     from .sequences import RationalLike
 
 
+def _positive(step: Fraction) -> Fraction:
+    """The step, if it is positive, else OutOfRange."""
+    if step <= 0:
+        raise OutOfRange(f"grid step must be positive, got {quoted(step)}")
+    return step
+
+
 class GridFunction:
     """Samples of f at origin, origin + step, ...; equal when all three parts are."""
 
     __slots__ = ("origin", "step", "samples")
 
     def __init__(self, origin: RationalLike, step: RationalLike, samples: FiniteSeq):
-        h = as_rational(step)
-        if h <= 0:
-            raise OutOfRange(f"grid step must be positive, got {quoted(h)}")
+        self.step: Fraction = _positive(as_rational(step))
         self.origin: Fraction = as_rational(origin)
-        self.step: Fraction = h
         self.samples: FiniteSeq = samples
 
     def __eq__(self, other: object) -> bool:
@@ -95,7 +99,9 @@ def derivative_error(grid: GridFunction, true_derivative: FiniteSeq) -> Fraction
 
 
 def sample_function(fn, origin: RationalLike, step: RationalLike, count: int) -> GridFunction:
-    """Tabulate fn at count grid points starting at origin."""
+    """Tabulate fn at count grid points starting at origin; the step is checked before fn runs."""
     x0, h = as_rational(origin), as_rational(step)
-    samples = FiniteSeq(fn(x0 + i * h) for i in range(checked_length(count)))
+    count = checked_length(count)
+    _positive(h)
+    samples = FiniteSeq(fn(x0 + i * h) for i in range(count))
     return GridFunction(x0, h, samples)

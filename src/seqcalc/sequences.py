@@ -73,15 +73,6 @@ keeps its items, ints or Fractions, over whatever ``den`` it reaches.
 """
 
 
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-def _entry_hash(x: int, inv: int) -> int:
-    """hash(Fraction(x, den)) from x and inv, the inverse of den mod ``_HASH_MODULUS``."""
-    h = abs(x) % _HASH_MODULUS * inv % _HASH_MODULUS
-    return -h if x < 0 else h
-
-
 def _exits(items: Sequence, den: int) -> Iterator[Fraction]:
     """Each entry items[i] / den as a reduced Fraction: the way a value leaves the working form.
 
@@ -182,8 +173,6 @@ def format_items(items: Sequence, den: int) -> Texts:
     try:
         if items and type(items[-1]) is Fraction:
             return Texts(map(str, _exits(items, den)))
-        if den == 1:
-            return Texts(map(str, items))
         texts = Texts()
         for x in items:
             g = gcd(x, den)
@@ -306,23 +295,8 @@ class FiniteSeq:
         return all(a * d2 == b * d1 for a, b in zip(x, y))
 
     def __hash__(self) -> int:
-        """``hash(self.values)``, computed from the working form.
-
-        A Fraction p / q hashes as |p| * q^-1 mod P with p's sign (-1 becomes
-        -2), P = ``sys.hash_info.modulus``; the value is the same for x / den
-        unreduced when P does not divide den.  So each entry's hash is that
-        int, from one inverse of den per sequence.  Over den = 1 every item,
-        int or Fraction, is its entry's value and the items' tuple is hashed.
-        Fraction items over another den, and a den that P divides, hash their
-        ``_exits``.
-        """
-        items, den = self.scaled()
-        if den == 1:
-            return hash(tuple(items))
-        if den % _HASH_MODULUS == 0 or items and type(items[-1]) is Fraction:
-            return hash(tuple(self))
-        inv = pow(den, -1, _HASH_MODULUS)
-        return hash(tuple(map(_entry_hash, items, repeat(inv))))
+        """``hash(self.values)``: the hash of the entries' ``_exits``."""
+        return hash(tuple(self))
 
     def at(self, i: int) -> Fraction:
         """1-based access: at(1) is the first term."""

@@ -7,7 +7,7 @@ length 4).  Each check carries its own brute-force oracle, written at the
 raw index level so it shares no code with the implementation under test.
 
 The oracles read the draws, not the library's build of them.  A random
-sequence is drawn as (p, q) ratios (``generators.random_ratios``); ``_drawn``
+sequence is drawn as (p, q) ratios (``random_ratios``); ``_drawn``
 hands them to ``FiniteSeq.from_ratios``, which builds the kernels' input,
 and the check hands the same ratios to ``_o_ints``, which puts them over
 lcm(q) with ``math`` and int arithmetic only.  So a fault in the input build
@@ -40,8 +40,10 @@ instance's label (``exhaustive: ``, ``trial t: `` and so on).  A
 report keeps the first ``MAX_FAILURES`` failure texts and counts them all.
 
 Reports are deterministic: trial t draws from a generator seeded by
-(name, seed, t), so results do not depend on execution order.  Every integer
-draw goes through ``generators.draw``, which takes the words that
+(name, seed, t), so results do not depend on execution order.  A drawn
+rational has a numerator in -9..9 and a denominator in 1..9, and the
+arithmetic and geometric families follow their recurrences exactly.  Every
+integer draw goes through ``draw``, which takes the words that
 ``rng.randint`` would take, so the draws and every pinned digest stay those
 of ``randint``.
 """
@@ -58,15 +60,6 @@ from math import comb, factorial, lcm, prod
 from . import calculus, grid
 from .analysis import classify_convexity, collinearity_determinant
 from .errors import BadParameter, SeqCalcError, UnknownCheck, quoted
-from .generators import (
-    arithmetic_sequence,
-    draw,
-    geometric_sequence,
-    random_nonzero_rational,
-    random_nonzero_ratios,
-    random_rational,
-    random_ratios,
-)
 from .lagrange import (
     dm_via_determinant,
     effective_degree,
@@ -75,7 +68,11 @@ from .lagrange import (
     lagrange_poly,
 )
 from .operators import BOTTOM, DIFFERENCE, TOP, OperatorPoly, bottom, middle, top
-from .sequences import FiniteSeq, format_sequence
+from .sequences import FiniteSeq, as_rational, format_sequence
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .sequences import RationalLike
 
 
 MAX_LENGTH = 100
@@ -126,6 +123,80 @@ class CheckSpec(
 
 CheckReport = namedtuple("CheckReport", "name trials_run failures failure_count passed")
 
+
+# ---------------------------------------------------------------------------
+# seeded draws: numerators in -9..9, denominators in 1..9
+
+def draw(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi), drawing the same words from rng.
+
+    This is CPython's ``_randbelow_with_getrandbits`` (the same in 3.10
+    through 3.13) written on the public ``rng.getrandbits``.  With
+    n = hi - lo + 1 values and k = n.bit_length(), it takes ``getrandbits(k)``
+    until the result is below n, without ``randint``'s two extra calls.
+    ``rng.choice(seq)`` is ``seq[draw(rng, 0, len(seq) - 1)]`` the same way.
+    So a seed gives the same draws as through ``randint`` and ``choice``.
+    """
+    n = hi - lo + 1
+    if n <= 0:  # getrandbits(0) is 0 on every call: the loop below would not end
+        raise ValueError(f"empty range for draw({lo}, {hi})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(draw(rng, -9, 9), draw(rng, 1, 9))
+
+
+_NONZERO_NUMERATORS = (*range(-9, 0), *range(1, 10))
+
+
+def _nonzero_numerator(rng: random.Random) -> int:
+    """rng.choice(_NONZERO_NUMERATORS), from the same words."""
+    return _NONZERO_NUMERATORS[draw(rng, 0, len(_NONZERO_NUMERATORS) - 1)]
+
+
+def random_nonzero_rational(rng: random.Random) -> Fraction:
+    return Fraction(_nonzero_numerator(rng), draw(rng, 1, 9))
+
+
+def random_ratios(length: int, rng: random.Random) -> list[tuple[int, int]]:
+    """length (p, q) draws, random_rational's in its order, neither reduced nor built."""
+    return [(draw(rng, -9, 9), draw(rng, 1, 9)) for _ in range(length)]
+
+
+def random_nonzero_ratios(length: int, rng: random.Random) -> list[tuple[int, int]]:
+    """length (p, q) draws with p != 0, random_nonzero_rational's in its order.
+
+    Drawing each p from the nonzero values gives the distribution of
+    resampling the whole sequence until none is zero.
+    """
+    return [(_nonzero_numerator(rng), draw(rng, 1, 9)) for _ in range(length)]
+
+
+def arithmetic_sequence(start: RationalLike, d: RationalLike, length: int) -> FiniteSeq:
+    a = as_rational(start)
+    step = as_rational(d)
+    return FiniteSeq(a + i * step for i in range(length))
+
+
+def geometric_sequence(start: RationalLike, q: RationalLike, length: int) -> FiniteSeq:
+    ratio = as_rational(q)
+    if ratio == 0:
+        raise BadParameter("geometric ratio q must be nonzero")
+    a = as_rational(start)
+    values = []
+    for _ in range(length):
+        values.append(a)
+        a = a * ratio
+    return FiniteSeq(values)
+
+
+# ---------------------------------------------------------------------------
+# one check's instances, drawn in its order
 
 def _length(spec: CheckSpec, rng: random.Random, floor: int = 2) -> int:
     lo = max(spec.min_length, floor)

@@ -33,9 +33,9 @@ from seqcalc import (
     sample_function,
     top,
 )
-from seqcalc.generators import geometric_sequence, random_rational_sequence
 from seqcalc.lagrange import interpolation_determinants
 from seqcalc.seqio import FORMATS, parse_sequence_text, render_sequence
+from seqcalc.verify import geometric_sequence, random_ratios
 
 from test_parser import random_expr
 
@@ -155,7 +155,7 @@ def test_criterion_4_determinant_normalization():
     rng = random.Random("criterion4")
     for _ in range(100):
         n = rng.randint(3, 10)
-        s = random_rational_sequence(n, rng)
+        s = FiniteSeq.from_ratios(random_ratios(n, rng))
         i = rng.randint(1, n - 2)
         assert collinearity_determinant(s, i) == derivative(s, 2).at(i)
         assert dm_via_determinant(s, i, 2) == derivative(s, 2).at(i)
@@ -179,7 +179,7 @@ def test_criterion_5_lagrange_interpolation():
     rng = random.Random("criterion5")
     for _ in range(200):
         n = rng.randint(7, 12)
-        s = random_rational_sequence(n, rng)
+        s = FiniteSeq.from_ratios(random_ratios(n, rng))
         for m in range(7):
             n0 = rng.randint(1, n - m)
             poly = lagrange_poly(s, n0, m)
@@ -211,7 +211,7 @@ def test_criterion_7_round_trips_and_determinism():
 
     for _ in range(100):
         n = rng.randint(0, 12)
-        s = random_rational_sequence(n, rng)
+        s = FiniteSeq.from_ratios(random_ratios(n, rng))
         for fmt in FORMATS:
             assert parse_sequence_text(render_sequence(s, fmt), fmt) == s
 

@@ -453,7 +453,7 @@ def test_cli_import_leaves_the_verifier_unloaded():
 def test_imports_stay_at_the_stdlib_floor():
     """No site hooks (-I -S), so a module counts only if seqcalc itself imports it."""
     heavy = ("dataclasses", "inspect", "typing", "pathlib")
-    lazy = ("random", "seqcalc.verify", "seqcalc.generators")
+    lazy = ("random", "seqcalc.verify")
     src = Path(__file__).resolve().parents[1] / "src"
     program = (
         "import sys\n"

@@ -13,6 +13,9 @@ determinant m <= 20.
 Where stderr carries a text of the standard library (argparse's usage
 errors, a ``JSONDecodeError`` message, an ``OSError.strerror``), the line
 holds the exit code only: those texts differ between Python versions.
+
+Run it with pytest, or as a script: ``PYTHONPATH=src python
+tests/test_cli_outcomes.py``.
 """
 
 import hashlib
@@ -277,10 +280,26 @@ def cli_outcome(argv, files, cwd):
 CLI_OUTCOMES_SHA256 = "6b76cb350c5aca8cdc66585a65464c814659ac5c95a4546b13925ec1220130b8"
 
 
-def test_cli_outcomes_match_the_pinned_digest(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "folder").mkdir()
-    lines = [cli_outcome(argv, files, tmp_path) for argv, files in cli_corpus()]
+def check_cli_outcomes(cwd):
+    """Run the corpus in cwd, the working directory, and compare its lines with the digest."""
+    (cwd / "folder").mkdir()
+    lines = [cli_outcome(argv, files, cwd) for argv, files in cli_corpus()]
     assert not [line for line in lines if line.startswith("4")]
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == CLI_OUTCOMES_SHA256
+
+
+def test_cli_outcomes_match_the_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_cli_outcomes(tmp_path)
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        check_cli_outcomes(Path(tmp))
+    print("CLI outcomes match the pinned digest")

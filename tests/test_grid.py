@@ -53,6 +53,18 @@ def test_step_must_be_positive():
         GridFunction(0, -1, FiniteSeq([1]))
 
 
+def test_sample_function_checks_the_step_before_it_calls_fn():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x
+
+    with pytest.raises(OutOfRange, match="grid step must be positive, got -1"):
+        sample_function(fn, 0, -1, 200000)
+    assert calls == []
+
+
 def test_grid_points():
     g = GridFunction("1/2", "1/3", FiniteSeq([0, 0, 0]))
     assert g.point(1) == Fraction(1, 2)

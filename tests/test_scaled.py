@@ -437,10 +437,10 @@ SCALED_PAST_BOUND = PAST_BOUND * Fraction(-2, 5)
     ],
 )
 def test_hash_from_the_working_form_equals_the_hash_of_the_fraction_tuple(seq):
-    assert hash(seq) == hash(seq.values)
-    assert tuple(iter(seq)) == seq.values
     items, d = seq.scaled()
-    assert seq.values == tuple(Fraction(x, d) for x in items)
+    expected = tuple(Fraction(x, d) for x in items)
+    assert seq.values == tuple(iter(seq)) == expected
+    assert hash(seq) == hash(expected)
 
 
 def test_fraction_items_may_lead_with_a_run_of_ints():

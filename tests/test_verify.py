@@ -22,14 +22,8 @@ from seqcalc import (
 )
 from seqcalc.cli import main
 from seqcalc.errors import BadParameter, OutOfRange, UnknownCheck
-from seqcalc.generators import (
-    arithmetic_sequence,
-    draw,
-    geometric_sequence,
-    random_nonzero_ratios,
-    random_rational_sequence,
-)
 from seqcalc.seqio import check_payload, render_json, verification_payload
+from seqcalc.verify import arithmetic_sequence, draw, geometric_sequence, random_nonzero_ratios, random_ratios
 
 import random
 
@@ -117,7 +111,7 @@ def test_generator_families():
 
 def test_random_generator_ranges():
     rng = random.Random(0)
-    s = random_rational_sequence(200, rng)
+    s = FiniteSeq.from_ratios(random_ratios(200, rng))
     assert all(-9 <= v.numerator <= 9 or abs(v) <= 9 for v in s)
     assert all(1 <= v.denominator <= 9 for v in s)
     zero_free = FiniteSeq.from_ratios(random_nonzero_ratios(50, random.Random(1)))
