@@ -47,21 +47,8 @@ from .sequences import EMPTY, FiniteSeq, as_rational
 
 __version__ = "0.1.0"
 
-_VERIFIER_NAMES = ("CheckReport", "CheckSpec", "check_names", "run_all", "run_check")
-
-
-def __getattr__(name: str):
-    """Resolve the verifier's names on first use (PEP 562), so importing the CLI skips it."""
-    if name in _VERIFIER_NAMES:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "BOTTOM",
-    "CheckReport",
-    "CheckSpec",
     "ConvexityReport",
     "DIFFERENCE",
     "EMPTY",
@@ -76,7 +63,6 @@ __all__ = [
     "antiderivative",
     "as_rational",
     "bottom",
-    "check_names",
     "classify_convexity",
     "classify_monotonicity",
     "collinearity_determinant",
@@ -95,8 +81,6 @@ __all__ = [
     "middle",
     "parse_operator_poly",
     "render_sequence",
-    "run_all",
-    "run_check",
     "sample_function",
     "top",
 ]

@@ -21,9 +21,10 @@ matters: every entry Bareiss writes is a minor of the rows, and with the low
 powers first those minors stay small (at m = 20 the entries written hold
 under half the bits they hold with the high powers first).
 
-Newton's form is expanded on the window's working form in integers over
-den * m!, which ``Polynomial`` keeps in lowest terms; evaluation at p/q sums
-c_k * p^k * q^(m-k) in integers and builds one Fraction.
+Newton's form is expanded on the window's entries over one int den, as the
+determinants' rows are, in integers over den * m!, which ``Polynomial``
+keeps in lowest terms; evaluation at p/q sums c_k * p^k * q^(m-k) in
+integers and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd
 
-from .errors import BadParameter, OutOfRange, quoted
+from .errors import OutOfRange, quoted
 from .operators import DIFFERENCE
 from .sequences import FiniteSeq, as_rational, format_items, format_terms, over_lcm
 
@@ -52,15 +53,17 @@ class Polynomial:
 
     __slots__ = ("_coeffs", "_den")
 
-    def __init__(self, coefficients: Sequence[RationalLike] = (), den: int = 1):
-        """The polynomial sum(coefficients[k] / den * x^k), den > 0."""
-        if den < 1:
-            raise BadParameter(f"den must be a positive integer, got {quoted(den)}")
-        coeffs, d = over_lcm(coefficients)
+    def __init__(self, coefficients: Sequence[RationalLike] = ()):
+        """The polynomial sum(coefficients[k] * x^k)."""
+        self._reduce(*over_lcm(coefficients))
+
+    def _reduce(self, coeffs: list[int], den: int) -> Polynomial:
+        """Store sum(coeffs[k] / den * x^k) over int coefficients, den > 0, in lowest terms."""
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        g = gcd(den * d, *coeffs)
-        self._coeffs, self._den = tuple(c // g for c in coeffs), den * d // g
+        g = gcd(den, *coeffs)
+        self._coeffs, self._den = tuple(c // g for c in coeffs), den // g
+        return self
 
     def scaled(self) -> tuple[tuple[int, ...], int]:
         """(coefficients, den): the x^k coefficient is coefficients[k] / den."""
@@ -144,13 +147,16 @@ def lagrange_poly(seq: FiniteSeq, n0: int, m: int) -> Polynomial:
     """Unique polynomial of degree <= m through (j, S(j)), j = n0..n0+m."""
     _check_window(seq, n0, m)
     items, den = seq.scaled()
-    window = FiniteSeq.from_scaled(items[n0 - 1 : n0 + m], den)
-    heads = [items[n0 - 1]]
+    # past DEN_BITS the items are Fractions: the window goes over one int den, as
+    # interpolation_determinants' rows do, so the differences and coefficients are ints
+    ints, d = over_lcm(items[n0 - 1 : n0 + m])
+    window = FiniteSeq.from_scaled(ints, den * d)
+    heads = [ints[0]]
     for _ in range(m):
         # D has scale 1, so every difference stays over the window's den
         window = DIFFERENCE.apply(window)
         heads.append(window.scaled()[0][0])
-    # Newton's form times den * m!: D^k S(n0) / k! becomes the item times m!/k!
+    # Newton's form times den * d * m!: D^k S(n0) / k! becomes the item times m!/k!
     coeffs: list[int] = []
     weight = 1
     for k in range(m, -1, -1):
@@ -159,7 +165,7 @@ def lagrange_poly(seq: FiniteSeq, n0: int, m: int) -> Polynomial:
         coeffs = [low - high * node for low, high in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += heads[k] * weight
         weight *= k
-    return Polynomial(coeffs, den * factorial(m))
+    return object.__new__(Polynomial)._reduce(coeffs, den * d * factorial(m))
 
 
 def lagrange_mth_derivative(seq: FiniteSeq, n0: int, m: int) -> Fraction:

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from seqcalc import (
     FiniteSeq,
-    CheckSpec,
     antiderivative,
     classify_convexity,
     collinearity_determinant,
@@ -29,13 +28,12 @@ from seqcalc import (
     effective_degree,
     lagrange_poly,
     parse_operator_poly,
-    run_check,
     sample_function,
     top,
 )
 from seqcalc.lagrange import interpolation_determinants
 from seqcalc.seqio import FORMATS, parse_sequence_text, render_sequence
-from seqcalc.verify import geometric_sequence, random_ratios
+from seqcalc.verify import CheckSpec, geometric_sequence, random_ratios, run_check
 
 from test_parser import random_expr
 

@@ -441,13 +441,12 @@ def test_cli_import_leaves_the_verifier_unloaded():
         "import sys, seqcalc.cli\n"
         "assert 'seqcalc.verify' not in sys.modules\n"
         "import seqcalc\n"
-        "print(seqcalc.run_all.__module__)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "seqcalc.verify\n"
+    assert result.stdout == ""
 
 
 def test_imports_stay_at_the_stdlib_floor():
@@ -468,6 +467,22 @@ def test_imports_stay_at_the_stdlib_floor():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n[]\n"
+
+
+def test_star_import_leaves_the_verifier_unloaded():
+    """Under -I -S, ``from seqcalc import *`` stays at the floor too."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    program = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from seqcalc import *\n"
+        "print([m for m in ('random', 'seqcalc.verify') if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", program], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -1,6 +1,8 @@
 """The outcome of every library call in a seeded corpus, pinned by one digest.
 
-The corpus calls every name in ``seqcalc.__all__`` and every public method of
+The corpus calls every name in ``seqcalc.__all__``, the verifier's public
+names (``CheckReport``, ``CheckSpec``, ``check_names``, ``run_all`` and
+``run_check`` from ``seqcalc.verify``) and every public method of
 ``FiniteSeq``, ``OperatorPoly``, ``Polynomial`` and ``GridFunction``, with
 every combination of seeded arguments, each parameter drawing from the seeds
 of its kind.  A rational, index, order or length draws from the scalars: 0,
@@ -35,8 +37,6 @@ from seqcalc import (
     IDENTITY,
     MIDDLE,
     TOP,
-    CheckReport,
-    CheckSpec,
     ConvexityReport,
     FiniteSeq,
     GridFunction,
@@ -45,6 +45,7 @@ from seqcalc import (
     Polynomial,
 )
 from seqcalc.errors import SeqCalcError
+from seqcalc.verify import CheckReport, CheckSpec, check_names, run_all, run_check
 
 BIG = 10**5000  # past Python's default int/str digit limit of 4300
 
@@ -133,7 +134,7 @@ SEEDS = {
 
 # (name, callable, parameter kinds); a method's first kind is its instance's
 CALLS = [
-    # seqcalc.__all__: records and constants
+    # seqcalc.__all__ and seqcalc.verify: records and constants
     *((name, lambda x, record=record: record(*[x] * len(record._fields)), ("q",))
       for name, record in (("CheckReport", CheckReport), ("ConvexityReport", ConvexityReport),
                            ("MonotonicityReport", MonotonicityReport))),
@@ -164,11 +165,12 @@ CALLS = [
     ("load_sequence", seqcalc.load_sequence, ("spec",)),
     ("render_sequence", seqcalc.render_sequence, ("seq", "format")),
     ("parse_operator_poly", seqcalc.parse_operator_poly, ("optext",)),
-    ("check_names", seqcalc.check_names, ()),
+    # seqcalc.verify: functions
+    ("check_names", check_names, ()),
     ("CheckSpec", lambda name, trials, seed: CheckSpec(name, trials, seed), ("check", "q", "q")),
     ("CheckSpec with lengths", lambda lo, hi: CheckSpec("product_rule", 1, 0, lo, hi), ("q", "q")),
-    ("run_check", lambda name, trials, seed: seqcalc.run_check(CheckSpec(name, trials, seed)), ("check", "q", "q")),
-    ("run_all", seqcalc.run_all, ("q",)),
+    ("run_check", lambda name, trials, seed: run_check(CheckSpec(name, trials, seed)), ("check", "q", "q")),
+    ("run_all", run_all, ("q",)),
     # FiniteSeq
     ("FiniteSeq", FiniteSeq, ("values",)),
     ("FiniteSeq.of", lambda x, y: FiniteSeq.of(x, y), ("q", "q")),
@@ -215,7 +217,7 @@ CALLS = [
     ("OperatorPoly.__eq__", eq, ("self_op", "op")),
     ("OperatorPoly.__repr__", repr, ("self_op",)),
     # Polynomial
-    ("Polynomial", Polynomial, ("values", "q")),
+    ("Polynomial", Polynomial, ("values",)),
     ("Polynomial.scaled", Polynomial.scaled, ("poly",)),
     ("Polynomial.coefficients", lambda p: p.coefficients, ("poly",)),
     ("Polynomial.degree", lambda p: p.degree, ("poly",)),
@@ -286,12 +288,13 @@ def library_lines():
 def test_the_corpus_calls_every_public_name():
     names = {name.split(" ")[0] for name, _, _ in CALLS}
     assert set(seqcalc.__all__) <= names
+    assert {"CheckReport", "CheckSpec", "check_names", "run_all", "run_check"} <= names
     for cls in (FiniteSeq, OperatorPoly, Polynomial, GridFunction):
         public = {f"{cls.__name__}.{attr}" for attr in dir(cls) if not attr.startswith("_")}
         assert public <= names, public - names
 
 
-LIBRARY_OUTCOMES_SHA256 = "a0a7828f165612965d2742362a488fbdda48351965f90b8490523b340b4055b8"
+LIBRARY_OUTCOMES_SHA256 = "8e0b35c4465404cad67980d64a56b9132510a61d6e3dd191b51a2f0fe2ed930b"
 
 
 def test_library_outcomes_match_the_pinned_digest():

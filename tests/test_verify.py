@@ -8,24 +8,34 @@ from fractions import Fraction
 
 import pytest
 
-from seqcalc import (
-    CheckSpec,
-    FiniteSeq,
-    OperatorPoly,
-    Polynomial,
-    calculus,
-    check_names,
-    grid,
-    run_all,
-    run_check,
-    verify,
-)
+from seqcalc import FiniteSeq, Polynomial, calculus, grid, verify
 from seqcalc.cli import main
 from seqcalc.errors import BadParameter, OutOfRange, UnknownCheck
 from seqcalc.seqio import check_payload, render_json, verification_payload
-from seqcalc.verify import arithmetic_sequence, draw, geometric_sequence, random_nonzero_ratios, random_ratios
+from seqcalc.verify import (
+    CheckSpec,
+    arithmetic_sequence,
+    check_names,
+    draw,
+    geometric_sequence,
+    random_nonzero_ratios,
+    random_ratios,
+    run_all,
+    run_check,
+)
 
 import random
+
+from verifier_digests import (
+    DROPPED_CONSTANT_SHA256,
+    FAILING_REPORT_SHA256,
+    PASSING_REPORT_SHA256,
+    dropped_constant_report,
+    failing_report,
+    off_by_one_in_the_first_entry,
+    sha256,
+    verify_report,
+)
 
 EXPECTED_CATALOG = (
     "product_rule",
@@ -132,15 +142,11 @@ def test_draw_takes_the_words_that_randint_and_choice_take():
             draw(random.Random(0), lo, hi)
 
 
-def _off_by_one_in_the_first_entry(seq):
-    return FiniteSeq([seq.at(1) + 1, *seq.values[1:]]) if seq else seq
-
-
 def test_oracles_catch_a_broken_product_kernel(monkeypatch):
     original = FiniteSeq.__mul__
 
     def broken(self, other):
-        return _off_by_one_in_the_first_entry(original(self, other))
+        return off_by_one_in_the_first_entry(original(self, other))
 
     monkeypatch.setattr(FiniteSeq, "__mul__", broken)
     report = run_check(CheckSpec("product_rule", trials=10, seed=7, min_length=2, max_length=6))
@@ -160,58 +166,26 @@ def test_oracles_catch_a_broken_input_build(monkeypatch):
     assert report.passed is False
 
 
-# stdout of a passing `verify`: the whole catalog at the default lengths 2..12,
-# and at lengths up to 100, which those never reach
-PASSING_REPORT_SHA256 = [
-    (("--check", "all", "--trials", "200"),
-     "7a024d4414f1bd5820a04ebe5fba232dda262aa98d52ffb8e4fd33db0cd1ec7c"),
-    (("--check", "all", "--trials", "40", "--seed", "11", "--max-len", "100"),
-     "d7477c154549a390ab6b30a84685cec6418cb892ae4b5627e25baea9593c8826"),
-]
-
-
 @pytest.mark.parametrize("argv,expected", PASSING_REPORT_SHA256, ids=["trials-200", "max-len-100"])
-def test_passing_report_digest(capsys, argv, expected):
-    assert main(["verify", *argv]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+def test_passing_report_digest(argv, expected):
+    code, out = verify_report(argv)
+    assert code == 0
+    assert sha256(out) == expected
 
 
-# stdout of `verify --check all --trials 30 --seed 3 --max-len 14` while
-# OperatorPoly.apply shifts its first entry by 1: pins the draw order of
-# every check, the failure texts a broken kernel produces and their counts.
-FAILING_REPORT_SHA256 = "63cb8729cc2be76bfd9f51fadc208e97d5a3f5c7c60edf291cdabc782cf9dbbd"
-
-
-def test_failing_report_digest(capsys, monkeypatch):
-    original = OperatorPoly.apply
-
-    def broken(self, seq):
-        return _off_by_one_in_the_first_entry(original(self, seq))
-
-    monkeypatch.setattr(OperatorPoly, "apply", broken)
-    code = main(["verify", "--check", "all", "--trials", "30", "--seed", "3", "--max-len", "14"])
-    out = capsys.readouterr().out
+def test_failing_report_digest():
+    code, out = failing_report()
     assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_REPORT_SHA256
+    assert sha256(out) == FAILING_REPORT_SHA256
     reports = json.loads(out)["reports"]
     assert sum(r["failure_count"] for r in reports) == 493
     assert all(len(r["failures"]) == min(r["failure_count"], verify.MAX_FAILURES) for r in reports)
 
 
-# stdout of `verify --check all --trials 30 --seed 3` while calculus.antiderivative
-# drops its constant: only the checks that read the constant fail, and the
-# fundamental theorem, which takes a difference of two antiderivative entries,
-# does not
-DROPPED_CONSTANT_SHA256 = "600faea90710c27b889380842b2e17ad9df8095d65e1689a0309a3e11cec2f42"
-
-
-def test_dropped_constant_report_digest(capsys, monkeypatch):
-    original = calculus.antiderivative
-    monkeypatch.setattr(calculus, "antiderivative", lambda seq, constant=0: original(seq))
-    code = main(["verify", "--check", "all", "--trials", "30", "--seed", "3"])
-    out = capsys.readouterr().out
+def test_dropped_constant_report_digest():
+    code, out = dropped_constant_report()
     assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == DROPPED_CONSTANT_SHA256
+    assert sha256(out) == DROPPED_CONSTANT_SHA256
     counts = {r["name"]: r["failure_count"] for r in json.loads(out)["reports"]}
     assert {name: count for name, count in counts.items() if count} == {
         "antiderivative_roundtrip": 57,
@@ -326,7 +300,7 @@ def test_a_raised_library_error_fails_the_trial(capsys, monkeypatch):
     original = FiniteSeq.__mul__
 
     def broken(self, other):
-        return _off_by_one_in_the_first_entry(original(self, other))
+        return off_by_one_in_the_first_entry(original(self, other))
 
     # a shifted product can turn a divisor's entry to zero: the division raises ZeroEntry
     monkeypatch.setattr(FiniteSeq, "__mul__", broken)
@@ -375,7 +349,7 @@ def test_fd_bridge_checks_the_unit_grid_against_raw_oracles(monkeypatch, kernel,
         out = original(g)
         if (g.origin, g.step) != (0, 1):
             return out
-        return grid.GridFunction(0, 1, _off_by_one_in_the_first_entry(out.samples))
+        return grid.GridFunction(0, 1, off_by_one_in_the_first_entry(out.samples))
 
     monkeypatch.setattr(grid, kernel, skewed_on_the_unit_grid)
     report = run_check(CheckSpec("fd_bridge", trials=10, seed=7, min_length=2, max_length=6))
