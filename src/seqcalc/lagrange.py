@@ -13,13 +13,22 @@ with S(i+r).  det(V) is a column-reversed Vandermonde determinant, so it is
 never zero but equals m! in absolute value only for m <= 2; the bare
 det(M_S) therefore does not equal D^m S for m >= 3 (the verifier pins this).
 The window's entries go over one denominator, and both determinants come
-from one fraction-free (Bareiss) elimination on those integer rows, over the
+from fraction-free (Bareiss) elimination on those integer rows, over the
 nodes 0..m with the columns in ascending powers, [1, x, ..., x^(m-1) | x^m | S]
 (the pivots are then Vandermonde determinants, never zero), which reverses
 V's and M_S's columns and so flips both signs by (-1)^(m(m+1)/2).  The order
 matters: every entry Bareiss writes is a minor of the rows, and with the low
 powers first those minors stay small (at m = 20 the entries written hold
 under half the bits they hold with the high powers first).
+
+Only the last column holds S.  The power columns on the nodes 0..m are the
+same for every window, and by Sylvester's identity each entry written after
+step k is a (k+1)-minor of rows 0..k-1, r and columns 0..k-1, j, so the
+eliminated node rows of order M hold those of every order m <= M in their
+top-left corner.  The module keeps one such table, for the largest order
+asked so far: a call past it rebuilds the table by ``bareiss_determinant``
+at its own order, and every call then runs only its data column through the
+table's steps, m(m+1)/2 integer updates in place of about m^3/3.
 
 Newton's form is expanded on the window's entries over one int den, as the
 determinants' rows are, in integers over den * m!, which ``Polynomial``
@@ -179,24 +188,50 @@ def effective_degree(seq: FiniteSeq, n0: int, m: int) -> int:
     return lagrange_poly(seq, n0, m).degree
 
 
+# Row r of the node matrix [1, x, ..., x^M] on x = r, after Bareiss, cut to its
+# entries 0..r: the multipliers T[r][k] that step k reads, then the pivot T[r][r]
+_node_table: tuple[tuple[int, ...], ...] = ()
+
+
+def _node_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """The eliminated node rows of an order >= m, built at order m when the table is smaller."""
+    global _node_table
+    # one read of the global: a thread that swaps in a smaller table leaves this call's own
+    nodes = _node_table
+    if len(nodes) <= m:
+        rows = [[x**k for k in range(m + 1)] for x in range(m + 1)]
+        bareiss_determinant(rows)
+        nodes = _node_table = tuple(tuple(row[: r + 1]) for r, row in enumerate(rows))
+    return nodes
+
+
 def interpolation_determinants(seq: FiniteSeq, i: int, m: int) -> tuple[Fraction, Fraction]:
     """(det(M_S), det(V)) for the descending-power node matrix at window i.
 
     The m + 1 window entries go over one denominator with one ``over_lcm``
-    call.  One elimination then runs on the nodes translated to 0..m, which
+    call.  The elimination runs on the nodes translated to 0..m, which
     leaves both determinants unchanged (the change of basis on the power
     columns is unit triangular), over the integer columns
     [1, x, ..., x^(m-1) | x^m | S]: reversing the m + 1 columns of V and M_S
     multiplies each by (-1)^(m(m+1)/2).  In this order the leading minors are
-    Vandermonde determinants on the nodes 0..k, never zero.
+    Vandermonde determinants on the nodes 0..k, never zero.  The power
+    columns come eliminated from the module's node table, so only the data
+    column y runs Bareiss's steps, y_r <- (y_r * T[k][k] - T[r][k] * y_k) //
+    T[k-1][k-1], and det(V) is the pivot T[m][m].
     """
     _check_window(seq, i, m)
     items, den = seq.scaled()
-    window, d = over_lcm(items[i - 1 : i + m])
-    rows = [[x**k for k in range(m + 1)] + [y] for x, y in enumerate(window)]
-    det_v, det_ms = bareiss_determinant(rows)
+    column, d = over_lcm(items[i - 1 : i + m])
+    nodes = _node_rows(m)
+    prev = 1
+    for k in range(m):
+        pivot, y = nodes[k][k], column[k]
+        column[k + 1 :] = [
+            (x * pivot - row[k] * y) // prev for x, row in zip(column[k + 1 :], nodes[k + 1 :])
+        ]
+        prev = pivot
     sign = (-1) ** (m * (m + 1) // 2)
-    return Fraction(sign * det_ms, den * d), Fraction(sign * det_v)
+    return Fraction(sign * column[m], den * d), Fraction(sign * nodes[m][m])
 
 
 def dm_via_determinant(seq: FiniteSeq, i: int, m: int) -> Fraction:

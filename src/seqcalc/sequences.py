@@ -79,9 +79,12 @@ def _exits(items: Sequence, den: int) -> Iterator[Fraction]:
     Int items leave as Fraction(x, den).  Where the last item is a Fraction
     (ints there form a leading run), each leaves as x / Fraction(den): a
     Fraction x is already reduced, so Fraction's division takes one gcd, of
-    x's numerator with den.
+    x's numerator with den.  Over den = 1 each is its value already, and
+    Fraction(x) copies it with no gcd.
     """
     if items and type(items[-1]) is Fraction:
+        if den == 1:
+            return map(Fraction, items)
         return map(truediv, items, repeat(Fraction(den)))
     return map(Fraction, items, repeat(den))
 

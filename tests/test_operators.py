@@ -263,6 +263,16 @@ def test_apply_matches_raw_index_oracle(p, n, s):
         assert list(q.apply(s).values) == raw_apply_oracle(q, s)
 
 
+@pytest.mark.parametrize("n", [5001, 6003])
+def test_minus_one_weights_over_long_outputs_match_raw_index_oracle(n):
+    # the -1 weights take apply's subtracting map; the outputs pass 5000 entries
+    rng = random.Random(n)
+    xs = [rng.randint(-(10**20), 10**20) for _ in range(n)]
+    s = FiniteSeq(xs)
+    assert DIFFERENCE.apply(s) == FiniteSeq([xs[i + 1] - xs[i] for i in range(n - 1)])
+    assert (BOTTOM**3 - TOP).apply(s) == FiniteSeq([xs[i + 3] - xs[i] for i in range(n - 3)])
+
+
 def test_apply_shared_and_cancelling_shifts():
     s = FiniteSeq([1, "3/2", -4, 7])
     # I and 1 share shift 0: the weights add
