@@ -7,10 +7,10 @@ Each row of ``MUTANTS`` is ``(name, file, old text, new text, killer)``.  The
 old text must occur exactly once in the file under ``src/seqcalc``, so a
 refactor that moves it fails the row instead of skipping it.  The killer is a
 Tier-1 node id (``tests/x.py::test_y``), run by pytest, or a pytest-free
-script (``tests/x.py``), run by the interpreter.
+script (``tests/x.py``, ``scripts/gates.py``), run by the interpreter.
 
-Every distinct killer first runs on an unchanged copy of ``src/``, ``tests/``
-and ``pyproject.toml``, where it must pass.  Then each mutant gets a fresh
+Every distinct killer first runs on an unchanged copy of ``src/``, ``tests/``,
+``scripts/`` and ``pyproject.toml``, where it must pass.  Then each mutant gets a fresh
 copy, the replacement is written there, and its killer runs in one child
 process with ``src`` first on PYTHONPATH, under ``TIMEOUT_S``.  Children run
 one at a time.  A row passes when its killer fails: the check catches the
@@ -31,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "pyproject.toml")
 
 MUTANTS = [
     (
@@ -82,6 +82,21 @@ MUTANTS = [
         "        column[k + 1 :] = [",
         "        column[k + 1 :] = nodes[k + 1 :] = [",
         "tests/test_lagrange.py::test_a_call_leaves_the_node_table_unchanged",
+    ),
+    (
+        # same values by Sylvester's identity, but m = 80 builds the table at 160
+        "node-table-built-at-twice-the-order",
+        "lagrange.py",
+        "rows = [[x**k for k in range(m + 1)] for x in range(m + 1)]",
+        "rows = [[x**k for k in range(2 * m + 1)] for x in range(2 * m + 1)]",
+        "scripts/gates.py",
+    ),
+    (
+        "scan-scale-off-at-100000",
+        "sequences.py",
+        "scale = {key: den // d for key, d in dens.items()}",
+        "scale = {key: den // d + (len(nums) >= 100000) for key, d in dens.items()}",
+        "scripts/gates.py",
     ),
 ]
 
