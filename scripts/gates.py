@@ -14,6 +14,7 @@ and exits 1 if any case failed.  It needs only the standard library.
 """
 
 import json
+import operator
 import os
 import random
 import subprocess
@@ -55,8 +56,9 @@ for name, call in calls.items():
     raise SystemExit(f"{name} read '1e100000000'")"""
 
 
-def write_inputs(d: Path) -> None:
-    """CI's seeded inputs: a 100000-entry mix in six shapes, then 2000 entries of two kinds."""
+def write_inputs(d: Path) -> tuple[list, list[int]]:
+    """CI's seeded inputs: a 100000-entry mix in six shapes, then 2000 entries of two kinds, then
+    4100 one-digit entries.  Returns the mix's values and the 4100 entries, for reference values."""
     rng = random.Random(100000)
     # 10 % are 400-digit integers
     vals = [rng.choice((-1, 1)) * rng.randrange(10**399, 10**400) if rng.random() < 0.1
@@ -81,6 +83,11 @@ def write_inputs(d: Path) -> None:
     (d / "p.json").write_text(json.dumps(entries))
     (d / "cycled.csv").write_text("".join(f"{rng.randint(-9, 9)}/{primes[i % 2000]}\n" for i in range(20000)))
 
+    rng = random.Random(4100)
+    digits = [rng.randint(-9, 9) for _ in range(4100)]
+    (d / "digits4100.csv").write_text("".join(f"{x}\n" for x in digits))
+    return vals, digits
+
 
 def check(ok: bool, message: str) -> None:
     """Raise AssertionError with message unless ok; unlike assert, this holds under -O too."""
@@ -103,11 +110,33 @@ def seqcalc(*argv: str, **kw):
     return python("-m", "seqcalc", *argv, **kw)
 
 
-def same_stdout(timeout: float, *argvs: tuple[str, ...]) -> None:
-    """Each seqcalc argv exits 0 within timeout seconds, and all write the same stdout."""
+def same_stdout(timeout: float, *argvs: tuple[str, ...], first_and_last: tuple[str, str] | None = None) -> None:
+    """Each seqcalc argv exits 0 within timeout seconds, and all write the same stdout.
+
+    With first_and_last, the first run's values must also begin and end with those two texts.
+    """
     first = seqcalc(*argvs[0], timeout=timeout).stdout
+    if first_and_last:
+        values = json.loads(first)["values"]
+        check((values[0], values[-1]) == first_and_last, "the first or the last value differs from its reference")
     for argv in argvs[1:]:
         check(seqcalc(*argv, timeout=timeout).stdout == first, f"{' '.join(argv)} differs from the first run")
+
+
+def binomial_sums(seq: str, n: int, digits: list[int]) -> None:
+    """apply (I+E)^n to digits within 10 s writes each window's binomial sum, computed here."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    expected = [str(sum(map(operator.mul, row, digits[i : i + n + 1]))) for i in range(len(digits) - n)]
+    values = json.loads(seqcalc("apply", "--op", f"(I+E)^{n}", "--seq", seq, timeout=10).stdout)["values"]
+    check(values == expected, f"(I+E)^{n} differs from the binomial sums")
+
+
+def no_values(op: str) -> None:
+    """apply op to one entry writes no values within 5 s: past the sequence's length, a degree costs nothing."""
+    values = json.loads(seqcalc("apply", "--op", op, "--seq", "inline:1", timeout=5).stdout)["values"]
+    check(values == [], f"{op} wrote {len(values)} values")
 
 
 def determinant_route(seq: str, m: str) -> None:
@@ -121,17 +150,27 @@ def digit_limit(seq: str) -> None:
     check(b"too many digits" in stderr, stderr.decode(errors="replace").strip())
 
 
-def cases(d: Path):
-    """(name, thunk) for every case; a thunk raises AssertionError when its case fails."""
+def cases(d: Path, vals: list, digits: list[int]):
+    """(name, thunk) for every case; a thunk raises AssertionError when its case fails.
+
+    vals are the 100000-entry mix's values and digits the 4100 one-digit entries.
+    """
     mix = [f"csv:{d}/mix.csv", f"bfile:{d}/mix.bfile", f"json:{d}/mix.json"]
     mix += [f"csv:{d}/row.csv", f"csv:{d}/crlf.csv", f"bfile:{d}/tab.bfile"]
     primes = [f"{fmt}:{d}/p.{fmt}" for fmt in ("csv", "bfile", "json")]
     yield "simplify (I+E)^4000 exits 0 within 10 s", partial(seqcalc, "simplify", "--op", "(I+E)^4000", timeout=10)
     yield "simplify ((I+E)^100)^100 exits 3 within 5 s", partial(
         seqcalc, "simplify", "--op", "((I+E)^100)^100", timeout=5, code=3)
+    yield "apply ((E^4096)^4096)^4096, of degree 2**36, to one entry within 5 s", partial(
+        no_values, "((E^4096)^4096)^4096")
     yield "100000 nested parentheses exit 2 within 5 s", partial(python, "-c", NESTED, timeout=5, code=2)
+    # the first entry is the constant, and the last the constant plus every value
     yield "integrate 100000 entries in six shapes: one stdout, each within 10 s", partial(
-        same_stdout, 10, *[("integrate", "--seq", seq, "--constant=1/3") for seq in mix])
+        same_stdout, 10, *[("integrate", "--seq", seq, "--constant=1/3") for seq in mix],
+        first_and_last=("1/3", str(sum(vals) + Fraction(1, 3))))
+    # 4001 shifts against 100 outputs: a dot product per output
+    yield "apply (I+E)^4000 on 4100 one-digit entries is the binomial sums within 10 s", partial(
+        binomial_sums, f"csv:{d}/digits4100.csv", 4000, digits)
     yield "determinant route m = 80 on one-digit entries", partial(determinant_route, f"csv:{d}/digits.csv", "80")
     yield "determinant route m = 40 on the primes", partial(determinant_route, f"csv:{d}/p.csv", "40")
     for argv in (("diff", "--order", "40"), ("apply", "--op", "M^8"), ("apply", "--op", "(3/4*I - 5/7*E)^20")):
@@ -155,8 +194,7 @@ def cases(d: Path):
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as temp:
-        write_inputs(Path(temp))
-        for name, run in cases(Path(temp)):
+        for name, run in cases(Path(temp), *write_inputs(Path(temp))):
             start, verdict, why = time.perf_counter(), "ok  ", ""
             try:
                 run()

@@ -92,6 +92,27 @@ MUTANTS = [
         "scripts/gates.py",
     ),
     (
+        "binomial-ratio-off-from-k-40",
+        "operators.py",
+        "t = t * j * r // ((k + 1) * c)",
+        "t = t * j * r // ((k + 1) * c) + (k >= 40)",
+        "tests/test_operators.py::test_two_term_power_at_the_exponent_bound_is_the_binomial_row",
+    ),
+    (
+        "dot-row-one-shift-short",
+        "operators.py",
+        "span = len(row)",
+        "span = len(row) - 1",
+        "tests/test_operators.py::test_dot_products_match_raw_index_oracle_and_keep_the_item_types",
+    ),
+    (
+        "command-route-keeps-leftovers",
+        "cli.py",
+        "if command is None or extra:",
+        "if command is None:",
+        "tests/test_cli.py::test_each_command_line_parses_as_the_full_parser_parses_it[leftover word]",
+    ),
+    (
         "scan-scale-off-at-100000",
         "sequences.py",
         "scale = {key: den // d for key, d in dens.items()}",

@@ -7,7 +7,11 @@ closed by its reader (128 + SIGPIPE, as a shell reports it; nothing on stderr).
 All stdout is deterministic for identical invocations.
 
 The argparse tree is built on the first ``main`` call and reused by every
-later call in the process; parsing a command line does not change it.
+later call in the process; parsing a command line does not change it.  A
+command line whose first word is a command name is parsed by that command's
+subparser alone, which reads the same strings that the full parser would
+hand it.  Where strings are left over, or the first word is not a command,
+the full parser parses the line, so every usage and help text is its own.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ def _integer(text: str) -> int:
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="seqcalc",
         description="Exact discrete calculus of finite sequences.",
@@ -84,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--min-len", dest="min_len", type=_integer, default=2)
     p_verify.add_argument("--max-len", dest="max_len", type=_integer, default=12)
 
-    return parser
+    return parser, sub.choices
 
 
 def _run(args) -> int:
@@ -132,9 +137,18 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # the full parser would hand argv[1:] to the subparser unchanged; it is kept for
+        # leftovers and other first words, whose usage errors and help text are its own
+        command = argv[0] if argv and argv[0] in commands else None
+        if command is not None:
+            args, extra = commands[command].parse_known_args(argv[1:])
+        if command is None or extra:
+            args = parser.parse_args(argv)
+        else:
+            args.command = command
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -29,9 +29,12 @@ divide by the gcd, drop zero terms.  Sums, negations, products and powers
 hand it their int term maps directly, without ``__init__``'s parse.  A
 power expands over the base's first term u = c*I^a*E^b and the rest R:
 P^N = sum_k C(N, k) u^(N-k) R^k over d**N, with R^k convolved from R^(k-1)
-and c^(N-k) stepped down by exact division, so a two-term power costs O(N)
-integer products.  Exponents are bounded by ``MAX_EXPONENT``, and the term
-products of one ``*`` or ``**`` by ``MAX_TERM_PRODUCTS``.
+and c^(N-k) stepped down by exact division.  Where R is one term r*I^p*E^q,
+as in D, M and every (a*I - b*E), the k-th coefficient t_k = C(N, k)
+c^(N-k) r^k comes from the one before by the binomial ratio,
+t_(k+1) = t_k * (N-k) * r // ((k+1) * c), one exact division per step.
+Exponents are bounded by ``MAX_EXPONENT``, and the term products of one
+``*`` or ``**`` by ``MAX_TERM_PRODUCTS``.
 
 ``apply`` is the library's one linear stencil.  Once per operator it sums
 the integer terms by bottom exponent b and divides the sums by their gcd g:
@@ -41,7 +44,14 @@ of the slice S[b : b + n - d] of the sequence's working form (see
 costs one subtraction per entry.  The scale's numerator multiplies the sums
 and its denominator joins the sequence's, so integer items stay integers.  The
 scale is kept as two ints, and each shift's add, subtract or multiple runs as
-one C-level ``map`` over its window, with no per-entry Python frame.
+one C-level ``map`` over its window, with no per-entry Python frame.  Near
+full order the output is short and the passes many: where a stencil has
+more than two shifts and more shifts than outputs, and its dense weight row
+over shifts 0..top (top being the last shift with a nonzero weight) holds
+at most one zero per two nonzero weights, each output is instead one dot
+product of that row with its window S[i : i + top + 1].  The row is built
+once per operator, and only for such a stencil, so its length is bounded by
+the operator's own terms whatever its degree.
 """
 
 from __future__ import annotations
@@ -184,6 +194,8 @@ class OperatorPoly:
             )
         if not self._terms:
             return OperatorPoly.scalar(1) if exponent == 0 else OperatorPoly()
+        if len(self._terms) == 2:
+            return self._binomial_power(exponent)
         # P^n = sum_k C(n, k) u^(n-k) R^k over the first term u = c I^a E^b and the rest R
         ((a, b), c), *rest = self._terms.items()
         rest = dict(rest)
@@ -205,9 +217,29 @@ class OperatorPoly:
             rest_power = _convolve(rest_power, rest)
         return _from_ints(sums, self._den**exponent)
 
-    def _weights(self) -> tuple[int, int, int, list[tuple[int, int]]]:
-        """(truncation, scale num, scale den, [(shift b, integer weight)]), a +1 weight first.
+    def _binomial_power(self, n: int) -> OperatorPoly:
+        """(u + v)^n for the two terms u = c I^a E^b and v = r I^ra E^rb, by the binomial ratio.
 
+        The k-th term C(n, k) c^(n-k) r^k comes from the one before by one exact
+        division; the terms are inserted by ascending k, as the general loop does.
+        """
+        # 2 (n + 1) <= 8194 products of terms, by the general loop's count: under MAX_TERM_PRODUCTS
+        ((a, b), c), ((ra, rb), r) = self._terms.items()
+        sums: dict[Monomial, int] = {}
+        t = c**n
+        for k in range(n + 1):
+            j = n - k
+            sums[a * j + ra * k, b * j + rb * k] = t
+            t = t * j * r // ((k + 1) * c)
+        return _from_ints(sums, self._den**n)
+
+    def _weights(self) -> tuple[int, int, int, list[tuple[int, int]], list[int]]:
+        """(truncation, scale num, scale den, [(shift b, integer weight)], dense row).
+
+        The weights come with a +1 weight first.  The dense row holds the weight
+        of each shift 0..top, top being the largest shift with a nonzero weight;
+        it is empty unless there are more than two weights and at most one zero
+        per two of them, the stencils whose dot products beat the passes.
         The scale g / den is in lowest terms, g being the gcd of the summed weights.
         """
         merged: dict[int, int] = {}
@@ -216,33 +248,48 @@ class OperatorPoly:
         nonzero = [(b, w) for b, w in merged.items() if w]
         g = gcd(*(w for _, w in nonzero))
         weights = sorted(((b, w // g) for b, w in nonzero), key=lambda bw: bw[1] != 1)
+        row = []
+        top = max((b for b, _ in weights), default=-1)
+        # 2 (top + 1) <= 3 len(weights) also bounds the row by the terms, whatever the degree
+        if len(weights) > 2 and 2 * (top + 1) <= 3 * len(weights):
+            row = [0] * (top + 1)
+            for b, w in weights:
+                row[b] = w
         h = gcd(g, self._den)
-        return max(self.max_degree(), 0), g // h, self._den // h, weights
+        return max(self.max_degree(), 0), g // h, self._den // h, weights, row
 
     def apply(self, seq: FiniteSeq) -> FiniteSeq:
         """Act on a finite sequence with the truncation convention.
 
-        Each shift adds its window of items to the sums in one C-level ``map``.
+        Each shift adds its window of items to the sums in one C-level ``map``;
+        where shifts outnumber outputs and the stencil has a dense row, each
+        output is one dot product instead.
         """
         if self._stencil is None:
             self._stencil = self._weights()
-        depth, scale_num, scale_den, weights = self._stencil
+        depth, scale_num, scale_den, weights, row = self._stencil
         items, den = seq.scaled()
         out_len = max(len(items) - depth, 0)
         if not weights:
             return FiniteSeq.from_scaled([0] * out_len, 1)
-        (b, w), *rest = weights
-        acc = items[b : b + out_len]
-        if w != 1:
-            acc = list(map(mul, acc, repeat(w)))
-        for b, w in rest:
-            window = items[b : b + out_len]
-            if w == 1:
-                acc = list(map(add, acc, window))
-            elif w == -1:
-                acc = list(map(sub, acc, window))
-            else:
-                acc = list(map(add, acc, map(mul, window, repeat(w))))
+        if row and len(weights) > out_len:
+            # the row ends at a nonzero weight and Fraction items form a trailing run,
+            # so each sum is a Fraction exactly where the passes' sum would be
+            span = len(row)
+            acc = [sum(map(mul, row, items[i : i + span])) for i in range(out_len)]
+        else:
+            (b, w), *rest = weights
+            acc = items[b : b + out_len]
+            if w != 1:
+                acc = list(map(mul, acc, repeat(w)))
+            for b, w in rest:
+                window = items[b : b + out_len]
+                if w == 1:
+                    acc = list(map(add, acc, window))
+                elif w == -1:
+                    acc = list(map(sub, acc, window))
+                else:
+                    acc = list(map(add, acc, map(mul, window, repeat(w))))
         if scale_num != 1:
             acc = list(map(mul, acc, repeat(scale_num)))
         return FiniteSeq.from_scaled(acc, den * scale_den)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcalc import cli
 from seqcalc.cli import main
 from seqcalc.operators import MAX_EXPONENT, MAX_TERM_PRODUCTS
 from seqcalc.parser import MAX_DEPTH
@@ -189,6 +190,53 @@ def test_of_two_faults_the_first_input_read_is_reported(capsys, argv, code, stde
 def test_argparse_usage_exit_2(capsys):
     assert main(["diff"]) == 2  # missing --seq
     assert main(["not-a-command"]) == 2
+
+
+SEQ = ("--seq", "inline:1,4,9,16")
+PARSE_CORPUS = {
+    "apply": ("apply", "--op", "E - I", *SEQ),
+    "simplify": ("simplify", "--op", "I"),
+    "diff": ("diff", *SEQ, "--order", "2"),
+    "integrate": ("integrate", *SEQ, "--constant=-1/2"),
+    "defint": ("defint", *SEQ, "--from", "1", "--to", "2"),
+    "classify": ("classify", *SEQ),
+    "lagrange": ("lagrange", *SEQ, "--n0", "1", "--m", "2", "--eval", "7/3"),
+    "lagrange --det": ("lagrange", *SEQ, "--n0", "1", "--m", "2", "--det"),
+    "verify": ("verify", "--check", "ftc", "--trials", "1", "--min-len=3"),
+    "help after a command": ("lagrange", *SEQ, "-h"),
+    "abbreviations": ("diff", "--se", "inline:1,2", "--ord", "1"),
+    "help abbreviated": ("diff", "--he"),
+    "unknown option": ("diff", *SEQ, "--bogus"),
+    "leftover word": ("diff", *SEQ, "extra"),
+    "double dash then a word": ("diff", *SEQ, "--", "extra"),
+    "double dash last": ("diff", *SEQ, "--"),
+    "repeated option": ("diff", "--seq", "inline:1", *SEQ),
+    "exclusive modes": ("lagrange", *SEQ, "--n0", "1", "--m", "2", "--det", "--coeffs"),
+    "missing --seq": ("diff", "--order", "2"),
+    "bad int": ("diff", *SEQ, "--order", "x"),
+    "negative value": ("integrate", *SEQ, "--constant", "-1/2"),
+    "first word -h": ("-h",),
+    "first word dif": ("dif", *SEQ),
+    "no words": (),
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS)
+def test_each_command_line_parses_as_the_full_parser_parses_it(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    parsed = []
+    monkeypatch.setattr(cli, "_run", lambda args: parsed.append(args) or 0)
+    code = main(list(argv))
+    routed = capsys.readouterr()
+    try:
+        parsed.append(cli._build_parser()[0].parse_args(list(argv)))
+        full_code = 0
+    except SystemExit as exc:
+        full_code = int(exc.code or 0)
+    full = capsys.readouterr()
+    assert (code, routed.out, routed.err) == (full_code, full.out, full.err)
+    # a namespace from both, or from neither
+    assert len(parsed) != 1 and parsed[:1] == parsed[1:]
 
 
 def test_failed_check_exits_1(capsys, monkeypatch):

@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcalc import (
@@ -21,8 +21,10 @@ from seqcalc import (
     middle,
     top,
 )
+from seqcalc.calculus import antiderivative
 from seqcalc.errors import BadParameter, NegativePower
 from seqcalc.operators import MAX_EXPONENT, MAX_TERM_PRODUCTS
+from seqcalc.parser import parse_operator_poly
 
 from strategies import (
     finite_seqs,
@@ -233,6 +235,12 @@ def test_power_is_repeated_product(p, n):
     st.lists(monomials, min_size=2, max_size=2, unique=True),
     st.integers(min_value=0, max_value=300),
 )
+# equal degree with one negative term; both negative, E first; mixed degree; past 2**64
+@example(Fraction(7, 3), Fraction(-5, 8), [(1, 0), (0, 1)], 40)
+@example(Fraction(-1), Fraction(-1, 2), [(0, 1), (1, 0)], 40)
+@example(Fraction(-3), Fraction(5, 2), [(2, 1), (0, 4)], 40)
+@example(Fraction(2**70 + 1, 3), Fraction(-(3**45), 2**66 + 1), [(0, 0), (1, 1)], 40)
+@example(Fraction(-(2**65)), Fraction(-7, 2**80), [(3, 0), (0, 0)], 40)
 def test_two_term_power_matches_binomial_oracle(a, b, pair, n):
     (p, q), (r, s) = pair
     power = OperatorPoly({(p, q): a, (r, s): b}) ** n
@@ -241,7 +249,16 @@ def test_two_term_power_matches_binomial_oracle(a, b, pair, n):
         (p * (n - k) + r * k, q * (n - k) + s * k): comb(n, k) * a ** (n - k) * b**k
         for k in range(n + 1)
     }
-    assert power.terms == expected
+    # ... inserted by ascending k
+    assert list(power.terms.items()) == list(expected.items())
+
+
+def test_two_term_power_at_the_exponent_bound_is_the_binomial_row():
+    n = MAX_EXPONENT
+    # a two-term power forms 2 (n + 1) products of terms, so it never meets the bound
+    assert 2 * (n + 1) <= MAX_TERM_PRODUCTS
+    power = (TOP + BOTTOM) ** n
+    assert list(power.terms.items()) == [((n - k, k), comb(n, k)) for k in range(n + 1)]
 
 
 def raw_apply_oracle(p, s):
@@ -271,6 +288,55 @@ def test_minus_one_weights_over_long_outputs_match_raw_index_oracle(n):
     s = FiniteSeq(xs)
     assert DIFFERENCE.apply(s) == FiniteSeq([xs[i + 1] - xs[i] for i in range(n - 1)])
     assert (BOTTOM**3 - TOP).apply(s) == FiniteSeq([xs[i + 3] - xs[i] for i in range(n - 3)])
+
+
+# stencils with more than two shifts: a gapped one, one whose top shift is below its degree
+DOT_STENCILS = ["I + 2*E^2 - E^3", "I^4 + E - 2*E^2", "(7/3*I - 5/8*E)^20", "(I+E)^12"]
+
+
+def dot_inputs(n):
+    """Sequences of length n: ints past 2**64, p/q, and Fraction items past DEN_BITS after
+    a leading run of ints, as four antiderivatives leave them."""
+    rng = random.Random(n)
+    wide = FiniteSeq([Fraction(rng.randint(-9, 9), q**30) for q in (3, 5, 7, 11, 13, 17, 19, 23) * 8])
+    for constant in ("1/3", "2/7", -1, 5):
+        wide = antiderivative(wide, constant)
+    return [
+        FiniteSeq([rng.randint(-(10**30), 10**30) for _ in range(n)]),
+        FiniteSeq([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]),
+        wide.prefix(n),
+        bottom(wide).prefix(n),
+    ]
+
+
+@pytest.mark.parametrize("text", DOT_STENCILS)
+def test_dot_products_match_raw_index_oracle_and_keep_the_item_types(text):
+    p = parse_operator_poly(text)
+    shifts = {}
+    for (_, b), c in p.terms.items():
+        shifts[b] = shifts.get(b, 0) + c
+    # integer weights of the same signs and zeros: a sum of their products has the passes' type
+    scale = lcm(*(c.denominator for c in shifts.values()))
+    weights = {b: int(c * scale) for b, c in shifts.items() if c}
+    for out_len in sorted({0, 1, 2, len(weights) - 1}):
+        assert len(weights) > max(out_len, 2)  # shifts outnumber outputs
+        for s in dot_inputs(p.max_degree() + out_len):
+            result = p.apply(s)
+            assert list(result.values) == raw_apply_oracle(p, s)
+            items = s.scaled()[0]
+            passes = [type(sum(w * items[i + b] for b, w in weights.items())) for i in range(out_len)]
+            assert list(map(type, result.scaled()[0])) == passes
+
+
+def test_degrees_past_any_sequence_apply_without_a_row_of_their_shifts():
+    # one term of degree 2**36, 4097 terms of degree up to 2**24, a gapped row 4001 shifts long
+    s = FiniteSeq([1, "3/2", -4])
+    for text in ("((E^4096)^4096)^4096", "(I + E^4096)^4096", "I^4000 + E^3999 - E^4000"):
+        assert parse_operator_poly(text).apply(s) == EMPTY
+    gapped = parse_operator_poly("I + 2*E - E^4000")
+    for n in (4001, 4002):
+        s = FiniteSeq([Fraction(k, 7) for k in range(n)])
+        assert list(gapped.apply(s).values) == raw_apply_oracle(gapped, s)
 
 
 def test_apply_shared_and_cancelling_shifts():
