@@ -106,11 +106,26 @@ MUTANTS = [
         "tests/test_operators.py::test_dot_products_match_raw_index_oracle_and_keep_the_item_types",
     ),
     (
-        "command-route-keeps-leftovers",
+        "table-read-takes-a-dash-value",
         "cli.py",
-        "if command is None or extra:",
-        "if command is None:",
-        "tests/test_cli.py::test_each_command_line_parses_as_the_full_parser_parses_it[leftover word]",
+        'if not text or text[0] == "-":',
+        "if not text:",
+        "tests/test_cli.py::test_each_command_line_parses_as_the_full_parser_parses_it[negative value]",
+    ),
+    (
+        "table-read-ignores-the-mode-group",
+        "cli.py",
+        "for option in options.values()) > 1:",
+        "for option in options.values()) > 3:",
+        "tests/test_cli.py::test_each_command_line_parses_as_the_full_parser_parses_it[exclusive modes]",
+    ),
+    (
+        # the same values over twice the den: no longer lowest terms, so == tells them apart
+        "power-terms-doubled",
+        "operators.py",
+        "poly._terms, poly._den, poly._stencil = terms, den, None",
+        "poly._terms, poly._den, poly._stencil = {key: 2 * c for key, c in terms.items()}, 2 * den, None",
+        "tests/test_operators.py::test_power_is_repeated_product",
     ),
     (
         "scan-scale-off-at-100000",

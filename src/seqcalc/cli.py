@@ -6,20 +6,26 @@ Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 closed by its reader (128 + SIGPIPE, as a shell reports it; nothing on stderr).
 All stdout is deterministic for identical invocations.
 
-The argparse tree is built on the first ``main`` call and reused by every
-later call in the process; parsing a command line does not change it.  A
-command line whose first word is a command name is parsed by that command's
-subparser alone, which reads the same strings that the full parser would
-hand it.  Where strings are left over, or the first word is not a command,
-the full parser parses the line, so every usage and help text is its own.
+One table, ``COMMANDS``, declares every command's options, and ``main`` reads
+a plain command line straight from it: a command name, then that command's
+exact flags, each at most once, as ``--flag value`` (the value neither empty
+nor starting with "-"), as ``--flag=value`` (the value neither empty, nor
+starting with "-", nor holding "="), or bare for a flag that stores True;
+every required option given, at most one of a mode group, and every value
+taken by its converter.  Any other line goes to argparse, imported and built
+from the same table on first need, which parses the whole line, so help,
+usage and every error text are its own.  The read may decline a line that
+argparse accepts, but never accepts one that argparse rejects, and where it
+accepts, its namespace holds the same fields and values as argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from collections import namedtuple
 from functools import cache
+from types import SimpleNamespace
 
 from . import seqio
 from .analysis import classify_convexity, classify_monotonicity
@@ -29,67 +35,132 @@ from .lagrange import dm_via_determinant, lagrange_poly
 from .parser import parse_operator_poly
 from .seqio import parse_integer, render_json
 
+# an option's converter is str or parse_integer, or None for a flag, which stores True
+_Option = namedtuple("_Option", "dest convert default required help mode", defaults=(None, False, None, False))
 
-def _integer(text: str) -> int:
-    """argparse type for integer options; a bad value is quoted in short."""
-    try:
-        return parse_integer(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+_SEQ = _Option("seq", str, required=True, help="sequence spec: inline:1,3/2,2 | csv:PATH | json:PATH | bfile:PATH")
+
+COMMANDS = {
+    "apply": ("apply an operator expression to a sequence", {
+        "--op": _Option("op", str, required=True, help="operator expression, e.g. '(E - I)^2'"),
+        "--seq": _SEQ,
+    }),
+    "simplify": ("canonical form of an operator expression", {
+        "--op": _Option("op", str, required=True),
+    }),
+    "diff": ("discrete derivative", {
+        "--seq": _SEQ,
+        "--order": _Option("order", parse_integer, 1),
+    }),
+    "integrate": ("antiderivative (cumulative sums)", {
+        "--seq": _SEQ,
+        "--constant": _Option("constant", str, required=True, help="integration constant, e.g. 1 or 3/2"),
+    }),
+    "defint": ("definite integral (inclusive sum)", {
+        "--seq": _SEQ,
+        "--from": _Option("lower", parse_integer, required=True),
+        "--to": _Option("upper", parse_integer, required=True),
+    }),
+    "classify": ("monotonicity and convexity flags", {
+        "--seq": _SEQ,
+    }),
+    "lagrange": ("interpolation through consecutive points", {
+        "--seq": _SEQ,
+        "--n0": _Option("n0", parse_integer, required=True),
+        "--m": _Option("m", parse_integer, required=True),
+        "--eval": _Option("eval_at", str, help="evaluate the interpolant at a rational", mode=True),
+        "--coeffs": _Option("coeffs", None, False, help="print the polynomial (default)", mode=True),
+        "--det": _Option("det", None, False, help="determinant route to D^m S(n0)", mode=True),
+    }),
+    "verify": ("run identity checks", {
+        "--check": _Option("check", str, required=True, help="check name or 'all'"),
+        "--trials": _Option("trials", parse_integer, 200),
+        "--seed": _Option("seed", parse_integer, 0),
+        "--min-len": _Option("min_len", parse_integer, 2),
+        "--max-len": _Option("max_len", parse_integer, 12),
+    }),
+}  # fmt: skip
+"""Each command's help line and its options by flag, in the order that help lists them;
+the options marked mode form one mutually exclusive group."""
+
+
+def _read(argv) -> SimpleNamespace | None:
+    """The namespace of a plain command line, read from ``COMMANDS``, or None
+    where argparse must read the line: see the module docstring."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, text = word.partition("=")
+        option = options.get(flag)
+        if option is None or option.dest in given:
+            return None
+        if option.convert is None:
+            if eq:
+                return None
+            given[option.dest] = True
+            continue
+        if not eq:
+            text = next(words, "")
+        elif "=" in text:
+            return None
+        if not text or text[0] == "-":
+            return None
+        try:
+            given[option.dest] = option.convert(text)
+        except ValueError:
+            return None
+    if sum(option.mode and option.dest in given for option in options.values()) > 1:
+        return None
+    values = {"command": argv[0]}
+    for option in options.values():
+        if option.dest in given:
+            values[option.dest] = given[option.dest]
+        elif option.required:
+            return None
+        else:
+            values[option.dest] = option.default
+    return SimpleNamespace(**values)
 
 
 @cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each command's subparser by name."""
+def _build_parser():
+    """The argparse parser of ``COMMANDS``, built on first need."""
+    import argparse
+
+    def integer(text: str) -> int:
+        """argparse type for integer options; a bad value is quoted in short."""
+        try:
+            return parse_integer(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
     parser = argparse.ArgumentParser(
         prog="seqcalc",
         description="Exact discrete calculus of finite sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def seq_arg(p):
-        p.add_argument(
-            "--seq",
-            required=True,
-            help="sequence spec: inline:1,3/2,2 | csv:PATH | json:PATH | bfile:PATH",
-        )
-        return p
-
-    p_apply = sub.add_parser("apply", help="apply an operator expression to a sequence")
-    p_apply.add_argument("--op", required=True, help="operator expression, e.g. '(E - I)^2'")
-    seq_arg(p_apply)
-
-    p_simplify = sub.add_parser("simplify", help="canonical form of an operator expression")
-    p_simplify.add_argument("--op", required=True)
-
-    p_diff = seq_arg(sub.add_parser("diff", help="discrete derivative"))
-    p_diff.add_argument("--order", type=_integer, default=1)
-
-    p_int = seq_arg(sub.add_parser("integrate", help="antiderivative (cumulative sums)"))
-    p_int.add_argument("--constant", required=True, help="integration constant, e.g. 1 or 3/2")
-
-    p_defint = seq_arg(sub.add_parser("defint", help="definite integral (inclusive sum)"))
-    p_defint.add_argument("--from", dest="lower", type=_integer, required=True)
-    p_defint.add_argument("--to", dest="upper", type=_integer, required=True)
-
-    seq_arg(sub.add_parser("classify", help="monotonicity and convexity flags"))
-
-    p_lagrange = seq_arg(sub.add_parser("lagrange", help="interpolation through consecutive points"))
-    p_lagrange.add_argument("--n0", type=_integer, required=True)
-    p_lagrange.add_argument("--m", type=_integer, required=True)
-    mode = p_lagrange.add_mutually_exclusive_group()
-    mode.add_argument("--eval", dest="eval_at", help="evaluate the interpolant at a rational")
-    mode.add_argument("--coeffs", action="store_true", help="print the polynomial (default)")
-    mode.add_argument("--det", action="store_true", help="determinant route to D^m S(n0)")
-
-    p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("--check", required=True, help="check name or 'all'")
-    p_verify.add_argument("--trials", type=_integer, default=200)
-    p_verify.add_argument("--seed", type=_integer, default=0)
-    p_verify.add_argument("--min-len", dest="min_len", type=_integer, default=2)
-    p_verify.add_argument("--max-len", dest="max_len", type=_integer, default=12)
-
-    return parser, sub.choices
+    for name, (summary, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        mode = None
+        for flag, option in options.items():
+            if option.mode and mode is None:
+                mode = command.add_mutually_exclusive_group()
+            group = mode if option.mode else command
+            if option.convert is None:
+                group.add_argument(flag, dest=option.dest, action="store_true", help=option.help)
+            else:
+                group.add_argument(
+                    flag,
+                    dest=option.dest,
+                    type=integer if option.convert is parse_integer else None,
+                    default=option.default,
+                    required=option.required,
+                    help=option.help,
+                )
+    return parser
 
 
 def _run(args) -> int:
@@ -137,20 +208,13 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        # the full parser would hand argv[1:] to the subparser unchanged; it is kept for
-        # leftovers and other first words, whose usage errors and help text are its own
-        command = argv[0] if argv and argv[0] in commands else None
-        if command is not None:
-            args, extra = commands[command].parse_known_args(argv[1:])
-        if command is None or extra:
-            args = parser.parse_args(argv)
-        else:
-            args.command = command
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         code = _run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

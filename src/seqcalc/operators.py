@@ -24,15 +24,19 @@ An operator is stored in lowest terms as ``(terms, den)``: a nonzero integer
 per monomial over one positive den, with gcd(den, *terms) = 1 and den = 1 for
 zero.  So equal operators have equal forms, which ``==`` and ``hash`` compare.
 Sums align den to an lcm, and a product convolves the terms over d1 * d2.
-``__init__`` and the ring operations all end in one reducer, ``_reduce``:
-divide by the gcd, drop zero terms.  Sums, negations, products and powers
-hand it their int term maps directly, without ``__init__``'s parse.  A
-power expands over the base's first term u = c*I^a*E^b and the rest R:
-P^N = sum_k C(N, k) u^(N-k) R^k over d**N, with R^k convolved from R^(k-1)
-and c^(N-k) stepped down by exact division.  Where R is one term r*I^p*E^q,
-as in D, M and every (a*I - b*E), the k-th coefficient t_k = C(N, k)
-c^(N-k) r^k comes from the one before by the binomial ratio,
-t_(k+1) = t_k * (N-k) * r // ((k+1) * c), one exact division per step.
+``__init__``, sums, negations and products end in one reducer, ``_reduce``:
+divide by the gcd, drop zero terms.  The ring operations hand it their int
+term maps directly, without ``__init__``'s parse.  Powers skip the gcd: by
+Gauss's lemma the content (gcd of the terms) of P^N is the content of P to
+the N, which is coprime to d**N because the content of P is coprime to d,
+so a power of a base in lowest terms is born in lowest terms and only its
+zero sums are dropped.  A power expands over the base's first term
+u = c*I^a*E^b and the rest R: P^N = sum_k C(N, k) u^(N-k) R^k over d**N,
+with R^k convolved from R^(k-1) and c^(N-k) stepped down by exact division.
+Where R is one term r*I^p*E^q, as in D, M and every (a*I - b*E), the k-th
+coefficient t_k = C(N, k) c^(N-k) r^k comes from the one before by the
+binomial ratio, t_(k+1) = t_k * (N-k) * r // ((k+1) * c), one exact
+division per step.
 Exponents are bounded by ``MAX_EXPONENT``, and the term products of one
 ``*`` or ``**`` by ``MAX_TERM_PRODUCTS``.
 
@@ -215,13 +219,14 @@ class OperatorPoly:
             binom = binom * j // (k + 1)
             c_power //= c
             rest_power = _convolve(rest_power, rest)
-        return _from_ints(sums, self._den**exponent)
+        return _from_lowest({key: s for key, s in sums.items() if s}, self._den**exponent)
 
     def _binomial_power(self, n: int) -> OperatorPoly:
         """(u + v)^n for the two terms u = c I^a E^b and v = r I^ra E^rb, by the binomial ratio.
 
         The k-th term C(n, k) c^(n-k) r^k comes from the one before by one exact
         division; the terms are inserted by ascending k, as the general loop does.
+        No term is zero and no two share a monomial, so the map is stored as it is.
         """
         # 2 (n + 1) <= 8194 products of terms, by the general loop's count: under MAX_TERM_PRODUCTS
         ((a, b), c), ((ra, rb), r) = self._terms.items()
@@ -231,7 +236,7 @@ class OperatorPoly:
             j = n - k
             sums[a * j + ra * k, b * j + rb * k] = t
             t = t * j * r // ((k + 1) * c)
-        return _from_ints(sums, self._den**n)
+        return _from_lowest(sums, self._den**n)
 
     def _weights(self) -> tuple[int, int, int, list[tuple[int, int]], list[int]]:
         """(truncation, scale num, scale den, [(shift b, integer weight)], dense row).
@@ -319,6 +324,13 @@ class OperatorPoly:
 def _from_ints(terms: dict[Monomial, int], den: int) -> OperatorPoly:
     """A ring result from its int term map over den > 0, without ``__init__``'s parse."""
     return object.__new__(OperatorPoly)._reduce(terms, den)
+
+
+def _from_lowest(terms: dict[Monomial, int], den: int) -> OperatorPoly:
+    """A power from its nonzero int terms over den > 0, already in lowest terms."""
+    poly = object.__new__(OperatorPoly)
+    poly._terms, poly._den, poly._stencil = terms, den, None
+    return poly
 
 
 def _convolve(left: dict[Monomial, int], right: dict[Monomial, int]) -> dict[Monomial, int]:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -218,25 +219,107 @@ PARSE_CORPUS = {
     "first word -h": ("-h",),
     "first word dif": ("dif", *SEQ),
     "no words": (),
+    "flag with a value": ("lagrange", *SEQ, "--n0", "1", "--m", "2", "--det=1"),
+    "option word as a value": ("diff", "--seq", "--order", "2"),
+    "repeated flag": ("lagrange", *SEQ, "--n0", "1", "--m", "2", "--det", "--det"),
+    "empty value": ("integrate", *SEQ, "--constant", ""),
+    "empty value after =": ("simplify", "--op="),
+    "plus sign": ("diff", *SEQ, "--order", "+2"),
+    "= in a value after =": ("simplify", "--op=E=I"),
+    "negative value after =": ("lagrange", *SEQ, "--n0=-1", "--m", "2"),
 }
 
 
+def _fields(namespace):
+    """A namespace's fields, each value with its type: True and 1 differ."""
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The namespaces that reach ``_run``, which does no work here."""
+    namespaces = []
+    monkeypatch.setattr(cli, "_run", lambda args: namespaces.append(args) or 0)
+    return namespaces
+
+
+def _routed_and_full(parsed, argv):
+    """(exit code, stdout, stderr, fields of the namespace or None) of ``main``
+    and of the full argparse parser, for one command line."""
+
+    def full(argv):
+        try:
+            parsed.append(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        return 0
+
+    outcomes = []
+    for parse in (main, full):
+        before = len(parsed)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = parse(list(argv))
+        fields = _fields(parsed[before]) if len(parsed) > before else None
+        outcomes.append((code, out.getvalue(), err.getvalue(), fields))
+    return outcomes
+
+
 @pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS)
-def test_each_command_line_parses_as_the_full_parser_parses_it(capsys, monkeypatch, argv):
+def test_each_command_line_parses_as_the_full_parser_parses_it(monkeypatch, parsed, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
-    parsed = []
-    monkeypatch.setattr(cli, "_run", lambda args: parsed.append(args) or 0)
-    code = main(list(argv))
-    routed = capsys.readouterr()
-    try:
-        parsed.append(cli._build_parser()[0].parse_args(list(argv)))
-        full_code = 0
-    except SystemExit as exc:
-        full_code = int(exc.code or 0)
-    full = capsys.readouterr()
-    assert (code, routed.out, routed.err) == (full_code, full.out, full.err)
-    # a namespace from both, or from neither
-    assert len(parsed) != 1 and parsed[:1] == parsed[1:]
+    routed, full = _routed_and_full(parsed, argv)
+    assert routed == full
+
+
+# Words to recombine into command lines: every flag of every command, bare and
+# with "=", values of each kind the table read declines or converts, and help.
+_FLAGS = sorted({flag for _, options in cli.COMMANDS.values() for flag in options})
+_VALUES = [
+    "inline:1,4,9,16", "1", "2", "0", "+2", " 3", "-1", "-1/2", "3/2", "x", "", "٣", "1_0",
+    "E - I", "E=I", "ftc", "all", "--", "-", "-h", "--help", "--se", "extra", "diff",
+]  # fmt: skip
+
+# a well-formed value for each str dest; integer options take "2"
+_GOOD = {"seq": "inline:1,2,4,8,16", "op": "(E - I)^2", "constant": "3/2", "eval_at": "7/3", "check": "ftc"}
+
+
+def _recombined_line(rng, command):
+    """A command line of command's own options, mostly well formed, then shuffled,
+    cut and spliced with flags and values from every command."""
+    options = cli.COMMANDS[command][1]
+    pairs = []
+    for flag, option in options.items():
+        if option.required or rng.random() < 0.3:
+            value = _GOOD.get(option.dest, "2") if rng.random() < 0.8 else rng.choice(_VALUES)
+            pairs.append([flag] if option.convert is None else [flag, value])
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        flag = rng.choice(_FLAGS)
+        pairs.append([flag, rng.choice(_VALUES)] if rng.random() < 0.7 else [flag])
+    rng.shuffle(pairs)
+    words = [command]
+    for pair in pairs:
+        if len(pair) == 2 and rng.random() < 0.2:
+            pair = [f"{pair[0]}={pair[1]}"]
+        words += pair
+    if rng.random() < 0.2:
+        del words[rng.randrange(1, len(words) + 1) :]
+    if rng.random() < 0.2:
+        words.insert(rng.randrange(1, len(words) + 1), rng.choice(_VALUES + _FLAGS))
+    return words
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_recombined_command_lines_parse_as_the_full_parser_parses_them(monkeypatch, parsed, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(f"recombined {command}")
+    read = 0
+    for _ in range(2000):
+        argv = _recombined_line(rng, command)
+        routed, full = _routed_and_full(parsed, argv)
+        assert routed == full, argv
+        read += cli._read(argv) is not None
+    assert read >= 300  # the table read takes a share of the corpus, not none of it
 
 
 def test_failed_check_exits_1(capsys, monkeypatch):
@@ -515,6 +598,39 @@ def test_imports_stay_at_the_stdlib_floor():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n[]\n"
+
+
+def test_plain_command_lines_leave_argparse_unloaded():
+    """Under -I -S, one plain line of each command is read from the option table,
+    with no argparse (nor shutil, which its help formatter imports); help still is."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    lines = [
+        ["apply", "--op", "E - I", "--seq", "inline:1,4,9"],
+        ["simplify", "--op=(E - I)^2"],
+        ["diff", "--seq", "inline:1,4,9", "--order", "2"],
+        ["integrate", "--seq", "inline:1,4,9", "--constant", "3/2"],
+        ["defint", "--seq", "inline:1,4,9", "--from", "1", "--to", "3"],
+        ["classify", "--seq", "inline:1,4,9"],
+        ["lagrange", "--seq", "inline:1,4,9", "--n0", "1", "--m", "2", "--det"],
+        ["verify", "--check", "ftc", "--trials", "1"],
+    ]
+    program = (
+        "import io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from seqcalc.cli import main\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"codes = [main(argv) for argv in {lines!r}]\n"
+        "sys.stdout = out\n"
+        "print(codes, [m for m in ('argparse', 'shutil') if m in sys.modules])\n"
+        "main(['--help'])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", program], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    first, help_text = result.stdout.split("\n", 1)
+    assert first == f"{[0] * len(lines)} []"
+    assert help_text.startswith("usage: seqcalc [-h]")
 
 
 def test_star_import_leaves_the_verifier_unloaded():

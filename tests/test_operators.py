@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -251,6 +251,8 @@ def test_two_term_power_matches_binomial_oracle(a, b, pair, n):
     }
     # ... inserted by ascending k
     assert list(power.terms.items()) == list(expected.items())
+    # stored in lowest terms without a gcd pass: the content of a power is the base's to the n
+    assert gcd(power._den, *power._terms.values()) == 1
 
 
 def test_two_term_power_at_the_exponent_bound_is_the_binomial_row():
