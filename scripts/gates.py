@@ -55,6 +55,21 @@ for name, call in calls.items():
         continue
     raise SystemExit(f"{name} read '1e100000000'")"""
 
+# after "=", the option table reads a value that starts with "-" as argparse
+# does, type for type; after a space it leaves the line to argparse
+DASH_VALUES = """from seqcalc import cli
+seq = ["--seq", "inline:1,4,9"]
+lines = [["lagrange", *seq, "--n0", "1", "--m", "2", "--eval=-7/3"], ["integrate", *seq, "--constant=-3/4"],
+         ["diff", *seq, "--order=-1"], ["lagrange", *seq, "--n0=-2", "--m=1", "--det"], ["apply", "--op=-D", *seq]]
+def fields(namespace):
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+for argv in lines:
+    read, full = cli._read(argv), cli._build_parser().parse_args(argv)
+    if read is None or fields(read) != fields(full):
+        raise SystemExit(f"{argv}: the table read {read}, argparse {full}")
+if cli._read(["lagrange", *seq, "--n0", "1", "--m", "2", "--eval", "-7/3"]) is not None:
+    raise SystemExit("the table read --eval -7/3")"""
+
 
 def write_inputs(d: Path) -> tuple[list, list[int]]:
     """CI's seeded inputs: a 100000-entry mix in six shapes, then 2000 entries of two kinds, then
@@ -180,6 +195,7 @@ def cases(d: Path, vals: list, digits: list[int]):
         yield f"integrate {name}.csv stops at the digit limit", partial(digit_limit, f"csv:{d}/{name}.csv")
     yield "antiderivative of cycled.csv leaves the working form", partial(python, "-c", WORKING_FORM, str(d), timeout=10)
     yield "string scalar 1e100000000 raises FormatError", partial(python, "-c", STRING_SCALAR, timeout=5)
+    yield "a dash value after = reads as argparse reads it", partial(python, "-c", DASH_VALUES, timeout=5)
     yield "verify --trials 10001 exits 3 within 5 s", partial(
         seqcalc, "verify", "--check", "ftc", "--trials", "10001", timeout=5, code=3)
     yield "verify, whole catalog at the length bound", partial(

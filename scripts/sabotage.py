@@ -128,6 +128,28 @@ MUTANTS = [
         "tests/test_operators.py::test_power_is_repeated_product",
     ),
     (
+        "sampler-takes-q-10",
+        "verify.py",
+        "while q >= 9:",
+        "while q >= 10:",
+        "tests/verifier_digests.py",
+    ),
+    (
+        # the same values over a larger den where the start and ratio share a factor
+        "geometric-pairs-unreduced",
+        "verify.py",
+        "num, den = num // g, den // g",
+        "num, den = num, den",
+        "tests/test_verify.py::test_geometric_and_arithmetic_instances_have_the_working_form_of_their_fraction_build",
+    ),
+    (
+        "cofactor-sign-slip",
+        "verify.py",
+        "- d * (b * i - c * h)",
+        "+ d * (b * i - c * h)",
+        "tests/verifier_digests.py",
+    ),
+    (
         "scan-scale-off-at-100000",
         "sequences.py",
         "scale = {key: den // d for key, d in dens.items()}",

@@ -10,13 +10,14 @@ One table, ``COMMANDS``, declares every command's options, and ``main`` reads
 a plain command line straight from it: a command name, then that command's
 exact flags, each at most once, as ``--flag value`` (the value neither empty
 nor starting with "-"), as ``--flag=value`` (the value neither empty, nor
-starting with "-", nor holding "="), or bare for a flag that stores True;
-every required option given, at most one of a mode group, and every value
-taken by its converter.  Any other line goes to argparse, imported and built
-from the same table on first need, which parses the whole line, so help,
-usage and every error text are its own.  The read may decline a line that
-argparse accepts, but never accepts one that argparse rejects, and where it
-accepts, its namespace holds the same fields and values as argparse's.
+"--", nor holding "=", but free to start with "-", as in ``--eval=-7/3``),
+or bare for a flag that stores True; every required option given, at most
+one of a mode group, and every value taken by its converter.  Any other
+line goes to argparse, imported and built from the same table on first
+need, which parses the whole line, so help, usage and every error text are
+its own.  The read may decline a line that argparse accepts, but never
+accepts one that argparse rejects, and where it accepts, its namespace holds
+the same fields and values as argparse's.
 """
 
 from __future__ import annotations
@@ -102,12 +103,15 @@ def _read(argv) -> SimpleNamespace | None:
                 return None
             given[option.dest] = True
             continue
-        if not eq:
+        if eq:
+            # argparse takes any text after "=" as the value, "-7/3" too, but
+            # reads "--" alone differently from one version to another
+            if not text or text == "--" or "=" in text:
+                return None
+        else:
             text = next(words, "")
-        elif "=" in text:
-            return None
-        if not text or text[0] == "-":
-            return None
+            if not text or text[0] == "-":
+                return None
         try:
             given[option.dest] = option.convert(text)
         except ValueError:

@@ -18,10 +18,10 @@ does the same for a zero-free G with the ints of 1/G, and the sweep yields
 its sequences over den 1.  Checks that draw two sequences of one length,
 or read the draws themselves (in a quotient, or after a constant), keep
 ``_drawn``'s pair.  A drawn scalar gives its numerator and denominator, and
-a geometric instance its start and ratio (``_o_geometric``).  The oracle loops add and multiply those ints; the
-quotient oracles cross-multiply the ratios (``_o_quotients``).  A result is
-compared by cross-multiplication: a sequence on its working form
-(``scaled()``, see ``_same``), a scalar r as
+a geometric instance its start and ratio (``_o_geometric``).  The oracle
+loops add and multiply those ints; the quotient oracles cross-multiply the
+ratios (``_o_quotients``).  A result is compared by cross-multiplication: a
+sequence on its working form (``scaled()``, see ``_same``), a scalar r as
 ``r.numerator * den == num * r.denominator``.  No oracle builds or divides a
 Fraction: the verifier builds one only as a kernel's input (a constant, a
 ratio, a step) or to write a failure text.  The sweep's sequences are built
@@ -41,11 +41,14 @@ report keeps the first ``MAX_FAILURES`` failure texts and counts them all.
 
 Reports are deterministic: trial t draws from a generator seeded by
 (name, seed, t), so results do not depend on execution order.  A drawn
-rational has a numerator in -9..9 and a denominator in 1..9, and the
-arithmetic and geometric families follow their recurrences exactly.  Every
+rational has a numerator in -9..9 and a denominator in 1..9.  A single
 integer draw goes through ``draw``, which takes the words that
-``rng.randint`` would take, so the draws and every pinned digest stay those
-of ``randint``.
+``rng.randint`` would take; the ratio samplers (``_ratio_draws``) take the
+same words inline on one bound ``rng.getrandbits``.  So the draws and every
+pinned digest stay those of ``randint`` and ``choice``.  The arithmetic and
+geometric families follow their recurrences exactly, on integer (p, q) pairs
+each reduced by one gcd, so their working form is the one ``FiniteSeq``
+builds from the same values.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from . import calculus, grid
 from .analysis import classify_convexity, collinearity_determinant
@@ -151,6 +154,7 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(draw(rng, -9, 9), draw(rng, 1, 9))
 
 
+_NUMERATORS = tuple(range(-9, 10))
 _NONZERO_NUMERATORS = (*range(-9, 0), *range(1, 10))
 
 
@@ -163,9 +167,27 @@ def random_nonzero_rational(rng: random.Random) -> Fraction:
     return Fraction(_nonzero_numerator(rng), draw(rng, 1, 9))
 
 
+def _ratio_draws(length: int, rng: random.Random, numerators) -> list[tuple[int, int]]:
+    """length (p, q) draws, p from numerators (19 or 18 of them, so 5 bits) and q in 1..9.
+
+    Each takes the words and values of ``numerators[draw(rng, 0, len - 1)]``
+    and then ``draw(rng, 1, 9)``, inline on ``rng.getrandbits``.
+    """
+    getrandbits, count, out = rng.getrandbits, len(numerators), []
+    for _ in range(length):
+        p = getrandbits(5)
+        while p >= count:
+            p = getrandbits(5)
+        q = getrandbits(4)
+        while q >= 9:
+            q = getrandbits(4)
+        out.append((numerators[p], q + 1))
+    return out
+
+
 def random_ratios(length: int, rng: random.Random) -> list[tuple[int, int]]:
     """length (p, q) draws, random_rational's in its order, neither reduced nor built."""
-    return [(draw(rng, -9, 9), draw(rng, 1, 9)) for _ in range(length)]
+    return _ratio_draws(length, rng, _NUMERATORS)
 
 
 def random_nonzero_ratios(length: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -174,25 +196,39 @@ def random_nonzero_ratios(length: int, rng: random.Random) -> list[tuple[int, in
     Drawing each p from the nonzero values gives the distribution of
     resampling the whole sequence until none is zero.
     """
-    return [(_nonzero_numerator(rng), draw(rng, 1, 9)) for _ in range(length)]
+    return _ratio_draws(length, rng, _NONZERO_NUMERATORS)
 
 
 def arithmetic_sequence(start: RationalLike, d: RationalLike, length: int) -> FiniteSeq:
+    """start + i d for i < length, each entry's (p, q) in lowest terms as ``FiniteSeq`` reads it."""
     a = as_rational(start)
     step = as_rational(d)
-    return FiniteSeq(a + i * step for i in range(length))
+    # start + i d is (a.num step.den + i step.num a.den) / (a.den step.den)
+    num, inc = a.numerator * step.denominator, step.numerator * a.denominator
+    den = a.denominator * step.denominator
+    pairs = []
+    for _ in range(length):
+        g = gcd(num, den)
+        pairs.append((num // g, den // g))
+        num += inc
+    return FiniteSeq.from_ratios(pairs)
 
 
 def geometric_sequence(start: RationalLike, q: RationalLike, length: int) -> FiniteSeq:
+    """start q^i for i < length, each entry's (p, q) in lowest terms as ``FiniteSeq`` reads it."""
     ratio = as_rational(q)
     if ratio == 0:
         raise BadParameter("geometric ratio q must be nonzero")
     a = as_rational(start)
-    values = []
+    p, r = ratio.numerator, ratio.denominator
+    num, den = a.numerator, a.denominator
+    pairs = []
     for _ in range(length):
-        values.append(a)
-        a = a * ratio
-    return FiniteSeq(values)
+        pairs.append((num, den))
+        num, den = num * p, den * r
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    return FiniteSeq.from_ratios(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +319,9 @@ def _o_det(matrix):
         return matrix[0][0]
     if n == 2:
         return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    if n == 3:  # the same expansion, written out
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return a * (e * i - f * h) - d * (b * i - c * h) + g * (b * f - c * e)
     total = 0
     for r in range(n):
         minor = [row[1:] for k, row in enumerate(matrix) if k != r]
@@ -328,7 +367,7 @@ def _o_leading_coefficient(xs, ys):
 def _same(seq: FiniteSeq, nums, den) -> bool:
     """Whether seq's entries are nums[i] / den, compared on seq's working form."""
     items, d = seq.scaled()
-    return len(items) == len(nums) and all(x * den == y * d for x, y in zip(items, nums))
+    return [x * den for x in items] == [y * d for y in nums]
 
 
 def _entry(seq: FiniteSeq, i: int):
@@ -481,7 +520,8 @@ def _check_arithmetic_rule(spec: CheckSpec, rng: random.Random):
     (first, step), den = _o_ints([(v.numerator, v.denominator) for v in (start, d)])
     for i in range(1, n):
         integral = calculus.definite_integral(ds, 1, i)
-        if not (_equals(integral, i * step, den) and _equals(s.at(i + 1), first + i * step, den)):
+        item, s_den = _entry(s, i + 1)
+        if not (_equals(integral, i * step, den) and item * den == (first + i * step) * s_den):
             yield f"S(i+1) != S(1) + i*d at i={i}, d={d}"
             return
 
@@ -525,8 +565,11 @@ def _ftc(s, nums, den, a, b, constants, antis):
         anti = antis[k]
         if anti is None:
             anti = antis[k] = calculus.antiderivative(s, c)
-        (upper, d), (lower, _) = _entry(anti, b + 1), _entry(anti, a)
-        if (upper - lower) * den != total * d:
+        items, d = anti.scaled()
+        if not (a >= 1 and b < len(items)):  # one of the two raises OutOfRange, b + 1 first
+            anti.at(b + 1)
+            anti.at(a)
+        if (items[b] - items[a - 1]) * den != total * d:
             yield f"I(b+1)-I(a) mismatch S={_inline(s)} a={a} b={b} c={c}"
             return
 

@@ -227,7 +227,20 @@ PARSE_CORPUS = {
     "plus sign": ("diff", *SEQ, "--order", "+2"),
     "= in a value after =": ("simplify", "--op=E=I"),
     "negative value after =": ("lagrange", *SEQ, "--n0=-1", "--m", "2"),
+    "negative --eval after =": ("lagrange", *SEQ, "--n0", "1", "--m", "2", "--eval=-7/3"),
+    "negative --constant after =": ("integrate", *SEQ, "--constant=-3/4"),
+    "negative --order after =": ("diff", *SEQ, "--order=-1"),
+    "negative --n0 after =": ("lagrange", *SEQ, "--n0=-2", "--m=1", "--det"),
+    "dash operator after =": ("apply", "--op=-D", *SEQ),
+    "double dash after =": ("simplify", "--op=--"),
+    "negative --eval, space form": ("lagrange", *SEQ, "--n0", "1", "--m", "2", "--eval", "-7/3"),
 }
+
+# lines of PARSE_CORPUS that the option table reads, with a value that starts with "-"
+DASH_VALUE_LINES = (
+    "negative value after =", "negative --eval after =", "negative --constant after =",
+    "negative --order after =", "negative --n0 after =", "dash operator after =",
+)  # fmt: skip
 
 
 def _fields(namespace):
@@ -270,6 +283,13 @@ def test_each_command_line_parses_as_the_full_parser_parses_it(monkeypatch, pars
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
     routed, full = _routed_and_full(parsed, argv)
     assert routed == full
+
+
+def test_the_table_reads_a_dash_value_after_equals_but_not_after_a_space():
+    for key in DASH_VALUE_LINES:
+        assert cli._read(PARSE_CORPUS[key]) is not None, key
+    for key in ("negative value", "negative --eval, space form", "double dash after ="):
+        assert cli._read(PARSE_CORPUS[key]) is None, key
 
 
 # Words to recombine into command lines: every flag of every command, bare and
@@ -601,8 +621,9 @@ def test_imports_stay_at_the_stdlib_floor():
 
 
 def test_plain_command_lines_leave_argparse_unloaded():
-    """Under -I -S, one plain line of each command is read from the option table,
-    with no argparse (nor shutil, which its help formatter imports); help still is."""
+    """Under -I -S, one plain line of each command, and a negative value after "=",
+    is read from the option table, with no argparse (nor shutil, which its help
+    formatter imports); help still is."""
     src = Path(__file__).resolve().parents[1] / "src"
     lines = [
         ["apply", "--op", "E - I", "--seq", "inline:1,4,9"],
@@ -612,6 +633,7 @@ def test_plain_command_lines_leave_argparse_unloaded():
         ["defint", "--seq", "inline:1,4,9", "--from", "1", "--to", "3"],
         ["classify", "--seq", "inline:1,4,9"],
         ["lagrange", "--seq", "inline:1,4,9", "--n0", "1", "--m", "2", "--det"],
+        ["lagrange", "--seq", "inline:1,4,9", "--n0", "1", "--m", "2", "--eval=-15/2"],
         ["verify", "--check", "ftc", "--trials", "1"],
     ]
     program = (

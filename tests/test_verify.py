@@ -142,6 +142,66 @@ def test_draw_takes_the_words_that_randint_and_choice_take():
             draw(random.Random(0), lo, hi)
 
 
+NONZERO = (*range(-9, 0), *range(1, 10))
+
+
+def test_ratio_samplers_take_the_words_that_randint_and_choice_take():
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for length in range(101):
+            assert random_ratios(length, ours) == [
+                (theirs.randint(-9, 9), theirs.randint(1, 9)) for _ in range(length)
+            ]
+            assert ours.getstate() == theirs.getstate()
+            assert random_nonzero_ratios(length, ours) == [
+                (theirs.choice(NONZERO), theirs.randint(1, 9)) for _ in range(length)
+            ]
+            assert ours.getstate() == theirs.getstate()
+
+
+def _working_form(seq):
+    """seq's working form with the type of each item: int and Fraction items differ."""
+    items, den = seq.scaled()
+    return [(type(x), x) for x in items], den
+
+
+def test_geometric_and_arithmetic_instances_have_the_working_form_of_their_fraction_build():
+    rng = random.Random("integer pairs")
+    past_den_bits = 0
+    for _ in range(600):
+        length = rng.randint(0, 100)
+        start = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        q = Fraction(rng.choice(NONZERO), rng.randint(1, 9))
+        values, a = [], start
+        for _ in range(length):
+            values.append(a)
+            a *= q
+        built = geometric_sequence(start, q, length)
+        assert _working_form(built) == _working_form(FiniteSeq(values)), (start, q, length)
+        past_den_bits += length > 0 and type(built.scaled()[0][-1]) is Fraction
+        d = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        expected = FiniteSeq([start + i * d for i in range(length)])
+        assert _working_form(arithmetic_sequence(start, d, length)) == _working_form(expected), (start, d, length)
+    assert past_den_bits >= 100  # the items of long geometric instances are Fractions over 1
+
+
+def _cofactor_det(matrix):
+    """Cofactor expansion along the first column, recursive at every size."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    minors = ([row[1:] for k, row in enumerate(matrix) if k != r] for r in range(len(matrix)))
+    return sum((-1) ** r * matrix[r][0] * _cofactor_det(minor) for r, minor in enumerate(minors))
+
+
+def test_determinant_oracle_is_the_cofactor_expansion():
+    rng = random.Random("cofactors")
+    for n in (3, 4):
+        for _ in range(500):
+            matrix = [[rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(n)]
+            assert verify._o_det(matrix) == _cofactor_det(matrix)
+    assert verify._o_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+
+
 def test_oracles_catch_a_broken_product_kernel(monkeypatch):
     original = FiniteSeq.__mul__
 
