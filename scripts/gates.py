@@ -154,8 +154,9 @@ def no_values(op: str) -> None:
     check(values == [], f"{op} wrote {len(values)} values")
 
 
-def determinant_route(seq: str, m: str) -> None:
-    det = json.loads(seqcalc("lagrange", "--det", "--n0", "1", "--m", m, "--seq", seq, timeout=10).stdout)["value"]
+def determinant_route(seq: str, m: str, timeout: float = 10) -> None:
+    """lagrange --det at n0 = 1 within timeout seconds equals the first difference of order m."""
+    det = json.loads(seqcalc("lagrange", "--det", "--n0", "1", "--m", m, "--seq", seq, timeout=timeout).stdout)["value"]
     first = json.loads(seqcalc("diff", "--order", m, "--seq", seq).stdout)["values"][0]
     check(det == first, f"determinant route {det} != difference of order {m} {first}")
 
@@ -188,6 +189,8 @@ def cases(d: Path, vals: list, digits: list[int]):
         binomial_sums, f"csv:{d}/digits4100.csv", 4000, digits)
     yield "determinant route m = 80 on one-digit entries", partial(determinant_route, f"csv:{d}/digits.csv", "80")
     yield "determinant route m = 40 on the primes", partial(determinant_route, f"csv:{d}/p.csv", "40")
+    yield "determinant route m = 200 on one-digit entries within 5 s", partial(
+        determinant_route, f"csv:{d}/digits.csv", "200", timeout=5)
     for argv in (("diff", "--order", "40"), ("apply", "--op", "M^8"), ("apply", "--op", "(3/4*I - 5/7*E)^20")):
         yield f"{' '.join(argv)} on the primes in three formats", partial(
             same_stdout, 10, *[(*argv, "--seq", seq) for seq in primes])

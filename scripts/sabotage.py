@@ -60,36 +60,32 @@ MUTANTS = [
         "lagrange.py",
         "for x, y in zip(row[k + 1 :], pivot_tail)]\n        prev = pivot",
         "for x, y in zip(row[k + 1 :], pivot_tail)]\n        prev = pivot if k < 25 else prev",
-        "tests/test_lagrange.py::test_vandermonde_determinant_closed_form[27]",
+        "tests/test_lagrange.py::test_route_matches_the_reference_elimination_at_every_order_to_30",
     ),
     (
-        "node-table-growth-off-by-one",
+        # from step 26 on, step k reads step k - 1's falling factorials
+        "falling-factorials-one-step-late-from-25",
         "lagrange.py",
-        "if len(nodes) <= m:",
-        "if len(nodes) < m:",
-        "tests/test_lagrange.py::test_node_table_grows_to_each_order_and_matches_the_full_rows",
-    ),
-    (
-        "node-table-det-v-one-order-low",
-        "lagrange.py",
-        "Fraction(sign * nodes[m][m])",
-        "Fraction(sign * nodes[m - 1][m - 1])",
+        "falling = [f * (r - k) for r, f in enumerate(falling[1:], k + 2)]",
+        "falling = [f * (r - k + (k > 25)) for r, f in enumerate(falling[1:], k + 2)] if k != 25 else falling[1:]",
         "tests/test_lagrange.py::test_determinant_route_at_order_30_matches_differences_on_every_window",
     ),
     (
-        "node-table-written-by-column",
+        "det-v-one-factorial-short",
         "lagrange.py",
-        "        column[k + 1 :] = [",
-        "        column[k + 1 :] = nodes[k + 1 :] = [",
-        "tests/test_lagrange.py::test_a_call_leaves_the_node_table_unchanged",
+        "Fraction(sign * superfactorial)",
+        "Fraction(sign * superfactorial // fact)",
+        "tests/test_lagrange.py::test_vandermonde_determinant_closed_form",
     ),
     (
-        # same values by Sylvester's identity, but m = 80 builds the table at 160
-        "node-table-built-at-twice-the-order",
+        "k-factorial-advanced-before-its-step",
         "lagrange.py",
-        "rows = [[x**k for k in range(m + 1)] for x in range(m + 1)]",
-        "rows = [[x**k for k in range(2 * m + 1)] for x in range(2 * m + 1)]",
-        "scripts/gates.py",
+        "        y = column[k]\n        column[k + 1 :] = [fact * x - f * y for x, f in zip(column[k + 1 :], falling)]\n"
+        "        falling = [f * (r - k) for r, f in enumerate(falling[1:], k + 2)]\n        fact *= k + 1\n",
+        "        fact *= k + 1\n        y = column[k]\n"
+        "        column[k + 1 :] = [fact * x - f * y for x, f in zip(column[k + 1 :], falling)]\n"
+        "        falling = [f * (r - k) for r, f in enumerate(falling[1:], k + 2)]\n",
+        "tests/test_lagrange.py::test_determinant_route_examples",
     ),
     (
         "binomial-ratio-off-from-k-40",
@@ -155,6 +151,34 @@ MUTANTS = [
         "scale = {key: den // d for key, d in dens.items()}",
         "scale = {key: den // d + (len(nums) >= 100000) for key, d in dens.items()}",
         "scripts/gates.py",
+    ),
+    (
+        "quote-chars-41",
+        "errors.py",
+        "QUOTE_CHARS = 40",
+        "QUOTE_CHARS = 41",
+        "tests/test_cli_outcomes.py",
+    ),
+    (
+        "eq-across-dens-swapped",
+        "sequences.py",
+        "return all(a * d2 == b * d1 for a, b in zip(x, y))",
+        "return all(a * d1 == b * d2 for a, b in zip(x, y))",
+        "tests/test_scaled.py::test_unreduced_tokens_are_stored_as_written_and_read_reduced",
+    ),
+    (
+        "definite-integral-takes-b-past-the-end",
+        "calculus.py",
+        "if a < 1 or b > n:",
+        "if a < 1 or b > n + 1:",
+        "tests/test_calculus.py::test_definite_integral_bounds_errors",
+    ),
+    (
+        "strictly-convex-non-strict",
+        "analysis.py",
+        "strictly_convex = all(d > 0 for d in d2)",
+        "strictly_convex = all(d >= 0 for d in d2)",
+        "tests/test_analysis.py::test_convexity_examples",
     ),
 ]
 

@@ -21,14 +21,16 @@ matters: every entry Bareiss writes is a minor of the rows, and with the low
 powers first those minors stay small (at m = 20 the entries written hold
 under half the bits they hold with the high powers first).
 
-Only the last column holds S.  The power columns on the nodes 0..m are the
-same for every window, and by Sylvester's identity each entry written after
-step k is a (k+1)-minor of rows 0..k-1, r and columns 0..k-1, j, so the
-eliminated node rows of order M hold those of every order m <= M in their
-top-left corner.  The module keeps one such table, for the largest order
-asked so far: a call past it rebuilds the table by ``bareiss_determinant``
-at its own order, and every call then runs only its data column through the
-table's steps, m(m+1)/2 integer updates in place of about m^3/3.
+Only the last column holds S, and the power columns' minors are known in
+closed form.  By Sylvester's identity the entry that step k reads at row r is
+the Vandermonde determinant on the nodes 0..k-1, r:
+T[r][k] = sf(k-1) * r!/(r-k)!, with sf(j) = 0! * 1! * ... * j!, and the pivot
+T[k][k] is sf(k) (Bareiss 1968; Krattenthaler, "Advanced determinant
+calculus", 1999).  So Bareiss's step on the data column,
+y_r <- (y_r * sf(k) - T[r][k] * y_k) // sf(k-1), divides out exactly to
+y_r <- k! * y_r - r!/(r-k)! * y_k, with the same intermediate values, and
+det(V) is the sign times sf(m).  The route makes m(m+1)/2 integer updates
+and keeps no state between calls.
 
 Newton's form is expanded on the window's entries over one int den, as the
 determinants' rows are, in integers over den * m!, which ``Polynomial``
@@ -125,6 +127,9 @@ def render_coefficients(texts: list[str]) -> str:
 def bareiss_determinant(rows: list[list[int]]) -> list[int]:
     """Fraction-free (Bareiss) elimination on n integer rows, in place.
 
+    The reference elimination: ``interpolation_determinants`` runs the same
+    steps on its data column with the node rows' minors in closed form.
+
     The rows have n - 1 + b entries: A is their first n - 1 columns, and
     every leading minor of A must be nonzero, so each pivot is.  The result
     is the b determinants det[A | c_j], c_j the j-th trailing column.  Each of
@@ -188,23 +193,6 @@ def effective_degree(seq: FiniteSeq, n0: int, m: int) -> int:
     return lagrange_poly(seq, n0, m).degree
 
 
-# Row r of the node matrix [1, x, ..., x^M] on x = r, after Bareiss, cut to its
-# entries 0..r: the multipliers T[r][k] that step k reads, then the pivot T[r][r]
-_node_table: tuple[tuple[int, ...], ...] = ()
-
-
-def _node_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """The eliminated node rows of an order >= m, built at order m when the table is smaller."""
-    global _node_table
-    # one read of the global: a thread that swaps in a smaller table leaves this call's own
-    nodes = _node_table
-    if len(nodes) <= m:
-        rows = [[x**k for k in range(m + 1)] for x in range(m + 1)]
-        bareiss_determinant(rows)
-        nodes = _node_table = tuple(tuple(row[: r + 1]) for r, row in enumerate(rows))
-    return nodes
-
-
 def interpolation_determinants(seq: FiniteSeq, i: int, m: int) -> tuple[Fraction, Fraction]:
     """(det(M_S), det(V)) for the descending-power node matrix at window i.
 
@@ -213,25 +201,24 @@ def interpolation_determinants(seq: FiniteSeq, i: int, m: int) -> tuple[Fraction
     leaves both determinants unchanged (the change of basis on the power
     columns is unit triangular), over the integer columns
     [1, x, ..., x^(m-1) | x^m | S]: reversing the m + 1 columns of V and M_S
-    multiplies each by (-1)^(m(m+1)/2).  In this order the leading minors are
-    Vandermonde determinants on the nodes 0..k, never zero.  The power
-    columns come eliminated from the module's node table, so only the data
-    column y runs Bareiss's steps, y_r <- (y_r * T[k][k] - T[r][k] * y_k) //
-    T[k-1][k-1], and det(V) is the pivot T[m][m].
+    multiplies each by (-1)^(m(m+1)/2).  Only the data column y runs
+    Bareiss's steps, each in its division-free form
+    y_r <- k! * y_r - r!/(r-k)! * y_k for r > k, and det(V) is that sign
+    times sf(m) = 0! * 1! * ... * m!.
     """
     _check_window(seq, i, m)
     items, den = seq.scaled()
     column, d = over_lcm(items[i - 1 : i + m])
-    nodes = _node_rows(m)
-    prev = 1
+    falling = [1] * m  # r!/(r-k)! for the rows r = k+1..m below step k's pivot
+    fact = superfactorial = 1  # k! and sf(k)
     for k in range(m):
-        pivot, y = nodes[k][k], column[k]
-        column[k + 1 :] = [
-            (x * pivot - row[k] * y) // prev for x, row in zip(column[k + 1 :], nodes[k + 1 :])
-        ]
-        prev = pivot
+        y = column[k]
+        column[k + 1 :] = [fact * x - f * y for x, f in zip(column[k + 1 :], falling)]
+        falling = [f * (r - k) for r, f in enumerate(falling[1:], k + 2)]
+        fact *= k + 1
+        superfactorial *= fact
     sign = (-1) ** (m * (m + 1) // 2)
-    return Fraction(sign * column[m], den * d), Fraction(sign * nodes[m][m])
+    return Fraction(sign * column[m], den * d), Fraction(sign * superfactorial)
 
 
 def dm_via_determinant(seq: FiniteSeq, i: int, m: int) -> Fraction:

@@ -1,8 +1,6 @@
 """Interpolation, coefficient laws, and the determinant route to D^m."""
 
 import random
-import sys
-import threading
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -20,7 +18,6 @@ from seqcalc import (
     lagrange_mth_derivative,
     lagrange_poly,
 )
-from seqcalc import lagrange
 from seqcalc.errors import OutOfRange
 from seqcalc.lagrange import bareiss_determinant, interpolation_determinants
 
@@ -342,7 +339,7 @@ def window_rows_oracle(s, i, m):
     return Fraction(sign * det_ms, d), Fraction(sign * det_v)
 
 
-def node_table_sequences(n):
+def entry_kind_sequences(n):
     """n entries each of ints, p/q, and k/p over distinct primes, whose lcm passes DEN_BITS."""
     rng = random.Random(n)
     primes = [p for p in range(1009, 2000) if all(p % q for q in range(2, 45))][:n]
@@ -355,16 +352,10 @@ def node_table_sequences(n):
     ]
 
 
-def test_node_table_grows_to_each_order_and_matches_the_full_rows(monkeypatch):
-    # an empty table, then orders in shuffled order: it grows at some calls and serves the others
-    monkeypatch.setattr(lagrange, "_node_table", ())
-    orders = list(range(26))
-    random.Random(28).shuffle(orders)
-    # the table grows at each new highest order, and some call asks one order past it
-    highs = [m for j, m in enumerate(orders) if all(m > o for o in orders[:j])]
-    assert any(b == a + 1 for a, b in zip(highs, highs[1:]))
-    seqs = node_table_sequences(30)
-    for m in orders:
+def test_route_matches_the_reference_elimination_at_every_order_to_30():
+    # from m = 27 on, the reference runs the steps past its 25th
+    seqs = entry_kind_sequences(33)
+    for m in range(31):
         for s in seqs:
             for i in range(1, len(s) - m + 1):
                 assert interpolation_determinants(s, i, m) == window_rows_oracle(s, i, m)
@@ -378,42 +369,7 @@ def test_determinant_route_at_order_30_matches_differences_on_every_window():
     assert [dm_via_determinant(s, i, m) for i in range(1, len(s) - m + 1)] == list(by_difference)
 
 
-def test_a_call_leaves_the_node_table_unchanged():
-    s = node_table_sequences(30)[1]
-    interpolation_determinants(s, 1, 20)
-    table = lagrange._node_table
-    snapshot = [list(row) for row in table]
-    assert len(table) >= 21
-    for m in (0, 1, 7, 20):
-        for i in (1, 10 - m // 4):
-            interpolation_determinants(s, i, m)
-            assert lagrange._node_table is table
-            assert [list(row) for row in table] == snapshot
-
-
-def test_threads_growing_the_node_table_each_get_the_full_rows_results(monkeypatch):
-    monkeypatch.setattr(lagrange, "_node_table", ())
-    s = node_table_sequences(30)[1]
-    expected = [window_rows_oracle(s, 1, m) for m in range(21)]
-    outcomes = []
-
-    def calls(seed):
-        orders = list(range(21))
-        random.Random(seed).shuffle(orders)
-        try:
-            outcomes.extend(interpolation_determinants(s, 1, m) == expected[m] for m in orders)
-        except Exception as error:  # the main thread asserts on what each worker hit
-            outcomes.append(error)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=calls, args=(seed,)) for seed in range(8)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert outcomes == [True] * (8 * 21)
+def test_determinant_route_at_order_100_matches_differences():
+    rng = random.Random(100)
+    s = FiniteSeq(Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(130))
+    assert dm_via_determinant(s, 17, 100) == derivative(s, 100).at(17)
