@@ -146,11 +146,20 @@ MUTANTS = [
         "tests/verifier_digests.py",
     ),
     (
-        "scan-scale-off-at-100000",
-        "sequences.py",
-        "scale = {key: den // d for key, d in dens.items()}",
-        "scale = {key: den // d + (len(nums) >= 100000) for key, d in dens.items()}",
+        # the 100000-entry inputs hold 10023 distinct tokens, so only the table expands them
+        "table-expansion-drops-a-token-at-100000",
+        "seqio.py",
+        "return FiniteSeq.from_scaled(list(map(table.__getitem__, tokens)), den)",
+        "return FiniteSeq.from_scaled(list(map(table.__getitem__, tokens[len(tokens) >= 100000 :])), den)",
         "scripts/gates.py",
+    ),
+    (
+        # a text whose first token is an integer goes to the walk, which reads it alike
+        "slash-test-reads-the-first-token-only",
+        "seqio.py",
+        'return "/" in joined',
+        'return "/" in joined.partition(",")[0]',
+        "tests/test_seqio.py::test_texts_of_the_usual_shapes_never_reach_the_walk",
     ),
     (
         "quote-chars-41",

@@ -15,15 +15,25 @@ and lines end at every ``str.splitlines()`` boundary (a bfile comment too).
 
 ``_read`` reads every format: the scan, else the walk.  A format's shape
 check hands the scan whitespace-free tokens: csv lines, inline pieces and json
-strings stripped, none empty or with whitespace inside; bfile lines of two
-fields past the leading comments.  In ASCII text without "_", ``int()`` takes
-such a token exactly where it matches ``[+-]?[0-9]+``, so the scan's ``int()``
-calls check the grammar, each distinct denominator text once, and a count of
-"/" against the nonempty denominators rejects "1/".  ``FiniteSeq.from_columns``
-gets the numerators, denominator texts and their ints, so only ``sequences``
-chooses the common denominator.  A ValueError sends the text to the walk, the
-reference for values and errors: the format's cells, (piece, line) pairs that
-raise its own errors in input order.  The walk checks each token by
+strings stripped, none empty or with whitespace inside; the values of bfile
+lines of two fields past the leading comments, all split by one ``split()``.
+Each check reads its tokens joined into one text, which also tells whether
+any token holds "/" and rejects one that ends in it ("1/").  In ASCII text
+without "_", ``int()`` takes such a token exactly where it matches
+``[+-]?[0-9]+``, so the scan's ``int()`` calls check the grammar.  Where no
+token holds "/", the items are the tokens' ints over 1.  Else the scan keys
+the tokens in one dict, in first-occurrence order, and splits at "/" either
+every token or, where at least half of them repeat, only the distinct ones,
+whose items a table then hands back in input order: the ints, or past
+``DEN_BITS`` the shared Fractions.  It keys in steps and stops once more than
+half the tokens prove distinct, so an all-distinct text pays for keying
+about half of them.  Each distinct denominator text is checked once, and
+``FiniteSeq.from_columns`` gets the numerators, denominator texts and their
+ints, so only ``sequences`` chooses the common denominator.  Json entries are
+keyed only after their type check: True == 1 and 1.0 == 1 would key as 1.
+A ValueError sends the text to the walk, the reference for values and
+errors: the format's cells, (piece, line) pairs that raise its own errors in
+input order.  The walk checks each token by
 ``sequences._ratio``, the one rule by which text becomes a rational, which
 ``as_rational`` also calls for every string scalar: ``isascii()`` and then
 ``isdigit()`` on the numerator past its sign and on the denominator; no
@@ -41,7 +51,7 @@ from __future__ import annotations
 
 import json
 from itertools import repeat
-from operator import countOf, itemgetter
+from operator import itemgetter
 
 from .errors import FormatError, NonContiguousIndex, quoted
 from .lagrange import Polynomial, render_coefficients
@@ -78,38 +88,78 @@ def _shape(fits: bool) -> None:
         raise ValueError("outside the scanned shape")
 
 
-def _scan(parts: list[tuple]) -> FiniteSeq:
-    """The sequence of whitespace-free _plain tokens' parts (numerator, "/" or "",
-    denominator or ""), or ValueError: a token outside the grammar or past int()'s
-    digit limit, or a 0 denominator."""
+def _columns(parts: Iterable[tuple]) -> FiniteSeq:
+    """The sequence of tokens' parts (numerator, "/" or "", denominator or ""), or ValueError."""
+    parts = list(parts)
     nums, keys = list(map(int, map(itemgetter(0), parts))), list(map(itemgetter(2), parts))
     dens = {key: int(key or 1) for key in set(keys)}
     _shape(all(map(str.isdigit, filter(None, dens))) and 0 not in dens.values())
-    _shape(countOf(map(itemgetter(1), parts), "/") == len(keys) - keys.count(""))
     return FiniteSeq.from_columns(nums, keys, dens)
 
 
-def _read(parts: Callable[[], Iterable[tuple]], cells: Iterable[tuple[str, int | None]]) -> FiniteSeq:
-    """The scan of parts(), or where that raises ValueError, the walk of cells."""
+def _halves(tokens: list[str]) -> Iterator[tuple]:
+    """Each token's parts: numerator, "/" or "", denominator or ""."""
+    return map(str.partition, tokens, repeat("/"))
+
+
+def _scan(tokens: list, slashed: bool, split: Callable[[list], Iterable[tuple]]) -> FiniteSeq:
+    """The sequence of whitespace-free _plain tokens, none ending in "/", or ValueError: a token
+    outside the grammar or past int()'s digit limit, or a 0 denominator.
+
+    Where no token holds "/" (slashed is False), the items are the tokens' ints over 1.  Else
+    ``_columns`` reads the tokens' parts, as split gives them: of every token, or where at least
+    half the tokens repeat, of the distinct ones alone, whose items a table then hands back in
+    input order.  The tokens are keyed in first-occurrence order, by steps of a sixteenth of them
+    plus 1024, until more than half prove distinct: an all-distinct text keys about half.
+    """
+    if not slashed:
+        return FiniteSeq.from_scaled(list(map(int, tokens)), 1)
+    distinct: dict = {}
+    step = len(tokens) // 16 + 1024
+    for start in range(0, len(tokens), step):
+        distinct.update(zip(tokens[start : start + step], repeat(None)))
+        if 2 * len(distinct) > len(tokens):
+            return _columns(split(tokens))
+    items, den = _columns(split(list(distinct))).scaled()
+    table = dict(zip(distinct, items))
+    return FiniteSeq.from_scaled(list(map(table.__getitem__, tokens)), den)
+
+
+def _read(
+    tokens: Callable[[], tuple[list, bool]],
+    cells: Iterable[tuple[str, int | None]],
+    split: Callable[[list], Iterable[tuple]] = _halves,
+) -> FiniteSeq:
+    """The scan of tokens(), or where that raises ValueError, the walk of cells."""
     try:
-        return _scan(list(parts()))
+        return _scan(*tokens(), split)
     except ValueError:
         pass  # the walk runs outside the handler, so the scan's lists are freed
     return FiniteSeq.from_ratios([_ratio(piece, line) for piece, line in cells])
 
 
-def _parts(pieces: list[str]) -> Iterator[tuple]:
-    """The parts of the pieces stripped, where each holds one whitespace-free _plain token."""
-    tokens = list(map(str.strip, pieces))
-    joined = "".join(tokens)
+def _slashed(joined: str) -> bool:
+    """Whether the ","-joined tokens hold "/", or ValueError where one ends in it, as "1/" does."""
+    _shape("/," not in joined and joined[-1:] != "/")
+    return "/" in joined
+
+
+def _checked(tokens: list, joined: str) -> tuple[list, bool]:
+    """(tokens, whether any holds "/"), where joined, their strings stripped and ","-joined, is
+    _plain and holds no whitespace."""
     _shape(_plain(joined) and len(joined.split()) <= 1)  # "" fails int()
-    return map(str.partition, tokens, repeat("/"))
+    return tokens, _slashed(joined)
+
+
+def _inline_tokens(pieces: list[str]) -> tuple[list, bool]:
+    tokens = list(map(str.strip, pieces))
+    return _checked(tokens, ",".join(tokens))
 
 
 def parse_inline(text: str, line: int | None = None) -> FiniteSeq:
     """Comma-separated rationals; a one-row csv passes its line number."""
     pieces = text.split(",") if text.strip() else []
-    return _read(lambda: _parts(pieces), zip(pieces, repeat(line)))
+    return _read(lambda: _inline_tokens(pieces), zip(pieces, repeat(line)))
 
 
 def _csv_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
@@ -120,19 +170,34 @@ def _csv_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
             yield line, number
 
 
+def _csv_tokens(lines: list[str]) -> tuple[list, bool]:
+    tokens = list(filter(None, map(str.strip, lines)))
+    return _checked(tokens, ",".join(tokens))
+
+
 def parse_csv(text: str) -> FiniteSeq:
     lines = text.splitlines()
     if "," in text:
         rows = [(line, n) for n, raw in enumerate(lines, start=1) if (line := raw.strip())]
         if len(rows) == 1:
             return parse_inline(*rows[0])  # a one-row csv
-    return _read(lambda: _parts(list(filter(str.strip, lines))), _csv_cells(lines))
+    return _read(lambda: _csv_tokens(lines), _csv_cells(lines))
 
 
-def _json_parts(data: list) -> list[tuple]:
+def _json_tokens(data: list) -> tuple[list, bool]:
+    """The entries, strings stripped where one holds whitespace; typed before any is keyed,
+    since True == 1 and 1.0 == 1 key as 1 does."""
     _shape(set(map(type, data)) <= {int, str})
-    strings = _parts([x for x in data if type(x) is str])
-    return [next(strings) if type(x) is str else (x, "", "") for x in data]
+    joined = ",".join(filter(str.__instancecheck__, data))
+    if len(f",{joined},".split()) > 1:
+        data = [x.strip() if type(x) is str else x for x in data]
+        joined = ",".join(filter(str.__instancecheck__, data))
+    return _checked(data, joined)
+
+
+def _json_halves(tokens: list) -> list[tuple]:
+    """Each token's parts, as ``_halves`` gives them, an int's being (int, "", "")."""
+    return [x.partition("/") if type(x) is str else (x, "", "") for x in tokens]
 
 
 def _json_cells(data: list) -> Iterator[tuple[str, None]]:
@@ -153,22 +218,24 @@ def parse_json(text: str) -> FiniteSeq:
         raise FormatError("json arrays are nested too deeply to parse") from None
     if not isinstance(data, list):
         raise FormatError("json sequence must be an array")
-    return _read(lambda: _json_parts(data), _json_cells(data))
+    return _read(lambda: _json_tokens(data), _json_cells(data), _json_halves)
 
 
-def _bfile_parts(lines: list[str]) -> Iterable[tuple]:
-    """Two fields on each line past the leading comments (a later comment line fails int())."""
+def _bfile_tokens(lines: list[str]) -> tuple[list, bool]:
+    """The value fields of the nonblank lines past the leading comments, each of two fields (a
+    later comment line fails int()), split at once with a "," field between lines."""
     head = 0
     while head < len(lines) and lines[head].strip()[:1] in ("", "#"):
         head += 1
-    rows = lines[head:]
-    body = "\n".join(rows)
-    _shape(_plain(body) and set(map(len, map(str.split, rows))) <= {0, 2})
-    fields = body.split()  # index, value, index, value, ...
-    index = list(map(int, fields[0::2]))
+    rows = list(filter(str.strip, lines[head:]))
+    body = " , ".join(rows)
+    fields = body.split()  # index, value, ",", index, value, ",", ...: a "," elsewhere fails int()
+    _shape(_plain(body) and len(fields) == 3 * len(rows) - 1 and fields[2::3] == [","] * (len(rows) - 1))
+    index = list(map(int, fields[0::3]))
     first = index[0] if index else 0
     _shape(index == list(range(first, first + len(index))))
-    return map(str.partition, fields[1::2], repeat("/"))
+    values = fields[1::3]
+    return values, _slashed(",".join(values))
 
 
 def _bfile_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
@@ -192,7 +259,7 @@ def _bfile_cells(lines: list[str]) -> Iterator[tuple[str, int]]:
 
 def parse_bfile(text: str) -> FiniteSeq:
     lines = text.splitlines()
-    return _read(lambda: _bfile_parts(lines), _bfile_cells(lines))
+    return _read(lambda: _bfile_tokens(lines), _bfile_cells(lines))
 
 
 _PARSERS = {

@@ -299,7 +299,15 @@ _padded = st.builds("{}{}{}".format, st.sampled_from(_SPACES), _entries, st.samp
 
 @st.composite
 def _texts(draw, fmt):
-    entries = draw(st.lists(_padded, max_size=8))
+    # half the texts draw each entry anew; the other half draw theirs, and a bfile its gaps, from a
+    # small pool of well-formed or of padded entries, so texts of many repeats, of few and of
+    # integers alone all reach the scan
+    pooled = draw(st.booleans())
+    if pooled:
+        pool = draw(st.lists(_tokens if draw(st.booleans()) else _padded, min_size=1, max_size=4))
+        entries = draw(st.lists(st.sampled_from(pool), max_size=12))
+    else:
+        entries = draw(st.lists(_padded, max_size=8))
     seps = st.sampled_from(_BREAKS * 3 + ([","] if fmt != "bfile" else []))
     if fmt == "inline":
         return ",".join(entries) if draw(st.booleans()) else draw(seps).join(entries)
@@ -311,7 +319,8 @@ def _texts(draw, fmt):
     lines = entries
     if fmt == "bfile":
         first = draw(st.integers(-3, 3))
-        gap = st.sampled_from([" ", "\t", "  ", "\xa0"])
+        gaps = [" ", "\t", "  ", "\xa0"]
+        gap = st.sampled_from(draw(st.lists(st.sampled_from(gaps), min_size=1, max_size=2)) if pooled else gaps)
         lines = [f"{first + i}{draw(gap)}{e}" for i, e in enumerate(entries)]
         if lines and draw(st.booleans()):  # a wrong index, or a comment ended by any line break
             k = draw(st.integers(0, len(lines) - 1))
@@ -323,7 +332,7 @@ def _texts(draw, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_scanner_matches_the_per_token_reference(fmt, data):
     assert_same_as_reference(fmt, data.draw(_texts(fmt)))
@@ -332,6 +341,16 @@ def test_scanner_matches_the_per_token_reference(fmt, data):
 # entries k/p over 13 primes: their lcm passes DEN_BITS, so the scan's from_columns
 # builds Fractions over 1 where the reference builds them through from_ratios
 _PAST_BOUND = [f"{k if k % 3 else -k}/{p}" for k, p in enumerate(PRIMES_PAST_BOUND, start=1)]
+# past the scan's first step of keys: repeats after 1500 distinct tokens (read by the table), and
+# 3000 distinct tokens after 2000 repeats (read whole once more than half prove distinct)
+_LATE_REPEATS = [f"{k}/7" for k in range(1500)] + ["1/2"] * 3500
+_EARLY_REPEATS = ["1/2"] * 2000 + [f"{k}/7" for k in range(3000)]
+
+
+def _forms(entries):
+    """entries as csv lines, bfile lines and a json array."""
+    return ["\n".join(entries), "".join(f"{i} {e}\n" for i, e in enumerate(entries)), json.dumps(entries)]
+
 
 EDGE_CORPUS = [
     "1\r\n2\r\n", "1\r2\r3", "1\x1c2\x853\u20284", "\xa01/2\xa0\n\xa0-3\xa0",
@@ -345,7 +364,11 @@ EDGE_CORPUS = [
     "1 /2", "1/ 2", "1\t/2", "1/+2", "1/", "+-1", "1\x1f2", "1 2,,3",
     "1 5#x", "1 5 # note", " # c\n1 5", "1 5 2\n7", "1 1\n2\n3\n3 6", "1 5\n 2\n3 \n3 6",
     '["", "1 2"]', '[" ", "1 2"]', '["1 /2"]', "1 ٣", "1 2_0", "1 3/٣", "٣ 1", "2_0 1",
-    "\n".join(_PAST_BOUND), "".join(f"{i} {e}\n" for i, e in enumerate(_PAST_BOUND)), json.dumps(_PAST_BOUND),
+    *_forms(_PAST_BOUND),
+    # repeated tokens, read once each: json entries keyed only after their type check, as
+    # True == 1 and 1.0 == 1; an error reported at its first line; Fractions past DEN_BITS shared
+    "[1, true, 1]", "[1, 1.0, 1]", '["1", 1, " 1", "1"]', "1/0\n2\n1/0", "1/0\n1/0\n2\n1/0", "1/\n1/\n1/",
+    "1/2,1/,1/2,1/2", *_forms(_PAST_BOUND * 3), *_forms(_LATE_REPEATS), *_forms(_EARLY_REPEATS),
 ]  # fmt: skip
 
 
@@ -357,12 +380,30 @@ def test_scanner_matches_the_reference_on_edge_cases(fmt):
 
 _BIG = "-" + "7" * 400
 _CANONICAL = ["+7", "007", "-3/4", "5/6", _BIG, "0", "9/12"]
+_READ = [7, 7, "-3/4", "5/6", int(_BIG), 0, "3/4"]
+_INTEGERS = ["+7", "007", _BIG, "0", "-12"]
+
+
+def _usual(fmt, entries):
+    """entries in fmt's usual shapes: padded pieces, CRLF lines and blank lines, json ints and
+    padded "p/q" strings."""
+    if fmt == "inline":
+        return ", ".join(entries)
+    if fmt == "csv":
+        return " \r\n".join(entries) + "\r\n\r\n"
+    if fmt == "json":
+        return json.dumps([int(e) if k % 3 == 1 and "/" not in e else f" {e} " if "/" in e and k % 3 == 2 else e
+                           for k, e in enumerate(entries)])  # fmt: skip
+    return "# b-file\r\n\r\n" + "".join(f"{i} {v}\r\n\r\n" for i, v in enumerate(entries, start=-2))
+
+
+# each format's usual text, that text three times over (its distinct tokens read once each),
+# and one of integers alone
 FAST_TEXTS = {
-    "inline": ", ".join(_CANONICAL),
-    "csv": " \r\n".join(_CANONICAL) + "\r\n\r\n",
-    "json": json.dumps(["+7", 7, "-3/4", " 5/6 ", int(_BIG), 0, "9/12"]),
-    "bfile": "# b-file\r\n\r\n" + "".join(f"{i} {v}\r\n\r\n" for i, v in enumerate(_CANONICAL, start=-2)),
-}
+    fmt: [(_usual(fmt, _CANONICAL), _READ), (_usual(fmt, _CANONICAL * 3), _READ * 3),
+          (_usual(fmt, _INTEGERS), [7, 7, int(_BIG), 0, -12])]
+    for fmt in FORMATS
+}  # fmt: skip
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -373,7 +414,8 @@ def test_texts_of_the_usual_shapes_never_reach_the_walk(monkeypatch, fmt):
         raise AssertionError(f"the walk read {piece!r}")
 
     monkeypatch.setattr(seqio, "_ratio", walk)
-    assert parse_sequence_text(FAST_TEXTS[fmt], fmt) == FiniteSeq([7, 7, "-3/4", "5/6", int(_BIG), 0, "3/4"])
+    for text, values in FAST_TEXTS[fmt]:
+        assert parse_sequence_text(text, fmt) == FiniteSeq(values)
 
 
 def _rational_outcome(read, text, line):
