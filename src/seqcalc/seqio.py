@@ -21,19 +21,17 @@ Each check reads its tokens joined into one text, which also tells whether
 any token holds "/" and rejects one that ends in it ("1/").  In ASCII text
 without "_", ``int()`` takes such a token exactly where it matches
 ``[+-]?[0-9]+``, so the scan's ``int()`` calls check the grammar.  Where no
-token holds "/", the items are the tokens' ints over 1.  Else the scan keys
-the tokens in one dict, in first-occurrence order, and splits at "/" either
-every token or, where at least half of them repeat, only the distinct ones,
-whose items a table then hands back in input order: the ints, or past
-``DEN_BITS`` the shared Fractions.  It keys in steps and stops once more than
-half the tokens prove distinct, so an all-distinct text pays for keying
-about half of them.  Each distinct denominator text is checked once, and
-``FiniteSeq.from_columns`` gets the numerators, denominator texts and their
-ints, so only ``sequences`` chooses the common denominator.  Json entries are
-keyed only after their type check: True == 1 and 1.0 == 1 would key as 1.
-A ValueError sends the text to the walk, the reference for values and
-errors: the format's cells, (piece, line) pairs that raise its own errors in
-input order.  The walk checks each token by
+token holds "/", the items are the tokens' ints over 1.  Else one
+``dict.fromkeys`` keys the tokens in first-occurrence order, and only the
+distinct ones are split at "/" and read: where none repeats, they are the
+sequence; else a table hands their items back in input order, the ints or,
+past ``DEN_BITS``, the shared Fractions.  Each distinct denominator text is
+checked once, and ``FiniteSeq.from_columns`` gets the numerators,
+denominator texts and their ints, so only ``sequences`` chooses the common
+denominator.  Json entries are keyed only after their type check: True == 1
+and 1.0 == 1 would key as 1.  A ValueError sends the text to the walk, the
+reference for values and errors: the format's cells, (piece, line) pairs
+that raise its own errors in input order.  The walk checks each token by
 ``sequences._ratio``, the one rule by which text becomes a rational, which
 ``as_rational`` also calls for every string scalar: ``isascii()`` and then
 ``isdigit()`` on the numerator past its sign and on the denominator; no
@@ -97,30 +95,27 @@ def _columns(parts: Iterable[tuple]) -> FiniteSeq:
     return FiniteSeq.from_columns(nums, keys, dens)
 
 
-def _halves(tokens: list[str]) -> Iterator[tuple]:
+def _halves(tokens: Iterable[str]) -> Iterator[tuple]:
     """Each token's parts: numerator, "/" or "", denominator or ""."""
     return map(str.partition, tokens, repeat("/"))
 
 
-def _scan(tokens: list, slashed: bool, split: Callable[[list], Iterable[tuple]]) -> FiniteSeq:
+def _scan(tokens: list, slashed: bool, split: Callable[[Iterable], Iterable[tuple]]) -> FiniteSeq:
     """The sequence of whitespace-free _plain tokens, none ending in "/", or ValueError: a token
     outside the grammar or past int()'s digit limit, or a 0 denominator.
 
     Where no token holds "/" (slashed is False), the items are the tokens' ints over 1.  Else
-    ``_columns`` reads the tokens' parts, as split gives them: of every token, or where at least
-    half the tokens repeat, of the distinct ones alone, whose items a table then hands back in
-    input order.  The tokens are keyed in first-occurrence order, by steps of a sixteenth of them
-    plus 1024, until more than half prove distinct: an all-distinct text keys about half.
+    ``_columns`` reads the parts, as split gives them, of the distinct tokens in first-occurrence
+    order: where none repeats that is the sequence, else a table hands their items back in input
+    order.
     """
     if not slashed:
         return FiniteSeq.from_scaled(list(map(int, tokens)), 1)
-    distinct: dict = {}
-    step = len(tokens) // 16 + 1024
-    for start in range(0, len(tokens), step):
-        distinct.update(zip(tokens[start : start + step], repeat(None)))
-        if 2 * len(distinct) > len(tokens):
-            return _columns(split(tokens))
-    items, den = _columns(split(list(distinct))).scaled()
+    distinct = dict.fromkeys(tokens)
+    seq = _columns(split(distinct))
+    if len(distinct) == len(tokens):
+        return seq
+    items, den = seq.scaled()
     table = dict(zip(distinct, items))
     return FiniteSeq.from_scaled(list(map(table.__getitem__, tokens)), den)
 
@@ -128,7 +123,7 @@ def _scan(tokens: list, slashed: bool, split: Callable[[list], Iterable[tuple]])
 def _read(
     tokens: Callable[[], tuple[list, bool]],
     cells: Iterable[tuple[str, int | None]],
-    split: Callable[[list], Iterable[tuple]] = _halves,
+    split: Callable[[Iterable], Iterable[tuple]] = _halves,
 ) -> FiniteSeq:
     """The scan of tokens(), or where that raises ValueError, the walk of cells."""
     try:
@@ -195,7 +190,7 @@ def _json_tokens(data: list) -> tuple[list, bool]:
     return _checked(data, joined)
 
 
-def _json_halves(tokens: list) -> list[tuple]:
+def _json_halves(tokens: Iterable) -> list[tuple]:
     """Each token's parts, as ``_halves`` gives them, an int's being (int, "", "")."""
     return [x.partition("/") if type(x) is str else (x, "", "") for x in tokens]
 

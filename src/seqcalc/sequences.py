@@ -99,6 +99,13 @@ def _common_den(dens: Iterable[int]) -> int:
     return den
 
 
+def _zero_den(dens: Iterable[int]) -> BadParameter:
+    """The error for entry denominators dens of which one is 0, named by its entry: its lcm with any
+    other is 0, so a constructor meets it only in its Fraction fallback."""
+    entry = next(i for i, q in enumerate(dens, start=1) if q == 0)
+    return BadParameter(f"zero denominator at entry {entry}")
+
+
 def _working_form(ratios: Sequence[tuple[int, int]]) -> tuple[Sequence, int]:
     """(items, den) of the entries p / q over (p, q) pairs with q > 0, not necessarily reduced.
 
@@ -107,7 +114,10 @@ def _working_form(ratios: Sequence[tuple[int, int]]) -> tuple[Sequence, int]:
     """
     den = _common_den({q for _, q in ratios})
     if not den:
-        return [Fraction(p, q) for p, q in ratios], 1
+        try:
+            return [Fraction(p, q) for p, q in ratios], 1
+        except ZeroDivisionError:
+            raise _zero_den(q for _, q in ratios) from None
     return [p * (den // q) for p, q in ratios], den
 
 
@@ -239,7 +249,8 @@ class FiniteSeq:
 
     @staticmethod
     def from_ratios(ratios: Sequence[tuple[int, int]]) -> FiniteSeq:
-        """The sequence of p / q over (p, q) pairs with q > 0, not necessarily reduced."""
+        """The sequence of p / q over (p, q) pairs with q > 0, not necessarily reduced; a q of 0
+        is BadParameter."""
         return FiniteSeq.from_scaled(*_working_form(ratios))
 
     @staticmethod
@@ -249,11 +260,14 @@ class FiniteSeq:
         ``dens`` maps each distinct key to its denominator, an int > 0: a parser
         passes the denominator texts it read and their ints.  The items are ints
         over ``_common_den`` of those ints, each scaled by its key's factor,
-        else the entries' Fractions over den = 1.
+        else the entries' Fractions over den = 1.  An entry over 0 is BadParameter.
         """
         den = _common_den(dens.values())
         if not den:
-            return FiniteSeq.from_scaled(tuple(map(Fraction, nums, map(dens.__getitem__, keys))), 1)
+            try:
+                return FiniteSeq.from_scaled(tuple(map(Fraction, nums, map(dens.__getitem__, keys))), 1)
+            except ZeroDivisionError:
+                raise _zero_den(map(dens.__getitem__, keys)) from None
         scale = {key: den // d for key, d in dens.items()}
         return FiniteSeq.from_scaled(list(map(mul, nums, map(scale.__getitem__, keys))), den)
 

@@ -219,6 +219,23 @@ PRIMES_PAST_BOUND = (1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069, 1087, 1091,
 PRIME_ENTRIES = [Fraction(k if k % 3 else -k, p) for k, p in enumerate(PRIMES_PAST_BOUND, start=1)]
 
 
+@pytest.mark.parametrize(
+    "dens", [[0, 3, 5], [3, 5, 0], [*PRIMES_PAST_BOUND, 0, 7]], ids=["first", "last", "past the bound"]
+)
+def test_a_zero_denominator_is_bad_parameter_in_both_constructors(dens):
+    """A q of 0 ends in the Fraction fallback, where its lcm with any other is 0: also after a prefix
+    whose lcm already passes DEN_BITS."""
+    entry = dens.index(0) + 1
+    keys = list(map(str, dens))
+    builds = [
+        lambda: FiniteSeq.from_ratios([(1, q) for q in dens]),
+        lambda: FiniteSeq.from_columns([1] * len(dens), keys, dict(zip(keys, dens))),
+    ]
+    for build in builds:
+        with pytest.raises(BadParameter, match=f"^zero denominator at entry {entry}$"):
+            build()
+
+
 def _no_fraction_tuple(self):
     raise AssertionError("FiniteSeq.values read on a library path")
 

@@ -341,15 +341,22 @@ def test_scanner_matches_the_per_token_reference(fmt, data):
 # entries k/p over 13 primes: their lcm passes DEN_BITS, so the scan's from_columns
 # builds Fractions over 1 where the reference builds them through from_ratios
 _PAST_BOUND = [f"{k if k % 3 else -k}/{p}" for k, p in enumerate(PRIMES_PAST_BOUND, start=1)]
-# past the scan's first step of keys: repeats after 1500 distinct tokens (read by the table), and
-# 3000 distinct tokens after 2000 repeats (read whole once more than half prove distinct)
+# long texts whose repeats come late (3500 after 1500 distinct tokens) or early (2000 before 3000
+# distinct tokens): the table hands back each one's items
 _LATE_REPEATS = [f"{k}/7" for k in range(1500)] + ["1/2"] * 3500
 _EARLY_REPEATS = ["1/2"] * 2000 + [f"{k}/7" for k in range(3000)]
+# at the edge of the table: every token distinct (the distinct tokens are the sequence), one
+# repeat at the end, and one token repeated at the start
+_DISTINCT = ["1/2", "-3", "4/6", "+5/7", "08"]
+_BOUNDARY = [_DISTINCT, [*_DISTINCT, "4/6"], ["4/6", *_DISTINCT]]
 
 
 def _forms(entries):
-    """entries as csv lines, bfile lines and a json array."""
-    return ["\n".join(entries), "".join(f"{i} {e}\n" for i, e in enumerate(entries)), json.dumps(entries)]
+    """entries as an inline row, csv lines, bfile lines and a json array."""
+    return [
+        ",".join(entries), "\n".join(entries), "".join(f"{i} {e}\n" for i, e in enumerate(entries)),
+        json.dumps(entries),
+    ]  # fmt: skip
 
 
 EDGE_CORPUS = [
@@ -369,6 +376,7 @@ EDGE_CORPUS = [
     # True == 1 and 1.0 == 1; an error reported at its first line; Fractions past DEN_BITS shared
     "[1, true, 1]", "[1, 1.0, 1]", '["1", 1, " 1", "1"]', "1/0\n2\n1/0", "1/0\n1/0\n2\n1/0", "1/\n1/\n1/",
     "1/2,1/,1/2,1/2", *_forms(_PAST_BOUND * 3), *_forms(_LATE_REPEATS), *_forms(_EARLY_REPEATS),
+    *(text for entries in _BOUNDARY for text in _forms(entries)),
 ]  # fmt: skip
 
 
@@ -397,11 +405,13 @@ def _usual(fmt, entries):
     return "# b-file\r\n\r\n" + "".join(f"{i} {v}\r\n\r\n" for i, v in enumerate(entries, start=-2))
 
 
-# each format's usual text, that text three times over (its distinct tokens read once each),
-# and one of integers alone
+# each format's usual text, whose tokens are all distinct; that text with one repeat at the end,
+# with one token repeated at the start, and three times over (its distinct tokens read once
+# each); and one of integers alone
 FAST_TEXTS = {
-    fmt: [(_usual(fmt, _CANONICAL), _READ), (_usual(fmt, _CANONICAL * 3), _READ * 3),
-          (_usual(fmt, _INTEGERS), [7, 7, int(_BIG), 0, -12])]
+    fmt: [(_usual(fmt, _CANONICAL), _READ), (_usual(fmt, [*_CANONICAL, "5/6"]), [*_READ, "5/6"]),
+          (_usual(fmt, ["-3/4", "-3/4", *_CANONICAL[3:]]), ["-3/4", "-3/4", *_READ[3:]]),
+          (_usual(fmt, _CANONICAL * 3), _READ * 3), (_usual(fmt, _INTEGERS), [7, 7, int(_BIG), 0, -12])]
     for fmt in FORMATS
 }  # fmt: skip
 
