@@ -210,11 +210,28 @@ MUTANTS = [
         "tests/test_calculus.py::test_definite_integral_bounds_errors",
     ),
     (
-        "strictly-convex-non-strict",
+        # an affine sequence is convex, but not strictly
+        "strict-convexity-drops-the-zero-fact",
         "analysis.py",
-        "strictly_convex = all(d > 0 for d in d2)",
-        "strictly_convex = all(d >= 0 for d in d2)",
+        "strictly_convex = convex and nonzero",
+        "strictly_convex = convex",
         "tests/test_analysis.py::test_convexity_examples",
+    ),
+    (
+        # [1, 1, 2] is increasing, but not strictly
+        "zero-fact-never-fires",
+        "analysis.py",
+        "0 not in items",
+        "None not in items",
+        "tests/test_analysis.py::test_monotonicity_examples",
+    ),
+    (
+        # a draw of one pair, as every scalar draw is, reads its denominator one higher
+        "scalar-draws-take-q-plus-2",
+        "verify.py",
+        "out.append((numerators[p], q + 1))",
+        "out.append((numerators[p], q + 1 + (length == 1)))",
+        "tests/verifier_digests.py",
     ),
 ]
 

@@ -1,10 +1,13 @@
 """Sign-based classification of sequences by first and second differences.
 
-Convexity here means the second difference is everywhere >= 0 (strictly
-convex: > 0; continuously convex: strictly convex with a nowhere-zero first
-difference).  Concave flags are the same tests on -S.  The collinearity
-determinant of three consecutive graph points equals the second difference
-at that index and twice the signed triangle area.
+Each classifier reads three sign facts of a difference (``_signs``): every
+entry is >= 0, every entry is <= 0, and no entry is 0.  Increasing and convex
+are the first fact, decreasing and concave the second, constant is both, and
+each strict flag is its weak flag with no zero entry.  Convexity is read on
+the second difference; continuously convex is strictly convex with a
+nowhere-zero first difference.  The collinearity determinant of three
+consecutive graph points equals the second difference at that index and
+twice the signed triangle area.
 """
 
 from __future__ import annotations
@@ -28,16 +31,24 @@ ConvexityReport = namedtuple(
 )
 
 
+def _signs(items) -> tuple[bool, bool, bool]:
+    """(every item >= 0, every item <= 0, no item is 0) of a working form's items.
+
+    The den is > 0, so the items carry the entries' signs.
+    """
+    return all(d >= 0 for d in items), all(d <= 0 for d in items), 0 not in items
+
+
 def classify_monotonicity(seq: FiniteSeq) -> MonotonicityReport:
     if len(seq) < 2:
         raise TooShort(len(seq), 2)
-    diffs, _ = derivative(seq).scaled()  # den > 0, so the items carry the signs
+    increasing, decreasing, nonzero = _signs(derivative(seq).scaled()[0])
     return MonotonicityReport(
-        strictly_increasing=all(d > 0 for d in diffs),
-        strictly_decreasing=all(d < 0 for d in diffs),
-        increasing=all(d >= 0 for d in diffs),
-        decreasing=all(d <= 0 for d in diffs),
-        constant=all(d == 0 for d in diffs),
+        strictly_increasing=increasing and nonzero,
+        strictly_decreasing=decreasing and nonzero,
+        increasing=increasing,
+        decreasing=decreasing,
+        constant=increasing and decreasing,
     )
 
 
@@ -46,18 +57,16 @@ def classify_convexity(seq: FiniteSeq) -> ConvexityReport:
         raise TooShort(len(seq), 3)
     first = derivative(seq)
     second = derivative(first)
-    d1, _ = first.scaled()  # den > 0, so the items carry the signs
-    d2, _ = second.scaled()
-    strictly_convex = all(d > 0 for d in d2)
-    strictly_concave = all(d < 0 for d in d2)
-    nonzero_slope = all(d != 0 for d in d1)
+    convex, concave, nonzero = _signs(second.scaled()[0])
+    strictly_convex = convex and nonzero
+    strictly_concave = concave and nonzero
     return ConvexityReport(
-        convex=all(d >= 0 for d in d2),
-        concave=all(d <= 0 for d in d2),
+        convex=convex,
+        concave=concave,
         strictly_convex=strictly_convex,
         strictly_concave=strictly_concave,
-        continuously_convex=strictly_convex and nonzero_slope,
-        continuously_concave=strictly_concave and nonzero_slope,
+        continuously_convex=strictly_convex and 0 not in first.scaled()[0],
+        continuously_concave=strictly_concave and 0 not in first.scaled()[0],
         second_derivative=second,
     )
 

@@ -43,12 +43,13 @@ Reports are deterministic: trial t draws from a generator seeded by
 (name, seed, t), so results do not depend on execution order.  A drawn
 rational has a numerator in -9..9 and a denominator in 1..9.  A single
 integer draw goes through ``draw``, which takes the words that
-``rng.randint`` would take; the ratio samplers (``_ratio_draws``) take the
-same words inline on one bound ``rng.getrandbits``.  So the draws and every
-pinned digest stay those of ``randint`` and ``choice``.  The arithmetic and
-geometric families follow their recurrences exactly, on integer (p, q) pairs
-each reduced by one gcd, so their working form is the one ``FiniteSeq``
-builds from the same values.
+``rng.randint`` would take.  Every rational draw, a scalar or a whole
+sequence, goes through the one ratio sampler ``_ratio_draws``, which takes
+the same words inline on one bound ``rng.getrandbits``.  So the draws and
+every pinned digest stay those of ``randint`` and ``choice``.  The
+arithmetic and geometric families follow their recurrences exactly, on
+integer (p, q) pairs each reduced by one gcd, so their working form is the
+one ``FiniteSeq`` builds from the same values.
 """
 
 from __future__ import annotations
@@ -150,21 +151,8 @@ def draw(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(draw(rng, -9, 9), draw(rng, 1, 9))
-
-
 _NUMERATORS = tuple(range(-9, 10))
 _NONZERO_NUMERATORS = (*range(-9, 0), *range(1, 10))
-
-
-def _nonzero_numerator(rng: random.Random) -> int:
-    """rng.choice(_NONZERO_NUMERATORS), from the same words."""
-    return _NONZERO_NUMERATORS[draw(rng, 0, len(_NONZERO_NUMERATORS) - 1)]
-
-
-def random_nonzero_rational(rng: random.Random) -> Fraction:
-    return Fraction(_nonzero_numerator(rng), draw(rng, 1, 9))
 
 
 def _ratio_draws(length: int, rng: random.Random, numerators) -> list[tuple[int, int]]:
@@ -186,17 +174,25 @@ def _ratio_draws(length: int, rng: random.Random, numerators) -> list[tuple[int,
 
 
 def random_ratios(length: int, rng: random.Random) -> list[tuple[int, int]]:
-    """length (p, q) draws, random_rational's in its order, neither reduced nor built."""
+    """length (p, q) draws, neither reduced nor built: those of length random_rational calls."""
     return _ratio_draws(length, rng, _NUMERATORS)
 
 
 def random_nonzero_ratios(length: int, rng: random.Random) -> list[tuple[int, int]]:
-    """length (p, q) draws with p != 0, random_nonzero_rational's in its order.
+    """length (p, q) draws with p != 0: those of length random_nonzero_rational calls.
 
     Drawing each p from the nonzero values gives the distribution of
     resampling the whole sequence until none is zero.
     """
     return _ratio_draws(length, rng, _NONZERO_NUMERATORS)
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(*random_ratios(1, rng)[0])
+
+
+def random_nonzero_rational(rng: random.Random) -> Fraction:
+    return Fraction(*random_nonzero_ratios(1, rng)[0])
 
 
 def arithmetic_sequence(start: RationalLike, d: RationalLike, length: int) -> FiniteSeq:

@@ -22,7 +22,7 @@ from seqcalc import DIFFERENCE, MIDDLE, FiniteSeq, calculus, derivative, parse_o
 from seqcalc.grid import GridFunction, derivative_error, displacement
 from seqcalc.lagrange import dm_via_determinant, lagrange_poly
 from seqcalc.operators import bottom, top
-from seqcalc.analysis import classify_convexity, collinearity_determinant
+from seqcalc.analysis import classify_convexity, classify_monotonicity, collinearity_determinant
 from seqcalc.cli import main
 from seqcalc.errors import BadParameter, LengthMismatch, ZeroEntry
 from seqcalc.seqio import parse_csv, parse_inline
@@ -123,10 +123,13 @@ def test_commands_match_raw_index_oracles(pairs, order, op, constant, data):
     assert report["monotonicity"] == o_flags(d1)
     convexity = report["convexity"]
     assert convexity["second_derivative"] == texts(d2)
-    assert convexity["convex"] == all(x >= 0 for x in d2)
-    assert convexity["strictly_concave"] == all(x < 0 for x in d2)
     nonzero_slope = all(x != 0 for x in d1)
+    assert convexity["convex"] == all(x >= 0 for x in d2)
+    assert convexity["concave"] == all(x <= 0 for x in d2)
+    assert convexity["strictly_convex"] == all(x > 0 for x in d2)
+    assert convexity["strictly_concave"] == all(x < 0 for x in d2)
     assert convexity["continuously_convex"] == (all(x > 0 for x in d2) and nonzero_slope)
+    assert convexity["continuously_concave"] == (all(x < 0 for x in d2) and nonzero_slope)
 
 
 def _odd_primes(count):
@@ -536,16 +539,25 @@ def test_consumers_read_fraction_items_over_any_den():
     mean = MIDDLE.apply(FiniteSeq(PRIME_ENTRIES))
     items, den = mean.scaled()
     assert den == 2 and all(type(x) is Fraction for x in items)
-    over_1 = FiniteSeq(mean.values)
-    assert over_1.scaled()[1] == 1
-    n, h = len(mean), Fraction(1, 3)
-    reference = FiniteSeq([Fraction(k, 7) for k in range(n - 1)])
-    for call in (
-        lambda seq: lagrange_poly(seq, 2, 9),
-        lambda seq: dm_via_determinant(seq, 1, 6),
-        classify_convexity,
-        lambda seq: [collinearity_determinant(seq, i) for i in range(1, n - 1)],
-        lambda seq: calculus.definite_integral(seq, 2, n - 1),
-        lambda seq: derivative_error(GridFunction(0, h, seq), reference),
-    ):
-        assert call(mean) == call(over_1)
+    # running sums: an int item followed by Fractions, the sums of |entries| strictly increasing
+    sizes = [abs(x) for x in PRIME_ENTRIES]
+    sums = [calculus.antiderivative(FiniteSeq(entries), 1) for entries in (PRIME_ENTRIES, sizes)]
+    for seq in sums:
+        items, den = seq.scaled()
+        assert den == 1 and type(items[0]) is int and all(type(x) is Fraction for x in items[1:])
+    assert classify_monotonicity(sums[1]).strictly_increasing
+    for seq in (mean, *sums):
+        over_1 = FiniteSeq(seq.values)
+        assert over_1.scaled()[1] == 1
+        n, h = len(seq), Fraction(1, 3)
+        reference = FiniteSeq([Fraction(k, 7) for k in range(n - 1)])
+        for call in (
+            lambda s: lagrange_poly(s, 2, 9),
+            lambda s: dm_via_determinant(s, 1, 6),
+            classify_monotonicity,
+            classify_convexity,
+            lambda s: [collinearity_determinant(s, i) for i in range(1, n - 1)],
+            lambda s: calculus.definite_integral(s, 2, n - 1),
+            lambda s: derivative_error(GridFunction(0, h, s), reference),
+        ):
+            assert call(seq) == call(over_1)
