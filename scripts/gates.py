@@ -23,6 +23,7 @@ import tempfile
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,15 +126,17 @@ def seqcalc(*argv: str, **kw):
     return python("-m", "seqcalc", *argv, **kw)
 
 
-def same_stdout(timeout: float, *argvs: tuple[str, ...], first_and_last: tuple[str, str] | None = None) -> None:
+def same_stdout(timeout: float, *argvs: tuple[str, ...], values: list[str] | None = None) -> None:
     """Each seqcalc argv exits 0 within timeout seconds, and all write the same stdout.
 
-    With first_and_last, the first run's values must also begin and end with those two texts.
+    With values, the first run's values must also be those texts, entry by entry.
     """
     first = seqcalc(*argvs[0], timeout=timeout).stdout
-    if first_and_last:
-        values = json.loads(first)["values"]
-        check((values[0], values[-1]) == first_and_last, "the first or the last value differs from its reference")
+    if values is not None:
+        got = json.loads(first)["values"]
+        check(len(got) == len(values), f"{len(got)} values, expected {len(values)}")
+        wrong = next((i for i, (a, b) in enumerate(zip(got, values), start=1) if a != b), None)
+        check(wrong is None, f"value {wrong} differs from its reference")
     for argv in argvs[1:]:
         check(seqcalc(*argv, timeout=timeout).stdout == first, f"{' '.join(argv)} differs from the first run")
 
@@ -180,10 +183,10 @@ def cases(d: Path, vals: list, digits: list[int]):
     yield "apply ((E^4096)^4096)^4096, of degree 2**36, to one entry within 5 s", partial(
         no_values, "((E^4096)^4096)^4096")
     yield "100000 nested parentheses exit 2 within 5 s", partial(python, "-c", NESTED, timeout=5, code=2)
-    # the first entry is the constant, and the last the constant plus every value
+    # entry i is the constant plus the first i - 1 values, summed here in Fractions
     yield "integrate 100000 entries in six shapes: one stdout, each within 10 s", partial(
         same_stdout, 10, *[("integrate", "--seq", seq, "--constant=1/3") for seq in mix],
-        first_and_last=("1/3", str(sum(vals) + Fraction(1, 3))))
+        values=list(map(str, accumulate(vals, initial=Fraction(1, 3)))))
     # 4001 shifts against 100 outputs: a dot product per output
     yield "apply (I+E)^4000 on 4100 one-digit entries is the binomial sums within 10 s", partial(
         binomial_sums, f"csv:{d}/digits4100.csv", 4000, digits)

@@ -233,6 +233,22 @@ MUTANTS = [
         "out.append((numerators[p], q + 1 + (length == 1)))",
         "tests/verifier_digests.py",
     ),
+    (
+        # the run loop's residue stepped by the running sum instead of its step: wrong gcds
+        "run-residue-steps-by-the-sum",
+        "sequences.py",
+        "res = (res + step) % den",
+        "res = (res + int(run)) % den",
+        "tests/golden_digests.py",
+    ),
+    (
+        # a negative numerator of exactly the limit's digits counted with its sign
+        "run-digit-limit-counts-the-sign",
+        "sequences.py",
+        'if len(num) > limit and len(num.lstrip("-")) > limit:',
+        "if len(num) > limit:",
+        "tests/test_digit_limit.py::test_running_sums_take_the_run_loop_up_to_the_limit",
+    ),
 ]
 
 

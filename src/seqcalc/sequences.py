@@ -41,14 +41,19 @@ text becomes a rational: ``[+-]?[0-9]+(/[0-9]+)?`` in ASCII digits, a nonzero
 denominator and Python's int/str digit limit, else a FormatError.  The
 readers' walk and ``as_rational``, which every library scalar given as a
 string goes through, call it.  ``format_items`` is the one way a rational
-becomes text.
+becomes text.  It writes int items by one of two loops, chosen once per call
+from a fixed sample of the items: one ``str`` of a reduced int per entry, or,
+for a wide running sum (an antiderivative past a few hundred digits), one
+``Decimal`` stepped through the sum, whose text costs time linear in its
+digits where an int's costs quadratic time.
 """
 
 from __future__ import annotations
 
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, eq, mul, neg, sub, truediv
 
@@ -176,16 +181,89 @@ class Texts(list):
     __slots__ = ()
 
 
+RUN_WIDTH_BITS = 672
+"""Bit length past which an int item is wide, and up to which a step is narrow, for the run loop.
+
+``str`` of an int takes time quadratic in its digits, a ``Decimal``'s text
+linear time, and adding an int step to a ``Decimal`` converts the step.  On
+running sums with small steps the run loop's entry costs less than the int
+loop's from about 200 digits on (2**672 has 203).
+"""
+RUN_SAMPLES = 16
+"""Items that ``_is_wide_run`` samples, one at the midpoint of each of as many equal slices."""
+RUN_QUORUM = 10
+"""Sampled items that must be wide with a narrow step for ``format_items`` to take the run loop.
+
+Running sums with half of their steps wide (entries of 20 to 400 digits)
+still wrote 7-27 % faster by the run loop, so 10 of 16 leaves room for misses.
+"""
+
+# Exact integer arithmetic in Decimals, never the thread's context: no rounding, and a trap if
+# one would happen.  Integer sums and exact quotients signal nothing, so no call sets its flags.
+_RUN_CONTEXT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+# Python 3.10 has no int/str digit limit
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _is_wide_run(items: Sequence) -> bool:
+    """Whether int items look like a wide running sum: of ``RUN_SAMPLES`` items, one at the
+    midpoint of each equal slice, at least ``RUN_QUORUM`` pass ``RUN_WIDTH_BITS`` bits while their
+    step from the item before does not.  Fewer than ``2 * RUN_SAMPLES`` items never do, and the
+    sample stops once the quorum is out of reach.
+    """
+    n = len(items)
+    if n < 2 * RUN_SAMPLES:
+        return False
+    misses = 0
+    for j in range(1, 2 * RUN_SAMPLES, 2):
+        i = j * n // (2 * RUN_SAMPLES)
+        x = items[i]
+        if x.bit_length() <= RUN_WIDTH_BITS or (x - items[i - 1]).bit_length() > RUN_WIDTH_BITS:
+            misses += 1
+            if misses > RUN_SAMPLES - RUN_QUORUM:
+                return False
+    return True
+
+
+def _run_texts(items: Sequence, den: int) -> Texts:
+    """``format_items``' text of int items, written by stepping one Decimal through their sum.
+
+    Each entry adds its step x[i] - x[i-1] to the Decimal, in the exact
+    ``_RUN_CONTEXT``, and to the residue x[i] mod den, whose gcd with den is
+    gcd(x[i], den); the reduced numerator is the Decimal divided exactly by
+    that gcd.  A numerator past Python's int/str digit limit raises
+    FormatError, as ``str`` of the int would.  Any int items give the int
+    loop's texts; the cost wins only where most steps are narrow.
+    """
+    add, divide_int = _RUN_CONTEXT.add, _RUN_CONTEXT.divide_int
+    limit = _max_str_digits() or sys.maxsize
+    texts = Texts()
+    run, res = Decimal(), 0
+    for step in map(sub, items, chain((0,), items)):
+        run = add(run, step)
+        res = (res + step) % den
+        g = gcd(res, den)
+        num = str(run if g == 1 else divide_int(run, g))
+        if len(num) > limit and len(num.lstrip("-")) > limit:
+            raise FormatError(TOO_MANY_DIGITS)
+        texts.append(num if g == den else f"{num}/{den // g}")
+    return texts
+
+
 def format_items(items: Sequence, den: int) -> Texts:
     """The text of each items[i] / den, over int items or a sequence's Fraction items.
 
-    The one place a rational becomes text: each int entry costs one gcd with
-    den, and no Fraction is built; Fraction items write their ``_exits``.
-    Python's int/str digit limit raises FormatError.
+    The one place a rational becomes text, and no Fraction is built for int
+    items.  Where ``_is_wide_run`` holds they take ``_run_texts``; else each
+    int entry costs one gcd with den and one ``str`` of its reduced
+    numerator.  Fraction items write their ``_exits``.  Python's int/str
+    digit limit raises FormatError.
     """
     try:
         if items and type(items[-1]) is Fraction:
             return Texts(map(str, _exits(items, den)))
+        if _is_wide_run(items):
+            return _run_texts(items, den)
         texts = Texts()
         for x in items:
             g = gcd(x, den)

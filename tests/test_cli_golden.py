@@ -9,6 +9,7 @@ the command line is in the case id.
 import pytest
 
 from golden_digests import CASES, golden_outcome, write_specs
+from seqcalc import sequences
 
 
 @pytest.fixture(scope="module")
@@ -19,3 +20,21 @@ def specs(tmp_path_factory):
 @pytest.mark.parametrize("argv,expected", CASES, ids=[" ".join(argv) for argv, _ in CASES])
 def test_stdout_digest(specs, argv, expected):
     assert golden_outcome(argv, specs) == (0, expected)
+
+
+def test_only_the_running_sums_of_the_long_sequence_take_the_run_loop(specs, monkeypatch):
+    lengths = []
+
+    def spy(items, den):
+        lengths.append(len(items))
+        return run_texts(items, den)
+
+    run_texts = sequences._run_texts
+    monkeypatch.setattr(sequences, "_run_texts", spy)
+    took = []
+    for argv, expected in CASES:
+        if {"CSV", "JSON", "BFILE"} & set(argv):
+            lengths.clear()
+            assert golden_outcome(argv, specs) == (0, expected)
+            took += [(argv[0], n) for n in lengths]
+    assert took == [("integrate", 301)]

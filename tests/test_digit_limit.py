@@ -5,6 +5,7 @@ seqcalc keeps it, and every input and output path maps it to a usage error:
 exit 2 with a one-line message, never a ValueError traceback.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from seqcalc import OperatorPoly, Polynomial
+from seqcalc import OperatorPoly, Polynomial, antiderivative
 from seqcalc.cli import main
 from seqcalc.errors import FormatError
-from seqcalc.seqio import render_sequence
-from seqcalc.sequences import FiniteSeq
+from seqcalc.seqio import parse_inline, render_sequence
+from seqcalc.sequences import FiniteSeq, _is_wide_run, _run_texts
 
 pytestmark = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
@@ -26,6 +27,10 @@ pytestmark = pytest.mark.skipif(
 BIG = "7" * 5000  # parses only without the limit
 TENS = "1" + "0" * 4000  # 10^4000 parses; times ROOM it is too long to write
 ROOM = "1" + "0" * 400
+# two 4300-digit entries, then ones: running sums past 2**672 with steps of 1, which
+# format_items writes by its run loop; from the sum of both entries on, PAST's pass 4300 digits
+PAST = "inline:" + ",".join(["6" + "0" * 4299] * 2 + ["1"] * 40)
+UNDER = "inline:" + ",".join(["-4" + "0" * 4299] * 2 + ["1"] * 40)
 
 
 @pytest.fixture
@@ -61,6 +66,7 @@ OUTPUT_CASES = {
     "simplify": ("simplify", "--op", "(1000*E)^1500"),
     "apply": ("apply", "--op", "10^4000*E", "--seq", f"inline:0,{ROOM}"),
     "eval": ("lagrange", "--seq", f"inline:0,{TENS}", "--n0", "1", "--m", "1", "--eval", ROOM),
+    "integrate": ("integrate", "--seq", PAST, "--constant", "0"),
 }
 
 
@@ -86,6 +92,29 @@ def test_oversized_output_is_a_usage_error(capsys, name):
     assert code == 2
     assert out == ""
     assert err == "seqcalc: a number in the result has too many digits to write as text\n"
+
+
+def test_running_sums_take_the_run_loop_up_to_the_limit(capsys):
+    for spec in (PAST, UNDER):
+        items, _ = antiderivative(parse_inline(spec.removeprefix("inline:")), 0).scaled()
+        assert _is_wide_run(items)
+    # -8 * 10^4299 + k has 4300 digits after its sign: under the limit, so it is written
+    code, out, err = run(capsys, ("integrate", "--seq", UNDER, "--constant", "0"))
+    assert (code, err) == (0, "")
+    sums = [-4 * 10**4299 * min(i, 2) + max(i - 2, 0) for i in range(43)]
+    assert json.loads(out)["values"] == [str(v) for v in sums]
+
+
+def test_run_loop_counts_digits_without_the_sign():
+    limit = sys.get_int_max_str_digits()
+    below, above = 10**limit - 1, 10**limit  # limit digits, then one more
+    for x in (below, -below):
+        assert _run_texts([x, 0, x], 1) == [str(x), "0", str(x)]
+    for x in (above, -above):
+        with pytest.raises(FormatError):
+            _run_texts([x // 7, x], 1)
+    # sums past the limit whose reduced numerators are under it
+    assert _run_texts([2 * below, 2 * below - 2], 2) == [str(below), str(below - 1)]
 
 
 def test_renderers_raise_format_error():

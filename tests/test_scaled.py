@@ -9,9 +9,11 @@ lcm past ``DEN_BITS``, so the items stay Fractions.
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -24,9 +26,17 @@ from seqcalc.lagrange import dm_via_determinant, lagrange_poly
 from seqcalc.operators import bottom, top
 from seqcalc.analysis import classify_convexity, classify_monotonicity, collinearity_determinant
 from seqcalc.cli import main
-from seqcalc.errors import BadParameter, LengthMismatch, ZeroEntry
+from seqcalc.errors import BadParameter, FormatError, LengthMismatch, ZeroEntry
 from seqcalc.seqio import parse_csv, parse_inline
-from seqcalc.sequences import DEN_BITS, format_sequence
+from seqcalc.sequences import (
+    DEN_BITS,
+    RUN_SAMPLES,
+    RUN_WIDTH_BITS,
+    _is_wide_run,
+    _run_texts,
+    format_items,
+    format_sequence,
+)
 
 BIG_PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1)
 
@@ -561,3 +571,72 @@ def test_consumers_read_fraction_items_over_any_den():
             lambda s: derivative_error(GridFunction(0, h, s), reference),
         ):
             assert call(seq) == call(over_1)
+
+
+# format_items' run loop: int items written by stepping one Decimal through their running sum
+
+WIDE = 1 << RUN_WIDTH_BITS
+LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300  # 4300 where there is no limit
+narrow_step = st.integers(-9 * 40320, 9 * 40320)
+wide_step = st.integers(-(WIDE**2), WIDE**2)  # may jump across zero from any sum so far
+# a sum near the digit limit, which such a step may carry past the limit or back
+limit_step = st.builds(lambda k, r: k * 10 ** (LIMIT - 1) + r, st.integers(-9, 9), st.integers(-99, 99))
+run_start = st.one_of(st.integers(-50, 50), wide_step, limit_step)
+
+
+def long_seq_mix(n, seed):
+    """The benchmark's long_seq entries: p/q with |p|, q <= 9, and 10 % integers of 20-400 digits."""
+    rng = random.Random(seed)
+    vals = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            digits = rng.randint(20, 400)
+            vals.append(Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)))
+        else:
+            vals.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return vals
+
+
+def fraction_texts(items, den):
+    """str(Fraction(x, den)) for each item, or None where one passes the int/str digit limit."""
+    try:
+        return [str(Fraction(x, den)) for x in items]
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lead=st.lists(st.integers(-50, 50), max_size=4),
+    start=run_start,
+    steps=st.lists(st.one_of(narrow_step, narrow_step, narrow_step, wide_step, limit_step), max_size=60),
+    den=st.sampled_from([1, 6, 2520 * 16, 1000003, 2**61 - 1]),
+)
+def test_run_loop_writes_each_entry_as_its_fraction(lead, start, steps, den):
+    # leading narrow items, then a running sum that goes negative, crosses zero and takes wide steps
+    items = lead + list(accumulate(steps, initial=start))
+    expected = fraction_texts(items, den)
+    if expected is None:
+        for write in (_run_texts, format_items):
+            with pytest.raises(FormatError):
+                write(items, den)
+    else:
+        assert _run_texts(items, den) == expected
+        assert format_items(items, den) == expected
+
+
+def test_run_loop_is_chosen_for_wide_running_sums_alone():
+    s = FiniteSeq(long_seq_mix(5000, 45))
+    items, den = calculus.antiderivative(s, Fraction(-3, 7)).scaled()
+    assert _is_wide_run(items)
+    assert format_items(items, den) == texts(Fraction(x, den) for x in items)
+    # the mix's wide outputs that are not running sums keep the int loop
+    others = [derivative(s, 1), derivative(s, 2), derivative(s, 3)]
+    others += [parse_operator_poly(op).apply(s) for op in ("M", "D^2", "1/16*(I+E)^4")]
+    for seq in others:
+        assert not _is_wide_run(seq.scaled()[0])
+    # every output shorter than two items per sample keeps it too, however wide
+    run = list(accumulate([1] * (2 * RUN_SAMPLES), initial=7 * WIDE))
+    assert _is_wide_run(run[: 2 * RUN_SAMPLES])
+    for n in range(2 * RUN_SAMPLES):
+        assert not _is_wide_run(run[:n])
